@@ -1,40 +1,28 @@
-"""Optional numpy gate for the batched fast paths.
+"""The numpy handle for the batched fast paths.
 
-numpy is a declared dependency, but the library degrades gracefully
-without it: every module that vectorizes imports ``np``/``HAVE_NUMPY``
-from here and falls back to the pure-Python reference path when numpy
-is absent.  Keeping the import in one place means exactly one
-``ImportError`` policy for the whole package.
+Every module that vectorizes imports ``np`` and :func:`to_uint64_array`
+from here, so the uint64 coercion policy lives in exactly one place.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-try:
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _numpy = None  # type: ignore[assignment]
+import numpy as _numpy
 
-#: The numpy module, or ``None`` when unavailable.  Typed ``Any`` so the
-#: strict-gated sketch modules can use it without numpy's stubs.
+#: The numpy module, typed ``Any`` so the strict-gated sketch modules
+#: can use it without numpy's stubs.
 np: Any = _numpy
-
-#: True when numpy imported successfully.
-HAVE_NUMPY: bool = _numpy is not None
 
 
 def to_uint64_array(values: Any) -> Any:
     """Coerce ``values`` to a uint64 ndarray, or ``None`` if impossible.
 
-    Returns ``None`` when numpy is unavailable or any value falls
-    outside ``[0, 2^64)`` (e.g. pair codes of a domain wider than 64
-    bits) — callers then take their exact pure-Python path instead.
+    Returns ``None`` when any value falls outside ``[0, 2^64)`` (e.g.
+    pair codes of a domain wider than 64 bits) — callers then take
+    their exact pure-Python path instead.
     """
-    if _numpy is None:
-        return None
     try:
-        return _numpy.asarray(values, dtype=_numpy.uint64)
+        return np.asarray(values, dtype=np.uint64)
     except (OverflowError, TypeError, ValueError):
         return None
-

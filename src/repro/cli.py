@@ -705,6 +705,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.sample_every < 0:
         print("--sample-every must be >= 0", file=sys.stderr)
         return 2
+    if args.shards < 0:
+        print("--shards must be >= 0", file=sys.stderr)
+        return 2
     domain = AddressDomain(2 ** 32)
     registry = Registry()
     if args.sample_every > 0:

@@ -36,7 +36,7 @@ def _build_tz_table() -> Any:
     return _np.array(table, dtype=_np.int64)
 
 
-_TZ_TABLE: Any = _build_tz_table() if _np is not None else None
+_TZ_TABLE: Any = _build_tz_table()
 
 
 def lsb_index(value: int) -> int:
@@ -88,14 +88,14 @@ class GeometricLevelHash:
     def levels_many(self, values: Any) -> Any:  # hot-path
         """Levels for a batch of values, bit-identical to ``self(v)``.
 
-        Vectorized when numpy is available: tabulated words, then the
-        isolated low bit ``w & -w`` mapped to its index through the
-        mod-67 perfect-hash table (integer-only — no float log2, no
-        version-gated popcount).  Returns a numpy ``int64`` array on
-        that path, else a list of ints.
+        Vectorized whenever every value is below ``2^64``: tabulated
+        words, then the isolated low bit ``w & -w`` mapped to its index
+        through the mod-67 perfect-hash table (integer-only — no float
+        log2, no version-gated popcount).  Returns a numpy ``int64``
+        array on that path, else a list of ints.
         """
         words = self._randomizer.words_many(values)
-        if isinstance(words, list) or _TZ_TABLE is None:
+        if isinstance(words, list):
             max_level = self.max_level
             out = []
             append = out.append

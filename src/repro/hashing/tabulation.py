@@ -71,10 +71,10 @@ class TabulationHash:
     def words_many(self, values: Any) -> Any:  # hot-path
         """Tabulated 64-bit words for a batch of values.
 
-        Bit-identical to :meth:`word` per value.  With numpy available
-        the per-byte table lookups become eight fancy-index gathers;
-        otherwise a plain list of ints is returned.  Values at or above
-        ``2^64`` always take the scalar path (they need the XOR fold).
+        Bit-identical to :meth:`word` per value.  The per-byte table
+        lookups become eight fancy-index gathers; values at or above
+        ``2^64`` take the scalar path instead (they need the XOR fold)
+        and come back as a plain list of ints.
         """
         codes = _to_uint64_array(values)
         if codes is None:

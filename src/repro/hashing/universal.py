@@ -81,18 +81,17 @@ class CarterWegmanHash:
 
         Bit-identical to calling the hash once per value, but with one
         local binding of ``a``, ``b``, and the field modulus for the
-        whole batch.  With numpy available (and every value below
-        ``2^64``) the evaluation is vectorized via an exact 32-bit
-        limb-split of the product ``a * x`` — integer-only throughout,
-        so the result is the true field value, not an approximation.
+        whole batch.  With every value below ``2^64`` the evaluation
+        is vectorized via an exact 32-bit limb-split of the product
+        ``a * x`` — integer-only throughout, so the result is the true
+        field value, not an approximation.
 
         Returns a numpy ``int64`` array on the vectorized path, else a
         plain list of ints.
         """
-        if _np is not None:
-            codes = _to_uint64_array(values)
-            if codes is not None:
-                return self._hash_many_vectorized(codes)
+        codes = _to_uint64_array(values)
+        if codes is not None:
+            return self._hash_many_vectorized(codes)
         a = self._a
         b = self._b
         p = MERSENNE_61

@@ -127,8 +127,8 @@ SKETCH_SCALAR_FALLBACKS = MetricSpec(
     name="repro_sketch_scalar_fallbacks_total",
     kind="counter",
     help="Query-path decodes that took the scalar bucket walk because "
-         "the vectorized slab path was unavailable (reference backend, "
-         "no numpy, or pair_bits > 64).",
+         "the vectorized slab path was unavailable (reference backend "
+         "or pair_bits > 64).",
     paper_ref="§4 Fig. 4 ReturnSingleton run per-bucket instead of "
               "per-slab (same answers, §6.2 speed notes)",
 )
@@ -186,9 +186,9 @@ SHARDED_SHARDS = MetricSpec(
 SHARDED_DELTA_BYTES = MetricSpec(
     name="repro_sharded_delta_bytes",
     kind="histogram",
-    help="Raw bytes shipped per combined() sync on the delta/shm "
-         "transports (bucket indices + counter rows, all shards; a "
-         "full resync counts its absolute rows here too).",
+    help="Raw bytes shipped per combined() delta sync (bucket "
+         "indices + counter rows, all shards; a full resync counts "
+         "its absolute rows here too).",
     buckets=(1_024, 16_384, 262_144, 4_194_304, 67_108_864),
     paper_ref="§3 linearity: only touched buckets need to travel",
 )
@@ -196,9 +196,9 @@ SHARDED_DELTA_BYTES = MetricSpec(
 SHARDED_SYNC_DURATION = MetricSpec(
     name="repro_sharded_sync_duration_us",
     kind="histogram",
-    help="Wall time of one combined() shard sync (delta collect or "
-         "shm gather plus the fold), in microseconds (observed via "
-         "the span tracer: the sync path stays clock-free).",
+    help="Wall time of one combined() shard sync (delta collect "
+         "plus the fold), in microseconds (observed via the span "
+         "tracer: the sync path stays clock-free).",
     buckets=(100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000),
     paper_ref="§6.2 query latency; merged answer == single sketch (§3)",
 )
@@ -206,7 +206,7 @@ SHARDED_SYNC_DURATION = MetricSpec(
 SHARDED_FULL_RESYNCS = MetricSpec(
     name="repro_sharded_full_resyncs_total",
     kind="counter",
-    help="Delta-transport syncs that had to re-read absolute shard "
+    help="Delta syncs that had to re-read absolute shard "
          "state (first sync, epoch mismatch, or a worker death "
          "discarding the running sum).",
     paper_ref="§3 delete-resistance: absolute rows re-fold exactly",

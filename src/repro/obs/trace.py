@@ -68,7 +68,6 @@ SPAN_NAMES = (
     "sharded.delta_sync",
     "sharded.pipe_recv",
     "sharded.pipe_send",
-    "sharded.shm_sync",
     "sketch.base_topk",
     "sketch.dsample_sweep",
     "sketch.hash_bulk",

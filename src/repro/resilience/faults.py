@@ -13,9 +13,9 @@ must survive, so the chaos suite can assert the recovered sketch is
   checkpoint payload (recovery must notice the CRC mismatch and fall
   back to the previous generation plus a longer WAL tail);
 * :func:`drop_delta_sync` — drain one worker's dirty-bucket delta run
-  and throw it away, simulating a torn/lost sync on
-  ``transport="delta"`` (the epoch gap must force the parent into an
-  exact full resync instead of silently diverging).
+  and throw it away, simulating a torn/lost shard sync (the epoch gap
+  must force the parent into an exact full resync instead of silently
+  diverging).
 
 They are shipped in the package — not buried in ``tests/`` — so
 operators can run the same drills against a staging deployment; see
@@ -76,14 +76,13 @@ def drop_delta_sync(sharded: ShardedSketch, index: int) -> int:
     resync.  Returns the number of bytes discarded.
 
     Raises:
-        ParameterError: unless the sketch runs ``transport="delta"``.
+        ParameterError: unless the sketch runs a worker pool.
     """
     pool = sharded._pool
-    if pool is None or sharded.transport != "delta":
+    if pool is None:
         raise ParameterError(
-            "drop_delta_sync requires backend='process' with "
-            f"transport='delta' (got backend={sharded.backend!r}, "
-            f"transport={sharded.transport!r})"
+            "drop_delta_sync requires backend='process' (got "
+            f"backend={sharded.backend!r})"
         )
     reply = pool.collect_delta(index)
     return sum(

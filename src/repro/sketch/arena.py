@@ -33,7 +33,6 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .._accel import HAVE_NUMPY
 from .._accel import np as _np
 from ..exceptions import MergeError, ParameterError
 from ..obs.trace import span as trace_span
@@ -120,7 +119,7 @@ class SignatureArena:
         # Reused zero row so growth never allocates a fresh list.
         self._zeros = array("q", bytes(8 * self.stride))
         self._dense: Any = None
-        if HAVE_NUMPY and range_size <= MAX_DENSE_RANGE:
+        if range_size <= MAX_DENSE_RANGE:
             self._dense = _np.full(range_size, -1, dtype=_np.int64)
         # Cached buffer view (see view2d); dropped before any growth.
         self._view: Any = None
@@ -349,7 +348,7 @@ class SignatureArena:
                     break
             yield code if singleton else None
 
-    # -- batch engine surface (numpy required) -------------------------------
+    # -- batch engine surface -------------------------------------------------
 
     def resolve_slots(self, buckets: Any) -> Any:  # hot-path
         """Slot index per bucket (int64 ndarray), allocating on miss.
@@ -446,16 +445,16 @@ class SignatureArena:
 
         The whole-slab form of the paper's ``GetdSample`` inner loop:
         returns ``(singleton pair codes, collision count)`` over all
-        occupied buckets.  With numpy (and a pair encoding that fits
-        64 bits) the entire slab is evaluated by a single application
-        of the vectorized singleton predicate; otherwise it falls back
-        to the scalar per-bucket decode with identical results.
+        occupied buckets.  When the pair encoding fits 64 bits the
+        entire slab is evaluated by a single application of the
+        vectorized singleton predicate; wider encodings fall back to
+        the scalar per-bucket decode with identical results.
         """
         occupied = len(self._slots)
         if occupied == 0:
             return [], 0
         with trace_span("arena.decode_slab"):
-            if not HAVE_NUMPY or self.pair_bits > 64:
+            if self.pair_bits > 64:
                 codes_out: List[int] = []
                 append = codes_out.append
                 for code in self.decode_occupied():

@@ -40,7 +40,6 @@ from typing import (
     cast,
 )
 
-from .._accel import HAVE_NUMPY
 from .._accel import np as _np
 from .._accel import to_uint64_array as _to_uint64_array
 from ..exceptions import MergeError, ParameterError
@@ -347,9 +346,9 @@ class DistinctCountSketch:
         """Apply encoded-pair updates, vectorized when possible.
 
         Falls back to the sequential per-pair path on the reference
-        backend, without numpy, or for pair domains wider than 64 bits.
+        backend or for pair domains wider than 64 bits.
         """
-        if self._arenas is not None and HAVE_NUMPY:
+        if self._arenas is not None:
             codes = _to_uint64_array(pairs)
             if codes is not None:
                 self._apply_batch_vectorized(codes, deltas)
@@ -462,12 +461,12 @@ class DistinctCountSketch:
         """Decode one ``(level, table)`` slab of occupied buckets.
 
         Returns ``(singleton pair codes, collision count)``.  On the
-        packed backend with numpy this is a single vectorized pass over
-        the slab's contiguous counter rows
+        packed backend this is a single vectorized pass over the slab's
+        contiguous counter rows
         (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`); on
-        the reference backend — or without numpy, or for pair domains
-        wider than 64 bits — it transparently takes the scalar
-        per-signature path with identical results.  Does not touch
+        the reference backend — or for pair domains wider than 64 bits
+        — it transparently takes the scalar per-signature path with
+        identical results.  Does not touch
         observability counters (callers aggregate per scan).
         """
         store = self._tables[level][j]
@@ -486,11 +485,7 @@ class DistinctCountSketch:
 
     def _slab_decode_ready(self) -> bool:
         """True when whole-slab decode can serve queries on this sketch."""
-        return (
-            self._arenas is not None
-            and HAVE_NUMPY
-            and self.params.pair_bits <= 64
-        )
+        return self._arenas is not None and self.params.pair_bits <= 64
 
     def _decode_levels(
         self, levels: List[int]
@@ -578,7 +573,7 @@ class DistinctCountSketch:
             sample, recovered, collisions = self._decode_levels([level])[0]
         else:
             # Scalar fallback: one per-signature decode per inner table
-            # (reference backend, no numpy, or pair_bits > 64).
+            # (reference backend or pair_bits > 64).
             self._obs_scalar_fallbacks.inc(self.params.r)
             sample = set()
             recovered = 0
@@ -595,8 +590,8 @@ class DistinctCountSketch:
         """``GetdSample`` for every level of the sketch in one pass.
 
         Returns ``{level: sample}`` for all levels.  On the packed
-        backend with numpy this decodes every arena of the sketch with
-        a single application of the slab kernel — the fastest way to
+        backend (pair domains up to 64 bits) this decodes every arena
+        of the sketch with a single application of the slab kernel — the fastest way to
         materialize the full distinct-sample hierarchy (diagnostics,
         benchmarks, exhaustive queries); elsewhere it degrades to the
         per-level scalar scan with identical results.  Observability
@@ -812,20 +807,20 @@ class DistinctCountSketch:
         reshaped).  Because the sketch is linear, adding another
         sketch's per-bucket counter deltas is exactly equivalent to
         having processed its updates here — the incremental-merge
-        primitive behind ``ShardedSketch(transport="delta"|"shm")``.
+        primitive behind the process-backed ``ShardedSketch`` sync.
         Buckets whose rows net to zero are pruned, and the tracking
         subclass maintains its sample state through the same scatter
         override the batch engine uses.  Does **not** adjust
         ``updates_processed``/``net_total`` (callers account for those
-        from the transport's cumulative totals).
+        from the shard workers' cumulative totals).
 
-        Requires the packed backend and numpy (the transports that
-        call this resolve only under the same conditions).
+        Requires the packed backend (process-backed shard banks
+        require it too).
         """
         arenas = self._arenas
-        if arenas is None or not HAVE_NUMPY:
+        if arenas is None:
             raise ParameterError(
-                "apply_bucket_deltas requires backend='packed' and numpy"
+                "apply_bucket_deltas requires backend='packed'"
             )
         if len(buckets) == 0:
             return
@@ -847,10 +842,10 @@ class DistinctCountSketch:
         sketch is merged out of the running window sum when it ages
         past the window horizon.
 
-        When both sketches are packed (and numpy is present) each inner
-        table is subtracted by negating ``other``'s exported counter
-        rows and folding them through :meth:`apply_bucket_deltas`;
-        otherwise the per-bucket signature path is used.  Both paths
+        When both sketches are packed each inner table is subtracted by
+        negating ``other``'s exported counter rows and folding them
+        through :meth:`apply_bucket_deltas`; otherwise the per-bucket
+        signature path is used.  Both paths
         prune buckets that net to zero, so the result is structurally
         equal to a from-scratch sketch of the remaining stream.
         """
@@ -858,11 +853,7 @@ class DistinctCountSketch:
             raise MergeError(
                 "sketches must share params and seed to subtract"
             )
-        vectorized = (
-            self._arenas is not None
-            and other._arenas is not None
-            and HAVE_NUMPY
-        )
+        vectorized = self._arenas is not None and other._arenas is not None
         for level in range(self.params.num_levels):
             for j in range(self.params.r):
                 theirs = other._tables[level][j]

@@ -1,64 +1,42 @@
 """Worker-process pool backing ``ShardedSketch(backend="process")``.
 
-Each worker owns a private :class:`TrackingDistinctCountSketch` and
-drains a FIFO command pipe — ``ingest`` (a chunk of update tuples),
-``snapshot`` (serialize the sketch back to the parent), ``close``.
-Because all shard sketches share params and seed, the parent merges the
-snapshots through :mod:`repro.sketch.serialize` into the exact sketch a
-single-process run would have produced (linearity, Section 3).
+Each worker owns a private packed :class:`TrackingDistinctCountSketch`
+and drains a FIFO command pipe — ``ingest`` (a chunk of update tuples),
+``delta`` (ship the buckets touched since the last sync), ``snapshot``
+(serialize the whole sketch), ``load`` (replace it from a snapshot),
+``obs``/``trace`` (observability pulls), ``close``.  All shard sketches
+share params and seed, so the parent combines them by bucket-wise
+addition into the exact sketch a single-process run would have
+produced (linearity, Section 3).
 
-Besides the snapshot-over-pipe transport, the pool speaks two faster
-sync protocols for packed sketches (selected by ``transport=``):
-
-* ``"delta"`` — workers track the buckets touched since the last sync
-  (a dirty-index per :class:`~repro.sketch.arena.SignatureArena`) and
-  ship only those ``(bucket, signed counter delta)`` runs as raw int64
-  bytes.  Every reply is epoch-tagged: the parent detects a missed or
-  stale sync and falls back to a full resync, so the folded running
-  sum is always exact.
-* ``"shm"`` — each worker copies its packed arena slabs (raw ``_buf``
-  words plus the slot→bucket map) into one ``multiprocessing.shared_
-  memory`` segment per worker; the parent maps the segment and gathers
-  bucket state with numpy views — no pickling, no JSON, no per-counter
-  Python objects.  Segments are grown by generation (create new,
-  unlink old) because POSIX shm cannot resize in place.
-
-Shared-memory segments are owned by the workers but *guaranteed* to be
-unlinked by the parent: ``close()`` asks workers to unlink, then sweeps
-every segment this pool ever created (by unique name prefix under
-``/dev/shm``), and an ``atexit`` hook re-runs the sweep for pools that
-were never closed — a SIGKILL'd worker cannot leak a segment past
-process exit.
+Shard state reaches the parent by delta only: every worker arena keeps
+a dirty-bucket index (:meth:`~repro.sketch.arena.SignatureArena.
+track_deltas`), and a ``delta`` request drains it as ``(bucket, signed
+counter delta)`` runs of raw int64 bytes.  Every reply is epoch-tagged:
+the parent detects a missed or stale sync and asks for absolute rows
+instead (a full resync), so the running sum it folds the runs into is
+always exact.  Whole :mod:`repro.sketch.serialize` snapshots remain the
+payload for checkpoints and for respawning a worker with restored
+state.
 
 The pool prefers the ``fork`` start method (cheap, no import replay) and
 falls back to ``spawn``; if no start method is usable at all it raises
 :class:`PoolUnavailable` and the caller degrades to the synchronous
 backend.  No third-party dependencies: plain ``multiprocessing`` pipes
-carrying JSON sketch payloads (or raw delta bytes / shm headers).
+carrying raw delta bytes and serialized snapshots.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import os
 import weakref
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .._accel import np as _np
 from ..obs.trace import SpanDict
 from ..obs.trace import span as trace_span
 from .params import SketchParams
 
 #: Update tuple shipped over the pipe: ``(source, dest, delta)``.
 UpdateTuple = Tuple[int, int, int]
-
-#: Sync transports the pool understands (resolved by ``ShardedSketch``).
-POOL_TRANSPORTS = ("pipe", "shm", "delta")
-
-#: Distinguishes segments of concurrently-live pools in one process.
-_POOL_SEQ = itertools.count()
 
 
 class PoolUnavailable(RuntimeError):
@@ -79,199 +57,10 @@ class WorkerDied(RuntimeError):
         self.shard = shard
 
 
-# -- shared-memory segment lifecycle ------------------------------------------
-
-def _unregister_segment(name: str) -> None:
-    """Cancel our own resource-tracker registration (best effort).
-
-    ``SharedMemory`` registers every create *and* attach with the
-    process tree's shared resource tracker.  The pool manages segment
-    lifecycle explicitly (workers unlink on exit, the parent sweeps),
-    so each registration is cancelled immediately — otherwise create/
-    attach/unlink events from different processes unbalance the shared
-    cache and the tracker prints spurious KeyError tracebacks or
-    "leaked shared_memory" warnings at exit.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name.lstrip("/"), "shared_memory")
-    except (ImportError, KeyError, OSError, ValueError):
-        pass
-
-
-def _unlink_segment(name: str) -> None:
-    """Remove one named segment, tolerating its prior disappearance.
-
-    Unlinks through the filesystem rather than ``SharedMemory.unlink``
-    where possible: registrations were already cancelled at create/
-    attach time, so the method's built-in ``unregister`` would only
-    unbalance the tracker cache.
-    """
-    shm_dir = Path("/dev/shm")
-    if shm_dir.is_dir():
-        try:
-            (shm_dir / name).unlink()
-        except OSError:
-            pass
-    else:  # non-Linux POSIX: attach purely to reach unlink()
-        try:
-            from multiprocessing.shared_memory import SharedMemory
-
-            segment = SharedMemory(name=name)
-        except (ImportError, OSError, ValueError):
-            return
-        try:
-            # The attach registered and unlink() unregisters: balanced.
-            segment.unlink()
-        except OSError:
-            pass
-        finally:
-            segment.close()
-
-
-def _sweep_segments(prefix: str, known: Set[str]) -> None:
-    """Unlink every segment this pool ever created.
-
-    Known names cover all platforms; the ``/dev/shm`` scan additionally
-    catches segments a worker created and died before announcing (a
-    grow-then-SIGKILL window the parent never hears about).
-    """
-    names = set(known)
-    shm_dir = Path("/dev/shm")
-    if shm_dir.is_dir():
-        try:
-            for path in shm_dir.iterdir():
-                if path.name.startswith(prefix):
-                    names.add(path.name)
-        except OSError:
-            pass
-    for name in names:
-        _unlink_segment(name)
-    known.clear()
-
-
-#: prefix -> (owning pid, live segment names); swept at interpreter
-#: exit for any pool that was never closed (the last-resort guard).
-_LIVE_POOL_SEGMENTS: Dict[str, Tuple[int, Set[str]]] = {}
-_ATEXIT_INSTALLED = False
-
-
-def _sweep_leftover_segments() -> None:
-    """``atexit`` guard: unlink segments of pools never closed."""
-    for prefix, (owner_pid, known) in list(_LIVE_POOL_SEGMENTS.items()):
-        if owner_pid == os.getpid():
-            _sweep_segments(prefix, known)
-            _LIVE_POOL_SEGMENTS.pop(prefix, None)
-
-
-def _register_pool_segments(prefix: str, known: Set[str]) -> None:
-    global _ATEXIT_INSTALLED
-    _LIVE_POOL_SEGMENTS[prefix] = (os.getpid(), known)
-    if not _ATEXIT_INSTALLED:
-        atexit.register(_sweep_leftover_segments)
-        _ATEXIT_INSTALLED = True
-
-
-class _ShmPublisher:
-    """Worker-side slab writer: one shared-memory segment per worker.
-
-    Each :meth:`publish` lays the worker's non-empty arenas out
-    contiguously — per arena the int64 slot→bucket map followed by the
-    raw counter buffer — and returns a small header (segment name,
-    generation, layout) for the pipe.  The segment is grown by
-    *generation*: a bigger replacement is created under a fresh name
-    and the old one unlinked, since POSIX shm cannot resize in place.
-    """
-
-    def __init__(self, prefix: str, shard: int) -> None:
-        self._prefix = prefix
-        self._shard = shard
-        self._generation = 0
-        self._segment: Optional[Any] = None
-
-    def _ensure_capacity(self, needed_bytes: int) -> Any:
-        segment = self._segment
-        if segment is not None and segment.size >= needed_bytes:
-            return segment
-        if segment is not None:
-            self._segment = None
-            segment.close()
-            _unlink_segment(segment.name)
-        from multiprocessing.shared_memory import SharedMemory
-
-        self._generation += 1
-        # Worker pid in the name keeps respawned workers from colliding
-        # with a dead predecessor's not-yet-swept segment.
-        name = (
-            f"{self._prefix}s{self._shard}p{os.getpid()}"
-            f"g{self._generation}"
-        )
-        # Double the request so steady growth re-creates rarely.
-        segment = SharedMemory(
-            name=name, create=True, size=max(needed_bytes, 8) * 2
-        )
-        _unregister_segment(segment.name)
-        self._segment = segment
-        return segment
-
-    def publish(self, sketch: Any) -> Dict[str, Any]:
-        """Copy the sketch's packed slabs into shared memory.
-
-        Returns the header the parent needs to map them back:
-        ``{"name", "generation", "layout": [(level, j, slots), ...],
-        "updates", "net"}``.
-        """
-        arenas = sketch._arenas
-        assert arenas is not None, "shm transport requires packed arenas"
-        entries: List[Tuple[int, int, Any, int]] = []
-        total_words = 0
-        for level, row in enumerate(arenas):
-            for j, arena in enumerate(row):
-                slot_count = len(arena._bucket_of)
-                if slot_count == 0:
-                    continue
-                entries.append((level, j, arena, slot_count))
-                total_words += slot_count * (1 + arena.stride)
-        segment = self._ensure_capacity(total_words * 8)
-        words = _np.frombuffer(segment.buf, dtype=_np.int64)
-        offset = 0
-        layout: List[Tuple[int, int, int]] = []
-        for level, j, arena, slot_count in entries:
-            words[offset:offset + slot_count] = _np.asarray(
-                arena._bucket_of, dtype=_np.int64
-            )
-            offset += slot_count
-            flat = _np.frombuffer(arena._buf, dtype=_np.int64)
-            words[offset:offset + flat.size] = flat
-            offset += flat.size
-            layout.append((level, j, slot_count))
-        del words  # release the buffer export before any future close()
-        return {
-            "name": segment.name,
-            "generation": self._generation,
-            "layout": layout,
-            "updates": sketch.updates_processed,
-            "net": sketch.net_total,
-        }
-
-    def close(self) -> None:
-        """Unlink this worker's segment (idempotent, teardown-safe)."""
-        segment = self._segment
-        self._segment = None
-        if segment is None:
-            return
-        try:
-            segment.close()
-        except (OSError, BufferError):
-            pass
-        _unlink_segment(segment.name)
-
-
 def _track_arena_deltas(sketch: Any) -> None:
     """Enable dirty-bucket tracking on every arena of a packed sketch."""
     arenas = sketch._arenas
-    assert arenas is not None, "delta transport requires packed arenas"
+    assert arenas is not None, "delta sync requires packed arenas"
     for row in arenas:
         for arena in row:
             arena.track_deltas(True)
@@ -281,11 +70,8 @@ def _worker_main(
     conn: Any,
     params: SketchParams,
     seed: int,
-    sketch_backend: str,
     shard: int,
     trace_every: int,
-    transport: str = "pipe",
-    shm_prefix: str = "",
 ) -> None:
     """Worker loop: apply ingest chunks, answer sync requests."""
     # Imported here so ``spawn`` workers pay the import in the child.
@@ -309,12 +95,8 @@ def _worker_main(
         return registry, counter
 
     registry, updates_total = fresh_registry()
-    sketch = TrackingDistinctCountSketch(
-        params, seed=seed, backend=sketch_backend
-    )
-    if transport == "delta":
-        _track_arena_deltas(sketch)
-    publisher: Optional[_ShmPublisher] = None
+    sketch = TrackingDistinctCountSketch(params, seed=seed, backend="packed")
+    _track_arena_deltas(sketch)
     #: Monotonic sync counter: one tick per delta reply, so the parent
     #: can prove no other drain slipped in between its own syncs.
     epoch = 0
@@ -356,19 +138,14 @@ def _worker_main(
                         "net": sketch.net_total,
                     }
                 )
-            elif command == "shm":
-                if publisher is None:
-                    publisher = _ShmPublisher(shm_prefix, shard)
-                conn.send(publisher.publish(sketch))
             elif command == "load":
                 # Replace the sketch wholesale (checkpoint restore).
-                loaded = serialize.loads(payload, backend=sketch_backend)
+                loaded = serialize.loads(payload, backend="packed")
                 assert isinstance(loaded, TrackingDistinctCountSketch)
                 sketch = loaded
-                if transport == "delta":
-                    # Fresh dirty indexes: the parent invalidated its
-                    # running sum on restore and will full-resync.
-                    _track_arena_deltas(sketch)
+                # Fresh dirty indexes: the parent invalidated its
+                # running sum on restore and will full-resync.
+                _track_arena_deltas(sketch)
                 # Rebuild the observability state from the restored
                 # sketch: ``updates_processed`` travels in the wire
                 # format, so the counter restarts exactly where the
@@ -383,25 +160,11 @@ def _worker_main(
             elif command == "close":
                 break
     finally:
-        if publisher is not None:
-            publisher.close()
         conn.close()
 
 
-def _cleanup(
-    connections: List[Any],
-    processes: List[Any],
-    shm_prefix: str = "",
-    known_segments: Optional[Set[str]] = None,
-    attachments: Optional[Dict[int, Any]] = None,
-) -> None:
-    """Best-effort teardown used by both ``close`` and the finalizer.
-
-    Workers are asked to exit (unlinking their own segments on the
-    way), then the parent closes its attachments and sweeps whatever
-    segments remain — the unlink guarantee holds even when a worker
-    was SIGKILL'd mid-sync.
-    """
+def _cleanup(connections: List[Any], processes: List[Any]) -> None:
+    """Best-effort teardown used by both ``close`` and the finalizer."""
     for conn in connections:
         try:
             conn.send(("close", None))
@@ -416,37 +179,21 @@ def _cleanup(
         if process.is_alive():
             process.terminate()
             process.join(timeout=5)
-    if attachments is not None:
-        for segment in list(attachments.values()):
-            try:
-                segment.close()
-            except (OSError, BufferError):
-                pass
-        attachments.clear()
-    if shm_prefix:
-        if known_segments is None:
-            known_segments = set()
-        _sweep_segments(shm_prefix, known_segments)
-        _LIVE_POOL_SEGMENTS.pop(shm_prefix, None)
 
 
 class ProcessShardPool:
-    """One pipe-fed worker process per shard.
+    """One pipe-fed worker process per shard, each on packed storage.
 
     Args:
-        params: sketch shape shared by every worker.
+        params: sketch shape shared by every worker (pair domain of at
+            most 64 bits — :class:`~repro.sketch.sharded.ShardedSketch`
+            checks it).
         seed: sketch seed shared by every worker (required for merging).
         shards: number of worker processes.
-        sketch_backend: storage backend of each worker's sketch.
         trace_every: worker-side span sampling rate — each worker
             installs its own :class:`~repro.obs.trace.Tracer` keeping 1
             in ``trace_every`` root spans (0 disables worker tracing).
             A plain int so it survives both ``fork`` and ``spawn``.
-        transport: sync protocol — ``"pipe"`` (serialized snapshots),
-            ``"shm"`` (shared-memory slab gather), or ``"delta"``
-            (dirty-bucket delta propagation).  The packed transports
-            are resolved by :class:`~repro.sketch.sharded.ShardedSketch`;
-            the pool trusts the caller's choice.
 
     Raises:
         PoolUnavailable: when no multiprocessing start method works.
@@ -457,15 +204,8 @@ class ProcessShardPool:
         params: SketchParams,
         seed: int,
         shards: int,
-        sketch_backend: str = "reference",
         trace_every: int = 0,
-        transport: str = "pipe",
     ) -> None:
-        if transport not in POOL_TRANSPORTS:
-            raise PoolUnavailable(
-                f"unknown transport {transport!r}; "
-                f"expected one of {POOL_TRANSPORTS}"
-            )
         context = None
         try:
             import multiprocessing
@@ -480,26 +220,10 @@ class ProcessShardPool:
             raise PoolUnavailable(str(error)) from error
         if context is None:
             raise PoolUnavailable("no usable multiprocessing start method")
-        if transport == "shm":
-            try:
-                import multiprocessing.shared_memory  # noqa: F401
-            except ImportError as error:
-                raise PoolUnavailable(str(error)) from error
         self._context = context
         self._params = params
         self._seed = seed
-        self._sketch_backend = sketch_backend
         self._trace_every = trace_every
-        self.transport = transport
-        #: Unique segment-name prefix for this pool (pid + sequence):
-        #: segments cross the process boundary by *name string* only.
-        self.shm_prefix = f"repro{os.getpid()}x{next(_POOL_SEQ)}"
-        #: Every segment name a worker has announced (sweep targets).
-        self._known_segments: Set[str] = set()
-        #: shard -> currently mapped SharedMemory attachment.
-        self._attachments: Dict[int, Any] = {}
-        #: shard -> name of that worker's current segment.
-        self._segment_names: Dict[int, str] = {}
         self._connections: List[Any] = []
         self._processes: List[Any] = []
         try:
@@ -511,16 +235,8 @@ class ProcessShardPool:
             _cleanup(self._connections, self._processes)
             raise PoolUnavailable(str(error)) from error
         self._closed = False
-        if transport == "shm":
-            _register_pool_segments(self.shm_prefix, self._known_segments)
         self._finalizer = weakref.finalize(
-            self,
-            _cleanup,
-            self._connections,
-            self._processes,
-            self.shm_prefix if transport == "shm" else "",
-            self._known_segments,
-            self._attachments,
+            self, _cleanup, self._connections, self._processes
         )
 
     def _spawn(self, shard: int) -> Tuple[Any, Any]:
@@ -532,11 +248,8 @@ class ProcessShardPool:
                 child_conn,
                 self._params,
                 self._seed,
-                self._sketch_backend,
                 shard,
                 self._trace_every,
-                self.transport,
-                self.shm_prefix,
             ),
             daemon=True,
         )
@@ -568,9 +281,8 @@ class ProcessShardPool:
         ``payload`` — a :mod:`repro.sketch.serialize` snapshot — is
         loaded into the new worker before it accepts ingest, restoring
         the shard's sketch state (checkpoint restore).  Without it the
-        worker starts from an empty sketch.  Any shared-memory segment
-        the dead worker left behind is unlinked before the replacement
-        starts (the new worker creates its own under a fresh name).
+        worker starts from an empty sketch.  Either way the new worker
+        starts at sync epoch 0 with an empty dirty index.
 
         Raises:
             PoolUnavailable: when the replacement process cannot start.
@@ -587,7 +299,6 @@ class ProcessShardPool:
         if old_process.is_alive():
             old_process.terminate()
             old_process.join(timeout=5)
-        self._release_shard_segments(shard)
         try:
             parent_conn, process = self._spawn(shard)
         except (OSError, ValueError) as error:
@@ -605,33 +316,6 @@ class ProcessShardPool:
             raise PoolUnavailable(str(error)) from error
         self._connections[shard] = parent_conn
         self._processes[shard] = process
-
-    def _release_shard_segments(self, shard: int) -> None:
-        """Unmap and unlink one (dead) worker's segments.
-
-        Runs between reaping the old worker and spawning its
-        replacement, so the prefix scan can never hit a segment the
-        new worker is about to create (fresh pid, fresh generation).
-        """
-        segment = self._attachments.pop(shard, None)
-        if segment is not None:
-            try:
-                segment.close()
-            except (OSError, BufferError):
-                pass
-        name = self._segment_names.pop(shard, None)
-        if name is not None:
-            self._known_segments.discard(name)
-            _unlink_segment(name)
-        shard_prefix = f"{self.shm_prefix}s{shard}p"
-        shm_dir = Path("/dev/shm")
-        if shm_dir.is_dir():
-            try:
-                for path in shm_dir.iterdir():
-                    if path.name.startswith(shard_prefix):
-                        _unlink_segment(path.name)
-            except OSError:
-                pass
 
     def ingest(self, shard: int, updates: Sequence[UpdateTuple]) -> None:
         """Queue a chunk of update tuples on one worker (non-blocking).
@@ -667,7 +351,7 @@ class ProcessShardPool:
         """
         return self._request_all("snapshot")
 
-    # -- delta transport -------------------------------------------------------
+    # -- delta sync -----------------------------------------------------------
 
     def collect_delta(self, shard: int, full: bool = False) -> Dict[str, Any]:
         """Drain one worker's delta run (epoch-tagged).
@@ -697,84 +381,6 @@ class ProcessShardPool:
             WorkerDied: when any worker died before answering.
         """
         return self._request_all("delta", bool(full))
-
-    # -- shared-memory transport -------------------------------------------------
-
-    def shm_sync(self) -> List[Dict[str, Any]]:
-        """Ask every worker to publish its slabs; returns the headers.
-
-        Each header names the worker's segment and its layout; pass it
-        to :meth:`shm_arrays` to map the published state.
-
-        Raises:
-            WorkerDied: when any worker died before answering.
-        """
-        headers = self._request_all("shm")
-        for shard, header in enumerate(headers):
-            self._known_segments.add(header["name"])
-            self._segment_names[shard] = header["name"]
-        return headers
-
-    def shm_arrays(
-        self, shard: int, header: Dict[str, Any]
-    ) -> List[Tuple[int, int, Any, Any]]:
-        """Gather one worker's published arenas from shared memory.
-
-        Returns ``(level, j, buckets, rows)`` tuples — the occupied
-        bucket indices and their int64 counter rows, gathered straight
-        out of the mapped segment (free slots are masked out; their
-        rows are all-zero by arena invariant).  The segment stays
-        mapped between syncs and is re-attached only when the worker
-        grew it under a new name.
-
-        Raises:
-            WorkerDied: when the segment vanished under the parent
-                (the worker died after a grow, before a sync).
-        """
-        stride = self._params.pair_bits + 1
-        segment = self._attach(shard, header["name"])
-        words = _np.frombuffer(segment.buf, dtype=_np.int64)
-        out: List[Tuple[int, int, Any, Any]] = []
-        offset = 0
-        for level, j, slot_count in header["layout"]:
-            bucket_of = words[offset:offset + slot_count]
-            offset += slot_count
-            rows = words[offset:offset + slot_count * stride].reshape(
-                slot_count, stride
-            )
-            offset += slot_count * stride
-            mask = bucket_of >= 0
-            # Fancy indexing copies, so the returned arrays outlive the
-            # mapping and a later re-attach can close it safely.
-            out.append((level, j, bucket_of[mask], rows[mask]))
-        del words
-        return out
-
-    def _attach(self, shard: int, name: str) -> Any:
-        """Map a worker's segment by name (cached across syncs)."""
-        segment = self._attachments.get(shard)
-        if segment is not None:
-            if self._segment_names.get(shard) == name and (
-                getattr(segment, "name", None) == name
-            ):
-                return segment
-            try:
-                segment.close()
-            except (OSError, BufferError):
-                pass
-            del self._attachments[shard]
-        from multiprocessing.shared_memory import SharedMemory
-
-        try:
-            segment = SharedMemory(name=name)
-        except (OSError, ValueError) as error:
-            raise WorkerDied(shard, str(error)) from error
-        # The attach re-registered the name with the resource tracker;
-        # the worker owns the segment, so drop the duplicate claim.
-        _unregister_segment(name)
-        self._attachments[shard] = segment
-        self._segment_names[shard] = name
-        return segment
 
     # -- observability ------------------------------------------------------------
 
@@ -839,18 +445,12 @@ class ProcessShardPool:
         return replies
 
     def close(self) -> None:
-        """Shut every worker down and unlink all segments; idempotent."""
+        """Shut every worker down; idempotent."""
         if self._closed:
             return
         self._closed = True
         self._finalizer.detach()
-        _cleanup(
-            self._connections,
-            self._processes,
-            self.shm_prefix if self.transport == "shm" else "",
-            self._known_segments,
-            self._attachments,
-        )
+        _cleanup(self._connections, self._processes)
 
     def __enter__(self) -> "ProcessShardPool":
         return self
@@ -861,7 +461,4 @@ class ProcessShardPool:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return (
-            f"ProcessShardPool(shards={self.num_shards}, "
-            f"transport={self.transport!r}, {state})"
-        )
+        return f"ProcessShardPool(shards={self.num_shards}, {state})"

@@ -22,29 +22,18 @@ and two execution backends:
   (Python threads would serialize on the GIL anyway; this backend is
   about partition/merge correctness);
 * ``process`` — each shard is a worker process holding a private
-  sketch (:mod:`repro.sketch.process_pool`), fed in chunks over pipes.
-  If a pool cannot be started on the platform the sketch silently
-  degrades to ``sync`` (check the resolved :attr:`backend` attribute).
+  packed sketch (:mod:`repro.sketch.process_pool`), fed in chunks over
+  pipes.  If a pool cannot be started on the platform the sketch
+  silently degrades to ``sync`` (check the resolved :attr:`backend`
+  attribute).
 
-The process backend syncs shard state through one of three
-*transports* (the ``transport=`` argument, resolved into the
-:attr:`transport` attribute):
-
-* ``"pipe"`` — the original snapshot path: every :meth:`combined`
-  serializes each worker's whole sketch through its pipe and merges
-  from scratch (O(sketch) per query, any ``sketch_backend``);
-* ``"delta"`` — workers track the buckets touched since the last sync
-  and ship only those signed counter deltas; the parent folds them
-  into a *running* combined sketch by addition (linearity), making
-  :meth:`combined` O(changed buckets) between queries.  Epoch-tagged
-  replies detect missed syncs and trigger an exact full resync;
-* ``"shm"`` — workers publish their packed arena slabs into
-  ``multiprocessing.shared_memory`` and the parent gathers bucket
-  state through numpy views of the mapped segments — no pickling.
-
-``"auto"`` (the default) picks ``"delta"`` when the packed transports
-are eligible (``sketch_backend="packed"``, numpy available, pair
-domain ≤ 64 bits) and ``"pipe"`` otherwise.  All three transports are
+The process backend syncs shard state by delta: workers track the
+buckets touched since the last sync and ship only those signed counter
+deltas; the parent folds them into a *running* combined sketch by
+addition (linearity), making :meth:`combined` O(changed buckets)
+between queries.  Epoch-tagged replies detect missed syncs and trigger
+an exact full resync.  The fold needs packed storage and pair codes of
+at most 64 bits, so the process backend requires both.  The result is
 bit-identical to a single-process sketch — the fuzz suite in
 ``tests/sketch/test_shard_transport.py`` proves it.
 """
@@ -53,7 +42,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from .._accel import HAVE_NUMPY
 from .._accel import np as _np
 from ..exceptions import ParameterError
 from ..hashing import TabulationHash, derive_seed
@@ -77,9 +65,6 @@ from .tracking import TrackingDistinctCountSketch
 
 #: Valid values for the ``backend`` constructor argument.
 SHARD_BACKENDS = ("sync", "process")
-
-#: Valid values for the ``transport`` constructor argument.
-SHARD_TRANSPORTS = ("auto", "pipe", "shm", "delta")
 
 #: Chunk size used when a process-backed stream is fed without an
 #: explicit ``batch_size`` (per-update pipe messages would dominate).
@@ -105,16 +90,11 @@ class ShardedSketch:
             docstring.  The resolved value (after any fallback) is the
             :attr:`backend` attribute.
         sketch_backend: storage backend of every shard sketch —
-            ``"reference"`` or ``"packed"``
-            (see :class:`~repro.sketch.dcs.DistinctCountSketch`).
-        transport: shard-sync protocol for the process backend —
-            ``"auto"`` (default), ``"pipe"``, ``"shm"`` or ``"delta"``;
-            see the module docstring.  Explicitly requesting a packed
-            transport with an ineligible configuration (reference
-            backend, no numpy, pair domain > 64 bits) or with
-            ``backend="sync"`` raises :class:`ParameterError`; the
-            resolved value is the :attr:`transport` attribute (``None``
-            on the sync backend).
+            ``"packed"`` (default) or ``"reference"``
+            (see :class:`~repro.sketch.dcs.DistinctCountSketch`).  The
+            process backend requires ``"packed"`` and a pair domain of
+            at most 64 bits; anything else raises
+            :class:`ParameterError`.
     """
 
     def __init__(
@@ -127,8 +107,7 @@ class ShardedSketch:
         s: int = 128,
         obs: Optional[Registry] = None,
         backend: str = "sync",
-        sketch_backend: str = "reference",
-        transport: str = "auto",
+        sketch_backend: str = "packed",
     ) -> None:
         if shards < 1:
             raise ParameterError(f"shards must be >= 1, got {shards}")
@@ -141,44 +120,25 @@ class ShardedSketch:
             raise ParameterError(
                 f"backend must be one of {SHARD_BACKENDS}, got {backend!r}"
             )
-        if transport not in SHARD_TRANSPORTS:
-            raise ParameterError(
-                f"transport must be one of {SHARD_TRANSPORTS}, "
-                f"got {transport!r}"
-            )
         self.domain = domain
         self.policy = policy
         self.seed = seed
         self.params = SketchParams(domain, r=r, s=s)
         self.sketch_backend = sketch_backend
-        packed_eligible = (
-            sketch_backend == "packed"
-            and HAVE_NUMPY
-            and self.params.pair_bits <= 64
-        )
-        if transport in ("shm", "delta") and not packed_eligible:
+        if backend == "process" and (
+            sketch_backend != "packed" or self.params.pair_bits > 64
+        ):
             raise ParameterError(
-                f"transport={transport!r} requires "
-                "sketch_backend='packed', numpy, and a pair domain of "
-                "at most 64 bits"
-            )
-        if backend == "sync" and transport != "auto":
-            raise ParameterError(
-                f"transport={transport!r} requires backend='process' "
-                "(the sync backend has no sync protocol)"
+                "backend='process' requires sketch_backend='packed' and "
+                "a pair domain of at most 64 bits (got sketch_backend="
+                f"{sketch_backend!r}, pair_bits={self.params.pair_bits})"
             )
         #: Observability registry (the null registry when ``obs=None``).
         self.obs: Registry = registry_or_null(obs)
         #: Resolved execution backend ("process" may degrade to "sync").
         self.backend = "sync"
-        #: Resolved sync transport (None on the sync backend).
-        self.transport: Optional[str] = None
         self._pool: Optional[ProcessShardPool] = None
         if backend == "process":
-            if transport == "auto":
-                resolved = "delta" if packed_eligible else "pipe"
-            else:
-                resolved = transport
             # Workers inherit tracing from whatever tracer is installed
             # at pool construction: only the sampling rate crosses the
             # process boundary (an int survives fork *and* spawn).
@@ -186,15 +146,9 @@ class ShardedSketch:
             trace_every = tracer.sample_every if tracer.enabled else 0
             try:
                 self._pool = ProcessShardPool(
-                    self.params,
-                    seed,
-                    shards,
-                    sketch_backend,
-                    trace_every=trace_every,
-                    transport=resolved,
+                    self.params, seed, shards, trace_every=trace_every
                 )
                 self.backend = "process"
-                self.transport = resolved
             except PoolUnavailable:
                 self._pool = None
         self._shards: List[TrackingDistinctCountSketch] = []
@@ -215,7 +169,7 @@ class ShardedSketch:
         self._cursor = 0
         # combined() memoization: valid until the next update.
         self._combined_cache: Optional[TrackingDistinctCountSketch] = None
-        # Delta transport: the running combined sum (survives updates —
+        # Process backend: the running combined sum (survives updates —
         # only deltas since the last sync are folded in) and the last
         # sync epoch seen per shard (proves no drain was missed).
         self._running: Optional[TrackingDistinctCountSketch] = None
@@ -229,6 +183,12 @@ class ShardedSketch:
         self._obs_delta_bytes = self.obs.histogram_from(SHARDED_DELTA_BYTES)
         self._obs_full_resyncs = self.obs.counter_from(SHARDED_FULL_RESYNCS)
         self.obs.gauge_from(SHARDED_SHARDS).set(shards)
+
+    @property
+    def transport(self) -> Optional[str]:
+        """How shard state reaches the parent: ``"delta"`` while a
+        worker pool runs, ``None`` on the sync backend."""
+        return "delta" if self._pool is not None else None
 
     @property
     def num_shards(self) -> int:
@@ -345,7 +305,7 @@ class ShardedSketch:
         The merge is memoized: repeated calls between updates return
         the *same* sketch object, so treat it as read-only (queries are
         fine — they never mutate sketch state).  Any routed update
-        invalidates the cache.  On ``transport="delta"`` the returned
+        invalidates the cache.  On the process backend the returned
         object is additionally the *running* sum that later calls fold
         deltas into — successive calls may return the same (evolved)
         object; the read-only contract is the same.
@@ -358,22 +318,14 @@ class ShardedSketch:
         """
         if self._combined_cache is not None:
             return self._combined_cache
-        if self._pool is not None and self.transport == "delta":
+        if self._pool is not None:
             merged = self._combined_delta()
-        elif self._pool is not None and self.transport == "shm":
-            merged = self._combined_shm()
         else:
             merged = TrackingDistinctCountSketch(
                 self.params, seed=self.seed, backend=self.sketch_backend
             )
-            if self._pool is not None:
-                for payload in self._pool.snapshots():
-                    merged.merge(
-                        _loads(payload, backend=self.sketch_backend)
-                    )
-            else:
-                for shard in self._shards:
-                    merged.merge(shard)
+            for shard in self._shards:
+                merged.merge(shard)
         self._obs_merges.inc(self._num_shards)
         self._combined_cache = merged
         return merged
@@ -433,37 +385,6 @@ class ShardedSketch:
             self._obs_delta_bytes.observe(synced_bytes)
             self._running = running
         return running
-
-    def _combined_shm(self) -> TrackingDistinctCountSketch:
-        """Merge shard state gathered from shared-memory segments.
-
-        Every sync asks each worker to publish its packed arena slabs
-        into its segment, then folds the occupied bucket rows into a
-        fresh combined sketch through numpy views of the mapped
-        memory — no pickling, no per-bucket Python objects.  Memoized
-        like every transport: repeated queries between updates reuse
-        the merged sketch.
-        """
-        pool = self._pool
-        assert pool is not None
-        with trace_span("sharded.shm_sync", metric=SHARDED_SYNC_DURATION):
-            merged = TrackingDistinctCountSketch(
-                self.params, seed=self.seed, backend=self.sketch_backend
-            )
-            headers = pool.shm_sync()
-            synced_bytes = 0
-            for shard, header in enumerate(headers):
-                for level, j, buckets, rows in pool.shm_arrays(
-                    shard, header
-                ):
-                    merged.apply_bucket_deltas(level, j, buckets, rows)
-                    synced_bytes += buckets.nbytes + rows.nbytes
-            merged.updates_processed = sum(
-                header["updates"] for header in headers
-            )
-            merged.net_total = sum(header["net"] for header in headers)
-            self._obs_delta_bytes.observe(synced_bytes)
-        return merged
 
     def track_topk(self, k: int) -> TopKResult:
         """Global top-k (merges shards, memoized; O(total sketch size))."""
@@ -571,7 +492,7 @@ class ShardedSketch:
         through :meth:`ingest_shard`).
 
         Restoring *always* invalidates the :meth:`combined` memo *and*
-        the delta transport's running sum: a respawned or restored
+        the delta sync's running sum: a respawned or restored
         worker holds different state than the cached merge, even
         though no update was routed — the next sync re-reads absolute
         shard state (a full resync).
@@ -645,19 +566,14 @@ class ShardedSketch:
         if processed_counts is not None:
             self._shard_counts = list(processed_counts)
         self.backend = "sync"
-        self.transport = None
         self._combined_cache = None
         self._running = None
 
     def close(self) -> None:
         """Shut down worker processes (no-op on the sync backend).
 
-        On ``transport="shm"`` this also guarantees every shared-memory
-        segment is unlinked — even when workers are already dead: the
-        pool sweeps its unique segment-name prefix after the workers
-        exit, and an ``atexit`` guard re-runs the sweep for pools that
-        were never closed.  Idempotent, exception-safe (also invoked by
-        ``__exit__`` and a GC finalizer).
+        Idempotent, exception-safe (also invoked by ``__exit__`` and a
+        GC finalizer).
         """
         if self._pool is not None:
             self._pool.close()

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro._accel import HAVE_NUMPY
 from repro.hashing import (
     MERSENNE_61,
     CarterWegmanHash,
@@ -59,7 +58,6 @@ class TestCarterWegmanHashMany:
         h = CarterWegmanHash(range_size=128, seed=5)
         assert list(h.hash_many([])) == []
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized path needs numpy")
     def test_vectorized_path_used_for_uint64_inputs(self):
         import numpy as np
 

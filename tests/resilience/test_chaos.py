@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro._accel import HAVE_NUMPY
 from repro.resilience import (
     ShardSupervisor,
     corrupt_latest_checkpoint,
@@ -39,25 +38,19 @@ def random_stream(count, seed=0, dests=13):
     ]
 
 
-def reference_for(stream, seed=5, backend="reference"):
-    sketch = TrackingDistinctCountSketch(
-        AddressDomain(2 ** 16), seed=seed, backend=backend
-    )
+def reference_for(stream, seed=5):
+    sketch = TrackingDistinctCountSketch(AddressDomain(2 ** 16), seed=seed)
     sketch.update_batch(stream)
     return sketch
 
 
-def process_bank(
-    sketch_backend="reference", policy="round-robin", transport="auto"
-):
+def process_bank(policy="round-robin"):
     bank = ShardedSketch(
         AddressDomain(2 ** 16),
         shards=3,
         policy=policy,
         seed=5,
         backend="process",
-        sketch_backend=sketch_backend,
-        transport=transport,
     )
     if bank.backend != "process":
         pytest.skip("multiprocessing unavailable on this platform")
@@ -65,20 +58,17 @@ def process_bank(
 
 
 class TestKillNineRecovery:
-    @pytest.mark.parametrize("sketch_backend", ["reference", "packed"])
-    def test_sigkill_mid_stream_recovers_bit_identical(
-        self, tmp_path, sketch_backend
-    ):
+    def test_sigkill_mid_stream_recovers_bit_identical(self, tmp_path):
         stream = random_stream(600, seed=1)
         with ShardSupervisor(
-            process_bank(sketch_backend), tmp_path, sleep=NO_SLEEP
+            process_bank(), tmp_path, sleep=NO_SLEEP
         ) as supervisor:
             supervisor.process_stream(stream[:300], batch_size=50)
             supervisor.checkpoint()
             supervisor.process_stream(stream[300:450], batch_size=50)
             kill_shard_worker(supervisor.sharded, 1)
             supervisor.process_stream(stream[450:], batch_size=50)
-            reference = reference_for(stream, backend=sketch_backend)
+            reference = reference_for(stream)
             recovered = supervisor.combined()
             assert recovered.structurally_equal(reference)
             assert (
@@ -219,7 +209,6 @@ class TestWorkerObservability:
             shards=3,
             seed=5,
             backend="process",
-            sketch_backend="reference",
             obs=registry,
         )
         if bank.backend != "process":
@@ -320,35 +309,27 @@ class TestStorageFaults:
             )
 
 
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="packed transports require numpy"
-)
 class TestTransportChaos:
-    """The shm/delta sync paths survive the same drills as pipe."""
+    """The delta sync path survives kills and torn syncs mid-sync."""
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_sigkill_mid_sync_recovers_exact_topk(
-        self, tmp_path, transport
-    ):
+    def test_sigkill_mid_sync_recovers_exact_topk(self, tmp_path):
         stream = random_stream(600, seed=7)
         with ShardSupervisor(
-            process_bank("packed", transport=transport),
-            tmp_path,
-            sleep=NO_SLEEP,
+            process_bank(), tmp_path, sleep=NO_SLEEP
         ) as supervisor:
             supervisor.process_stream(stream[:300], batch_size=50)
-            supervisor.combined()  # prime running sum / shm segments
+            supervisor.combined()  # prime the running sum
             supervisor.checkpoint()
             supervisor.process_stream(stream[300:450], batch_size=50)
             kill_shard_worker(supervisor.sharded, 1)
             # The next sync hits the dead worker's pipe mid-collect:
-            # the supervisor must respawn + replay, and the transport
-            # must full-resync instead of trusting stale folded state.
+            # the supervisor must respawn + replay, and the sync must
+            # full-resync instead of trusting stale folded state.
             recovered = supervisor.combined()
-            reference = reference_for(stream[:450], backend="packed")
+            reference = reference_for(stream[:450])
             assert recovered.structurally_equal(reference)
             supervisor.process_stream(stream[450:], batch_size=50)
-            reference = reference_for(stream, backend="packed")
+            reference = reference_for(stream)
             final = supervisor.combined()
             assert final.structurally_equal(reference)
             assert (
@@ -360,9 +341,7 @@ class TestTransportChaos:
     def test_torn_delta_batch_recovers_exact_topk(self, tmp_path):
         stream = random_stream(500, seed=8)
         with ShardSupervisor(
-            process_bank("packed", transport="delta"),
-            tmp_path,
-            sleep=NO_SLEEP,
+            process_bank(), tmp_path, sleep=NO_SLEEP
         ) as supervisor:
             supervisor.process_stream(stream[:250], batch_size=50)
             supervisor.combined()
@@ -370,7 +349,7 @@ class TestTransportChaos:
             # Torn sync: one worker's delta window is drained and lost
             # before the parent folds it.
             drop_delta_sync(supervisor.sharded, 2)
-            reference = reference_for(stream, backend="packed")
+            reference = reference_for(stream)
             recovered = supervisor.combined()
             assert recovered.structurally_equal(reference)
             assert (
@@ -381,9 +360,7 @@ class TestTransportChaos:
     def test_stale_epoch_after_kill_and_torn_sync(self, tmp_path):
         stream = random_stream(500, seed=9)
         with ShardSupervisor(
-            process_bank("packed", transport="delta"),
-            tmp_path,
-            sleep=NO_SLEEP,
+            process_bank(), tmp_path, sleep=NO_SLEEP
         ) as supervisor:
             supervisor.process_stream(stream[:250], batch_size=50)
             supervisor.combined()
@@ -392,26 +369,5 @@ class TestTransportChaos:
             kill_shard_worker(supervisor.sharded, 1)  # and a dead peer
             supervisor.process_stream(stream[250:], batch_size=50)
             assert supervisor.combined().structurally_equal(
-                reference_for(stream, backend="packed")
+                reference_for(stream)
             )
-
-    def test_no_shm_segments_leak_after_chaos(self, tmp_path):
-        from pathlib import Path
-
-        stream = random_stream(400, seed=10)
-        with ShardSupervisor(
-            process_bank("packed", transport="shm"),
-            tmp_path,
-            sleep=NO_SLEEP,
-        ) as supervisor:
-            supervisor.process_stream(stream[:200], batch_size=50)
-            supervisor.combined()
-            kill_shard_worker(supervisor.sharded, 0)
-            supervisor.process_stream(stream[200:], batch_size=50)
-            supervisor.combined()
-        shm_dir = Path("/dev/shm")
-        if shm_dir.is_dir():
-            assert [
-                path.name for path in shm_dir.iterdir()
-                if path.name.startswith("repro")
-            ] == []

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro._accel import HAVE_NUMPY
 from repro.exceptions import MergeError, ParameterError
 from repro.sketch import CountSignature, SignatureArena
 
@@ -177,7 +176,6 @@ class TestCopy:
         assert clone != arena
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="batch surface needs numpy")
 class TestBatchSurface:
     def test_resolve_scatter_decode_roundtrip(self):
         import numpy as np

@@ -25,10 +25,10 @@ def random_stream(count, seed=0, dests=9):
     ]
 
 
-def make_pool(shards=2, sketch_backend="reference"):
+def make_pool(shards=2):
     params = SketchParams(AddressDomain(2 ** 16))
     try:
-        return ProcessShardPool(params, 7, shards, sketch_backend)
+        return ProcessShardPool(params, 7, shards)
     except PoolUnavailable:
         pytest.skip("multiprocessing unavailable on this platform")
 

@@ -1,34 +1,25 @@
-"""Shared-memory / delta shard transports: units, fuzz, lifecycle.
+"""Process-backend delta sync: units, fuzz, lifecycle.
 
-Three layers of coverage for ``ShardedSketch(transport=...)``:
+Three layers of coverage for ``ShardedSketch(backend="process")``:
 
 * arena-level units for the dirty-bucket delta index
   (``track_deltas``/``drain_deltas``/``export_rows``);
-* a differential fuzz suite proving the delta-propagated and
-  shm-gathered merges are **bit-identical** to the full-snapshot merge
-  and to a single-process sketch (``structurally_equal`` + identical
+* a differential fuzz suite proving the delta-propagated merge is
+  **bit-identical** to a merge of whole shard snapshots and to a
+  single-process sketch (``structurally_equal`` + identical
   ``track_topk``/``base_topk``) across policies, delete-heavy streams,
   mid-stream syncs, and a DurableSketch crash-recovery round;
-* lifecycle regressions: transport resolution errors, running-sum
-  invalidation on restore/degrade, stale-epoch full resync, and the
-  no-leaked-``/dev/shm``-segments guarantee after SIGKILL chaos.
+* lifecycle regressions: the construction contract (packed storage,
+  pair domains of at most 64 bits), running-sum invalidation on
+  restore/degrade, and the stale-epoch full resync.
 """
 
 from __future__ import annotations
 
-import gc
-import os
 import random
-import signal
-import subprocess
-import sys
-import textwrap
-import time
-from pathlib import Path
 
 import pytest
 
-from repro._accel import HAVE_NUMPY
 from repro.exceptions import ParameterError
 from repro.obs import Registry
 from repro.resilience import DurableSketch, drop_delta_sync
@@ -36,12 +27,6 @@ from repro.sketch import ShardedSketch, TrackingDistinctCountSketch
 from repro.sketch.arena import SignatureArena
 from repro.sketch.serialize import dumps, loads
 from repro.types import AddressDomain, FlowUpdate
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="packed transports require numpy"
-)
-
-TRANSPORTS = ("pipe", "shm", "delta")
 
 
 def delete_heavy_stream(count, seed=0, dests=24):
@@ -65,7 +50,7 @@ def single_for(stream, seed=5):
     return sketch
 
 
-def bank(transport, shards=3, seed=5, policy="round-robin", obs=None):
+def bank(shards=3, seed=5, policy="round-robin", obs=None):
     sharded = ShardedSketch(
         AddressDomain(2 ** 16),
         shards=shards,
@@ -73,23 +58,11 @@ def bank(transport, shards=3, seed=5, policy="round-robin", obs=None):
         seed=seed,
         obs=obs,
         backend="process",
-        sketch_backend="packed",
-        transport=transport,
     )
     if sharded.backend != "process":
         pytest.skip("multiprocessing unavailable on this platform")
-    assert sharded.transport == transport
+    assert sharded.transport == "delta"
     return sharded
-
-
-def leaked_segments():
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return []
-    return [
-        path.name for path in shm_dir.iterdir()
-        if path.name.startswith("repro")
-    ]
 
 
 class TestArenaDeltaTracking:
@@ -170,68 +143,42 @@ class TestArenaDeltaTracking:
 
 
 class TestTransportResolution:
-    def test_auto_resolves_to_delta_on_packed(self):
-        sharded = bank("delta")  # helper asserts resolution
-        sharded.close()
-        auto = ShardedSketch(
-            AddressDomain(2 ** 16), shards=2, seed=5,
-            backend="process", sketch_backend="packed",
-        )
-        if auto.backend == "process":
-            assert auto.transport == "delta"
-        auto.close()
+    def test_default_process_bank_is_packed_delta(self):
+        sharded = bank(shards=2)  # helper asserts transport == "delta"
+        try:
+            assert sharded.sketch_backend == "packed"
+            assert sharded.shard(0).backend == "packed"
+        finally:
+            sharded.close()
 
-    def test_auto_resolves_to_pipe_on_reference(self):
-        sharded = ShardedSketch(
-            AddressDomain(2 ** 16), shards=2, seed=5,
-            backend="process", sketch_backend="reference",
-        )
-        if sharded.backend == "process":
-            assert sharded.transport == "pipe"
-        sharded.close()
-
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_packed_transport_rejects_reference_backend(self, transport):
+    def test_packed_transport_rejects_reference_backend(self):
         with pytest.raises(ParameterError):
             ShardedSketch(
                 AddressDomain(2 ** 16), shards=2, seed=5,
                 backend="process", sketch_backend="reference",
-                transport=transport,
             )
 
-    def test_sync_backend_rejects_explicit_transport(self):
+    def test_packed_transport_rejects_wide_pair_domain(self):
+        # pair_bits == 66: pair codes no longer fit one uint64 lane.
         with pytest.raises(ParameterError):
             ShardedSketch(
-                AddressDomain(2 ** 16), shards=2, seed=5,
-                sketch_backend="packed", transport="delta",
-            )
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ParameterError):
-            ShardedSketch(
-                AddressDomain(2 ** 16), shards=2, seed=5,
-                backend="process", transport="zeromq",
+                AddressDomain(2 ** 33), shards=2, seed=5,
+                backend="process",
             )
 
     def test_sync_backend_has_no_transport(self):
-        sharded = ShardedSketch(
-            AddressDomain(2 ** 16), shards=2, seed=5,
-            sketch_backend="packed",
-        )
+        sharded = ShardedSketch(AddressDomain(2 ** 16), shards=2, seed=5)
         assert sharded.transport is None
 
 
 class TestDifferentialFuzz:
-    """Delta/shm merges must be bit-identical to snapshot merges."""
+    """Delta merges must be bit-identical to snapshot merges."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("policy", ["round-robin", "by-destination"])
-    def test_matches_single_sketch_with_mid_stream_syncs(
-        self, transport, policy
-    ):
+    def test_matches_single_sketch_with_mid_stream_syncs(self, policy):
         stream = delete_heavy_stream(2500, seed=17)
         single = single_for(stream)
-        sharded = bank(transport, policy=policy)
+        sharded = bank(policy=policy)
         try:
             third = len(stream) // 3
             sharded.update_batch(stream[:third])
@@ -252,30 +199,31 @@ class TestDifferentialFuzz:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_bit_identical_to_pipe_snapshot_merge(self, transport):
+    def test_bit_identical_to_shard_snapshot_merge(self):
         stream = delete_heavy_stream(1500, seed=23)
-        pipe_bank = bank("pipe", seed=7)
-        fast_bank = bank(transport, seed=7)
+        sharded = bank(seed=7)
         try:
-            pipe_bank.update_batch(stream)
-            fast_bank.update_batch(stream[:700])
-            fast_bank.combined()  # force an incremental window
-            fast_bank.update_batch(stream[700:])
-            baseline = pipe_bank.combined()
-            candidate = fast_bank.combined()
+            sharded.update_batch(stream[:700])
+            sharded.combined()  # force an incremental window
+            sharded.update_batch(stream[700:])
+            # Whole-snapshot merge of the same workers: the sync path
+            # the delta fold replaced.
+            baseline = TrackingDistinctCountSketch(
+                sharded.params, seed=7, backend="packed"
+            )
+            for index in range(sharded.num_shards):
+                baseline.merge(sharded.shard(index))
+            candidate = sharded.combined()
             assert candidate.structurally_equal(baseline)
             assert candidate.base_topk(10).as_dict() == (
                 baseline.base_topk(10).as_dict()
             )
         finally:
-            pipe_bank.close()
-            fast_bank.close()
+            sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_combined_serialize_roundtrip(self, transport):
+    def test_combined_serialize_roundtrip(self):
         stream = delete_heavy_stream(800, seed=29)
-        sharded = bank(transport)
+        sharded = bank()
         try:
             sharded.update_batch(stream)
             combined = sharded.combined()
@@ -287,8 +235,7 @@ class TestDifferentialFuzz:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_matches_durable_sketch_recovery(self, transport, tmp_path):
+    def test_matches_durable_sketch_recovery(self, tmp_path):
         stream = delete_heavy_stream(900, seed=31)
         with DurableSketch(
             tmp_path, AddressDomain(2 ** 16), seed=5, backend="packed"
@@ -299,7 +246,7 @@ class TestDifferentialFuzz:
         with DurableSketch(
             tmp_path, AddressDomain(2 ** 16), seed=5, backend="packed"
         ) as recovered:
-            sharded = bank(transport)
+            sharded = bank()
             try:
                 sharded.update_batch(stream)
                 assert sharded.combined().structurally_equal(
@@ -312,7 +259,7 @@ class TestDifferentialFuzz:
 class TestRunningSumInvalidation:
     def test_post_respawn_topk_equals_scratch_merge(self):
         stream = delete_heavy_stream(1200, seed=37)
-        sharded = bank("delta")
+        sharded = bank()
         try:
             half = len(stream) // 2
             sharded.update_batch(stream[:half])
@@ -330,10 +277,9 @@ class TestRunningSumInvalidation:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_degrade_to_sync_invalidates_and_stays_exact(self, transport):
+    def test_degrade_to_sync_invalidates_and_stays_exact(self):
         stream = delete_heavy_stream(1000, seed=41)
-        sharded = bank(transport)
+        sharded = bank()
         try:
             half = len(stream) // 2
             sharded.update_batch(stream[:half])
@@ -357,7 +303,7 @@ class TestRunningSumInvalidation:
     def test_stale_epoch_triggers_exact_full_resync(self):
         stream = delete_heavy_stream(1000, seed=43)
         registry = Registry()
-        sharded = bank("delta", obs=registry)
+        sharded = bank(obs=registry)
         try:
             half = len(stream) // 2
             sharded.update_batch(stream[:half])
@@ -384,98 +330,6 @@ class TestRunningSumInvalidation:
         return 0
 
     def test_drop_delta_sync_requires_delta_transport(self):
-        sharded = bank("pipe")
-        try:
-            with pytest.raises(ParameterError):
-                drop_delta_sync(sharded, 0)
-        finally:
-            sharded.close()
-
-
-class TestSegmentLifecycle:
-    def test_no_leak_after_clean_close(self):
-        sharded = bank("shm")
-        sharded.update_batch(delete_heavy_stream(400, seed=47))
-        sharded.combined()
-        sharded.close()
-        assert leaked_segments() == []
-
-    def test_no_leak_after_sigkill_then_close(self):
-        sharded = bank("shm")
-        sharded.update_batch(delete_heavy_stream(400, seed=53))
-        sharded.combined()  # every worker has published a segment
-        pid = sharded.worker_pid(1)
-        os.kill(pid, signal.SIGKILL)
-        deadline = time.monotonic() + 5
-        while sharded.worker_alive(1) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        sharded.close()  # must sweep the dead worker's segment too
-        assert leaked_segments() == []
-
-    def test_no_leak_through_gc_finalizer(self):
-        sharded = bank("shm")
-        sharded.update_batch(delete_heavy_stream(200, seed=59))
-        sharded.combined()
-        del sharded  # never closed: the pool finalizer must clean up
-        gc.collect()
-        assert leaked_segments() == []
-
-    def test_no_leak_when_process_exits_without_close(self):
-        """The atexit guard sweeps pools that were never closed."""
-        script = textwrap.dedent(
-            """
-            import random
-            from repro.sketch import ShardedSketch
-            from repro.types import AddressDomain, FlowUpdate
-
-            sharded = ShardedSketch(
-                AddressDomain(2 ** 16), shards=2, seed=5,
-                backend="process", sketch_backend="packed",
-                transport="shm",
-            )
-            if sharded.backend != "process":
-                raise SystemExit(0)
-            rng = random.Random(1)
-            sharded.update_batch([
-                FlowUpdate(rng.randrange(2 ** 16), rng.randrange(8), 1)
-                for _ in range(300)
-            ])
-            sharded.combined()
-            # exit WITHOUT close(): atexit must unlink the segments
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path("src").resolve())]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        assert leaked_segments() == []
-
-    def test_respawn_unlinks_dead_workers_segment(self):
-        sharded = bank("shm")
-        try:
-            sharded.update_batch(delete_heavy_stream(300, seed=61))
-            sharded.combined()
-            before = set(leaked_segments())
-            assert before  # workers have live segments while running
-            pid = sharded.worker_pid(0)
-            os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + 5
-            while sharded.worker_alive(0) and (
-                time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            sharded.restore_shard(0, None, processed_count=0)
-            shard0_segments = [
-                name for name in leaked_segments()
-                if f"p{pid}g" in name
-            ]
-            assert shard0_segments == []
-        finally:
-            sharded.close()
-        assert leaked_segments() == []
+        sharded = ShardedSketch(AddressDomain(2 ** 16), shards=2, seed=5)
+        with pytest.raises(ParameterError):
+            drop_delta_sync(sharded, 0)

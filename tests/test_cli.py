@@ -184,6 +184,15 @@ class TestStatsCommand:
         assert "repro_sketch_occupied_buckets" in output
 
 
+class TestServeCommand:
+    @pytest.mark.parametrize("flag", ["--shards", "--sample-every"])
+    def test_negative_count_is_a_usage_error(self, flag, capsys):
+        # Rejected before any ingest or socket: no silent fallback to
+        # a single in-process sketch.
+        assert main(["serve", "--updates", "100", flag, "-1"]) == 2
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+
+
 class TestArgumentHandling:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
