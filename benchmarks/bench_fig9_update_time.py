@@ -55,7 +55,8 @@ def run_timed(domain, updates, tracking: bool, query_frequency: float,
             TrackingDistinctCountSketch if tracking
             else DistinctCountSketch
         )
-        sketch = sketch_class(domain, r=3, s=128, seed=5)
+        sketch = sketch_class(domain, r=3, s=128, seed=5,
+                              backend="reference")
         query = (
             (lambda: sketch.track_topk(1))
             if tracking
@@ -157,13 +158,17 @@ def test_fig9_update_variants(ipv4_domain, update_stream):
     sketches = {}
 
     def reference_per_update():
-        sketch = DistinctCountSketch(ipv4_domain, seed=5)
+        sketch = DistinctCountSketch(
+            ipv4_domain, seed=5, backend="reference"
+        )
         for update in updates:
             sketch.process(update)
         sketches["reference-per-update"] = sketch
 
     def reference_batched():
-        sketch = DistinctCountSketch(ipv4_domain, seed=5)
+        sketch = DistinctCountSketch(
+            ipv4_domain, seed=5, backend="reference"
+        )
         sketch.process_stream(updates, batch_size=VARIANT_BATCH)
         sketches["reference-batched"] = sketch
 
@@ -254,7 +259,9 @@ def test_update_throughput_basic(benchmark, ipv4_domain, update_stream):
     chunk = update_stream[:2000]
 
     def run():
-        sketch = DistinctCountSketch(ipv4_domain, seed=6)
+        sketch = DistinctCountSketch(
+            ipv4_domain, seed=6, backend="reference"
+        )
         sketch.process_stream(chunk)
         return sketch
 
@@ -266,7 +273,9 @@ def test_update_throughput_tracking(benchmark, ipv4_domain, update_stream):
     chunk = update_stream[:2000]
 
     def run():
-        sketch = TrackingDistinctCountSketch(ipv4_domain, seed=6)
+        sketch = TrackingDistinctCountSketch(
+            ipv4_domain, seed=6, backend="reference"
+        )
         sketch.process_stream(chunk)
         return sketch
 
@@ -287,7 +296,7 @@ def test_obs_instrumentation_overhead(benchmark, ipv4_domain,
 
     def time_once(obs):
         sketch = TrackingDistinctCountSketch(ipv4_domain, seed=11,
-                                             obs=obs)
+                                             obs=obs, backend="reference")
         timer = UpdateTimer(
             update=sketch.process,
             query=lambda: None,
@@ -314,14 +323,16 @@ def test_obs_instrumentation_overhead(benchmark, ipv4_domain,
 
 def test_query_time_tracking(benchmark, ipv4_domain, update_stream):
     """TrackTopk query latency on a loaded sketch (O(k log m))."""
-    sketch = TrackingDistinctCountSketch(ipv4_domain, seed=7)
+    sketch = TrackingDistinctCountSketch(
+        ipv4_domain, seed=7, backend="reference"
+    )
     sketch.process_stream(update_stream)
     benchmark(lambda: sketch.track_topk(10))
 
 
 def test_query_time_basic(benchmark, ipv4_domain, update_stream):
     """BaseTopk query latency on a loaded sketch (O(r s log^2 m))."""
-    sketch = DistinctCountSketch(ipv4_domain, seed=7)
+    sketch = DistinctCountSketch(ipv4_domain, seed=7, backend="reference")
     sketch.process_stream(update_stream)
     benchmark.pedantic(lambda: sketch.base_topk(10), rounds=5,
                        iterations=1)

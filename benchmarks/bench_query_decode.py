@@ -82,7 +82,7 @@ def loaded_sketches(ipv4_domain):
         ipv4_domain, skew=1.5, seed=99,
         pairs=max(MIN_DECODE_PAIRS, scaled_pairs() // 3),
     )
-    reference = DistinctCountSketch(ipv4_domain, seed=5)
+    reference = DistinctCountSketch(ipv4_domain, seed=5, backend="reference")
     packed = DistinctCountSketch(ipv4_domain, seed=5, backend="packed")
     reference.process_stream(updates, batch_size=INGEST_BATCH)
     packed.process_stream(updates, batch_size=INGEST_BATCH)

@@ -1,4 +1,4 @@
-"""Experiment E11 — deployment machinery: serialization and epochs.
+"""Experiment E11 — deployment machinery: serialization.
 
 Not a paper figure; measures the engineering layer the Figure 1
 architecture needs in practice:
@@ -6,17 +6,17 @@ architecture needs in practice:
 * wire size and encode/decode cost of a loaded sketch (per-router
   sketches shipped to the central monitor);
 * merged-after-transport equivalence (the linearity property across
-  serialization);
-* epoch-rotation overhead relative to a single sketch.
+  serialization).
+
+How the sliding window forgets old traffic is covered by the
+``repro.monitor.window`` doctest and ``tests/monitor/test_window.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.monitor import EpochRotator
 from repro.sketch import TrackingDistinctCountSketch, serialize
-from repro.types import AddressDomain
 
 from conftest import make_workload, print_table, scaled_pairs
 
@@ -74,37 +74,3 @@ def test_merge_across_transport(benchmark, ipv4_domain, loaded):
     shipped_b = serialize.loads(serialize.dumps(router_b))
     shipped_a.merge(shipped_b)
     assert shipped_a.structurally_equal(direct)
-
-
-def test_epoch_rotation_overhead(benchmark, ipv4_domain, loaded):
-    """Per-update cost of a 2-epoch rotator vs a single sketch."""
-    _, updates, _ = loaded
-    chunk = updates[:2000]
-
-    def run():
-        rotator = EpochRotator(ipv4_domain, epoch_length=1000,
-                               window_epochs=2, seed=10)
-        rotator.observe_stream(chunk)
-        return rotator
-
-    rotator = benchmark.pedantic(run, rounds=3, iterations=1)
-    # Window of 2 epochs -> every update hits <= 2 sketches.
-    assert rotator.live_sketches <= 2
-
-
-def test_epoch_window_forgets_old_attacks(benchmark, ipv4_domain):
-    """Traffic older than the window no longer dominates queries."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    from repro.types import FlowUpdate
-
-    rotator = EpochRotator(ipv4_domain, epoch_length=2_000,
-                           window_epochs=2, seed=11)
-    # Epoch 0: an attack on dest 7.
-    for source in range(2_000):
-        rotator.observe(FlowUpdate(source, 7, +1))
-    # Epochs 1-4: steady traffic to dest 8.
-    for source in range(8_000):
-        rotator.observe(FlowUpdate(10_000 + source, 8, +1))
-    top = rotator.top_k(2)
-    assert top.destinations[0] == 8
-    assert 7 not in top.destinations

@@ -37,7 +37,9 @@ def stream(ipv4_domain):
 
 
 def time_updates(domain, stream, r):
-    sketch = DistinctCountSketch(SketchParams(domain, r=r, s=128), seed=1)
+    sketch = DistinctCountSketch(
+        SketchParams(domain, r=r, s=128), seed=1, backend="reference"
+    )
     started = time.perf_counter()
     sketch.process_stream(stream)
     return 1e6 * (time.perf_counter() - started) / len(stream)
@@ -67,7 +69,7 @@ def test_base_query_scales_with_s(benchmark, ipv4_domain, stream):
     costs = {}
     for s in (64, 128, 256, 512):
         sketch = DistinctCountSketch(
-            SketchParams(ipv4_domain, r=3, s=s), seed=2
+            SketchParams(ipv4_domain, r=3, s=s), seed=2, backend="reference"
         )
         sketch.process_stream(stream)
         started = time.perf_counter()
@@ -83,7 +85,9 @@ def test_base_query_scales_with_s(benchmark, ipv4_domain, stream):
 def test_track_query_scales_with_k(benchmark, ipv4_domain, stream):
     """TrackTopk query time is O(k log m): linear-ish in k, tiny."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    sketch = TrackingDistinctCountSketch(ipv4_domain, seed=3)
+    sketch = TrackingDistinctCountSketch(
+        ipv4_domain, seed=3, backend="reference"
+    )
     sketch.process_stream(stream)
     rows = []
     costs = {}
@@ -108,7 +112,7 @@ def test_track_query_independent_of_s(benchmark, ipv4_domain, stream):
     costs = {}
     for s in (64, 256):
         sketch = TrackingDistinctCountSketch(
-            SketchParams(ipv4_domain, r=3, s=s), seed=4
+            SketchParams(ipv4_domain, r=3, s=s), seed=4, backend="reference"
         )
         sketch.process_stream(stream)
         started = time.perf_counter()

@@ -11,8 +11,8 @@ and measures its effect on top-k accuracy over a churned workload
   mild phantom inflation as the rate grows;
 * loss: the real threat — lost deletions leave phantom half-open
   flows, lost insertions drive counts negative; accuracy decays with
-  the loss rate, motivating epoch resynchronisation
-  (:class:`~repro.monitor.epochs.EpochRotator`).
+  the loss rate, motivating windowed state that forgets phantoms
+  (:class:`~repro.monitor.SlidingWindowSketch`).
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 Measures how fast each windowed engine *flags* a sub-epoch burst flood
 and — the structural difference — how fast it *clears* once the burst
-is over.  Both engines are polled through the identical
-:class:`~repro.monitor.WindowedThresholdWatch` crossing logic, and all
-latencies are measured in **update counts**, not wall time, so the gate
-is deterministic and immune to CI runner noise.
+is over.  The library's engine is :class:`~repro.monitor.
+SlidingWindowSketch`; the baseline is :class:`EpochRotator` below, an
+uninstrumented ring of whole-epoch tracking sketches.  Both engines are
+polled through the identical :class:`~repro.monitor.
+WindowedThresholdWatch` crossing logic, and all latencies are measured
+in **update counts**, not wall time, so the gate is deterministic and
+immune to CI runner noise.
 
 The comparison is fair by construction:
 
@@ -43,17 +46,16 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional
 
 from conftest import print_table
 
-from repro.monitor import (
-    EpochRotator,
-    SlidingWindowSketch,
-    WindowedThresholdWatch,
-)
+from repro.monitor import SlidingWindowSketch, WindowedThresholdWatch
+from repro.sketch import TrackingDistinctCountSketch
+from repro.sketch.estimate import TopKResult
 from repro.streams import BurstFlood, CarpetBombing
-from repro.types import AddressDomain, FlowUpdate
+from repro.types import AddressDomain, FlowUpdate, cut_stream
 
 # Engine geometry: equal minimum coverage of 8 000 updates.
 SUBEPOCH = 1_000
@@ -75,6 +77,47 @@ VICTIM = 9_999
 BURST_SOURCES = 600
 BURST_START = 16_050
 STREAM_LENGTH = 40_000
+
+
+class EpochRotator:
+    """The epoch-rotation baseline: a ring of whole-epoch sketches.
+
+    Every update feeds all live sketches; every ``epoch_length``
+    updates a fresh sketch (seed ``seed + epoch``) opens and the oldest
+    beyond ``window_epochs`` retires.  Queries read the oldest live
+    sketch, so coverage drops a whole epoch at each boundary.
+    """
+
+    def __init__(self, domain: AddressDomain, epoch_length: int,
+                 window_epochs: int = 2, seed: int = 0,
+                 s: int = 128) -> None:
+        self.domain, self.seed, self.s = domain, seed, s
+        self.epoch_length = epoch_length
+        self.epochs_started = 0
+        self._in_epoch = 0
+        self._sketches: Deque[TrackingDistinctCountSketch] = deque(
+            maxlen=window_epochs
+        )
+        self._sketches.append(self._new_sketch())
+
+    def _new_sketch(self) -> TrackingDistinctCountSketch:
+        seed = self.seed + self.epochs_started
+        self.epochs_started += 1
+        return TrackingDistinctCountSketch(self.domain, s=self.s, seed=seed)
+
+    def observe(self, update: FlowUpdate) -> None:
+        self.observe_batch([update])
+
+    def observe_batch(self, updates: Iterable[FlowUpdate]) -> None:
+        for chunk in cut_stream(updates, self.epoch_length, self._in_epoch):
+            for sketch in self._sketches:
+                sketch.update_batch(chunk)
+            self._in_epoch = (self._in_epoch + len(chunk)) % self.epoch_length
+            if self._in_epoch == 0:
+                self._sketches.append(self._new_sketch())
+
+    def threshold(self, tau: int) -> TopKResult:
+        return self._sketches[0].track_threshold(tau)
 
 
 def _crossing_positions(
@@ -256,3 +299,24 @@ def test_carpet_bombing_sweep() -> None:
     assert counts["rotated"][0] == len(victims)
     assert counts["windowed"][1] >= 2
     assert counts["windowed"][1] >= counts["rotated"][1]
+
+
+def test_rotator_flaps_at_epoch_boundary() -> None:
+    """A steady heavy hitter: the rotator flaps at epoch boundaries.
+
+    Coverage oscillates in [100, 200]; tau=120 sits inside, so right
+    after the rotation at 300 the fresh query sketch (100 updates old)
+    reports the continuously-hot victim *below* threshold — a spurious
+    down/up pair per boundary.  ``tests/monitor/test_boundaries.py``
+    pins that the sliding window does not flap on the same stream.
+    """
+    rotator = EpochRotator(
+        AddressDomain(2 ** 16), epoch_length=100, window_epochs=2, seed=9
+    )
+    watch = WindowedThresholdWatch(rotator, tau=120, check_interval=10)
+    watch.observe_stream(FlowUpdate(source, 9, 1) for source in range(400))
+    events = [e for e in watch.events if e.dest == 9]
+    downs = [e for e in events if not e.above]
+    ups = [e for e in events if e.above]
+    assert downs, "expected the rotator to flap at a boundary"
+    assert len(ups) >= 2  # initial flag + re-flag after the dip

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .baselines import BruteForceTracker
+from .exceptions import ParameterError
 from .metrics import average_relative_error, top_k_recall
 from .monitor import DDoSMonitor, MonitorConfig, SlidingWindowSketch
 from .netsim import (
@@ -49,7 +50,7 @@ from .netsim import (
 from .sketch import SketchParams, TrackingDistinctCountSketch
 from .sketch.estimate import TopKResult
 from .streams import ZipfWorkload
-from .types import AddressDomain
+from .types import AddressDomain, cut_stream
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
-        help="checkpoint cadence in delivered updates (0 = only the "
+        help="checkpoint cadence in delivered updates, checked after "
+             "each WAL record of up to 1024 updates (0 = only the "
              "final checkpoint at exit; requires --checkpoint-dir)",
     )
 
@@ -205,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--label", default="sketch",
                          help="checkpoint label to recover")
     recover.add_argument(
-        "--backend", choices=["reference", "packed"], default="reference",
+        "--backend", choices=["reference", "packed"], default="packed",
         help="storage backend of the restored sketch",
     )
     recover.add_argument("--k", type=int, default=10,
@@ -532,6 +534,11 @@ def _run_stats(args: argparse.Namespace) -> int:
         print("--checkpoint-every requires --checkpoint-dir",
               file=sys.stderr)
         return 2
+    for flag, value in (("--updates", args.updates),
+                        ("--watch", args.watch)):
+        if value < 0:
+            print(f"{flag} must be >= 0", file=sys.stderr)
+            return 2
     if args.window < 0 or args.subepoch_length < 1:
         print("--window must be >= 0 and --subepoch-length >= 1",
               file=sys.stderr)
@@ -593,10 +600,15 @@ def _run_stats(args: argparse.Namespace) -> int:
         instrument = registry.get(name)
         return getattr(instrument, "value", 0) if instrument else 0
 
-    for position, update in enumerate(delivered, start=1):
-        monitor.observe(update)
+    # One chunk per --watch interval (the whole stream without one):
+    # every chunk rides the batch engine, and each watch line prints
+    # exactly at its delivered position.
+    position = 0
+    for chunk in cut_stream(delivered, args.watch or len(delivered) or 1):
+        monitor.observe_batch(chunk)
         if durable is not None:
-            durable.process(update)
+            durable.process_stream(chunk)
+        position += len(chunk)
         if args.watch and position % args.watch == 0:
             print(
                 f"[watch] delivered={position} "
@@ -639,7 +651,6 @@ def _run_stats(args: argparse.Namespace) -> int:
 def _run_recover(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .exceptions import ParameterError
     from .resilience import recover_sketch
 
     try:
@@ -702,12 +713,13 @@ def _run_serve(args: argparse.Namespace) -> int:
     )
     from .sketch.sharded import ShardedSketch
 
-    if args.sample_every < 0:
-        print("--sample-every must be >= 0", file=sys.stderr)
-        return 2
-    if args.shards < 0:
-        print("--shards must be >= 0", file=sys.stderr)
-        return 2
+    for flag, value in (("--sample-every", args.sample_every),
+                        ("--shards", args.shards),
+                        ("--max-requests", args.max_requests),
+                        ("--updates", args.updates)):
+        if value < 0:
+            print(f"{flag} must be >= 0", file=sys.stderr)
+            return 2
     domain = AddressDomain(2 ** 32)
     registry = Registry()
     if args.sample_every > 0:
@@ -801,7 +813,6 @@ def _run_blackbox(args: argparse.Namespace) -> int:
     from collections import Counter
     from pathlib import Path
 
-    from .exceptions import ParameterError
     from .obs import load_blackbox
 
     try:
@@ -868,36 +879,41 @@ def _run_blackbox(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    args = _build_parser().parse_args(argv)
-    if args.command == "synflood":
-        return _run_synflood(args)
-    if args.command == "topk":
-        return _run_topk(args)
-    if args.command == "space":
-        return _run_space(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "plan":
-        return _run_plan(args)
-    if args.command == "lint":
-        from .lint.cli import run as run_lint
+def _run_lint(args: argparse.Namespace) -> int:
+    from .lint.cli import run as run_lint
 
-        return run_lint(args)
-    if args.command == "describe":
-        return _run_describe(args)
-    if args.command == "experiment":
-        return _run_experiment(args)
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command == "recover":
-        return _run_recover(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "blackbox":
-        return _run_blackbox(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    return run_lint(args)
+
+
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "blackbox": _run_blackbox,
+    "describe": _run_describe,
+    "experiment": _run_experiment,
+    "lint": _run_lint,
+    "plan": _run_plan,
+    "recover": _run_recover,
+    "serve": _run_serve,
+    "space": _run_space,
+    "stats": _run_stats,
+    "synflood": _run_synflood,
+    "topk": _run_topk,
+    "trace": _run_trace,
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point.
+
+    A flag value the library rejects (a :class:`~repro.exceptions.
+    ParameterError`, e.g. a negative size) is a usage error: exit
+    status 2 with a one-line message on stderr, never a traceback.
+    """
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ParameterError as error:
+        print(f"repro-ddos {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

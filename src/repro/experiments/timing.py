@@ -2,7 +2,8 @@
 
 Sweeps the tracking-query frequency over a fixed update stream for
 both sketch variants and reports the average per-update cost, exactly
-as Section 6.2 describes.
+as Section 6.2 describes — on the paper-faithful ``"reference"`` store,
+fed one update at a time.
 """
 
 from __future__ import annotations
@@ -65,11 +66,14 @@ def run_timing_sweep(
             best = None
             for _ in range(repeats):
                 if variant == "tracking":
-                    sketch = TrackingDistinctCountSketch(domain,
-                                                         seed=seed + 5)
+                    sketch = TrackingDistinctCountSketch(
+                        domain, seed=seed + 5, backend="reference"
+                    )
                     query = lambda: sketch.track_topk(1)  # noqa: E731
                 else:
-                    sketch = DistinctCountSketch(domain, seed=seed + 5)
+                    sketch = DistinctCountSketch(
+                        domain, seed=seed + 5, backend="reference"
+                    )
                     query = lambda: sketch.base_topk(1)  # noqa: E731
                 timer = UpdateTimer(
                     update=sketch.process,

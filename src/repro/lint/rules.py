@@ -257,10 +257,10 @@ class WallClockRule(Rule):
     Invariant (Section 2 stream model + epoch semantics): every
     algorithmic decision is a function of the *update stream* alone, so
     replaying a trace byte-for-byte reproduces every alarm.  Wall-clock
-    reads are legal only in ``repro.monitor.epochs`` (epoch rotation
-    policy boundary), ``repro.metrics.timing`` (measurement harness),
-    and ``repro.resilience.checkpoint`` (checkpoint-duration telemetry
-    at the I/O boundary — never algorithmic state).
+    reads are legal only in ``repro.metrics.timing`` (measurement
+    harness), ``repro.obs.trace`` (span durations) and
+    ``repro.resilience.checkpoint`` (checkpoint-duration telemetry at
+    the I/O boundary) — never in algorithmic state.
     """
 
     rule_id = "RL003"
@@ -268,7 +268,6 @@ class WallClockRule(Rule):
     invariant = "stream-determined behaviour / replayability (Section 2)"
 
     ALLOWED_MODULES: Tuple[str, ...] = (
-        "repro.monitor.epochs",
         "repro.metrics.timing",
         "repro.obs.trace",
         "repro.resilience.checkpoint",

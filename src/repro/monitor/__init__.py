@@ -18,7 +18,6 @@ for destinations whose half-open distinct-source frequency is anomalous.
 """
 
 from .alarms import Alarm, AlarmSeverity, AlarmSink
-from .epochs import EpochRotator
 from .monitor import DDoSMonitor, MonitorConfig
 from .portscan import PortScanDetector
 from .profile import ActivityProfile
@@ -34,7 +33,6 @@ __all__ = [
     "AlarmSink",
     "CrossingEvent",
     "DDoSMonitor",
-    "EpochRotator",
     "Incident",
     "IncidentReporter",
     "MonitorConfig",

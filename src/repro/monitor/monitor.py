@@ -32,7 +32,7 @@ from ..obs.catalog import (
 from ..obs.registry import Registry, registry_or_null
 from ..sketch import TrackingDistinctCountSketch
 from ..sketch.estimate import TopKResult
-from ..types import AddressDomain, FlowUpdate
+from ..types import AddressDomain, FlowUpdate, cut_stream
 from .alarms import Alarm, AlarmSeverity, AlarmSink
 from .profile import ActivityProfile
 from .window import SlidingWindowSketch
@@ -90,11 +90,10 @@ class DDoSMonitor:
         obs: optional :class:`~repro.obs.Registry`, shared with the
             inner tracking sketch — one registry then exports the whole
             ingest/detect pipeline (see ``docs/observability.md``).
-        backend: storage backend of the inner sketch — ``"reference"``
-            or ``"packed"``; pick ``"packed"`` when feeding through
-            :meth:`observe_batch` so ingestion and the check-interval
-            queries both ride the vectorized engine
-            (``docs/performance.md``).
+        backend: storage backend of the inner sketch — ``"packed"``
+            (the default; batch ingestion and the check-interval
+            queries ride the vectorized engine) or ``"reference"``
+            (the oracle store; ``docs/performance.md``).
         window: optional :class:`SlidingWindowSketch`.  When set, every
             update also feeds the window and detection passes score the
             *windowed* top-k instead of the all-time one, so alarms
@@ -121,7 +120,7 @@ class DDoSMonitor:
         r: int = 3,
         s: int = 128,
         obs: Optional[Registry] = None,
-        backend: str = "reference",
+        backend: str = "packed",
         window: Optional[SlidingWindowSketch] = None,
     ) -> None:
         self.config = config or MonitorConfig()
@@ -154,11 +153,13 @@ class DDoSMonitor:
         return []
 
     def observe_stream(self, updates: Iterable[FlowUpdate]) -> List[Alarm]:
-        """Feed a whole stream; returns all alarms raised along the way."""
-        raised: List[Alarm] = []
-        for update in updates:
-            raised.extend(self.observe(update))
-        return raised
+        """Feed a whole stream; returns all alarms raised along the way.
+
+        The stream rides :meth:`observe_batch`, cut at check-interval
+        boundaries, so detection passes fire where per-update
+        :meth:`observe` calls would fire them.
+        """
+        return self.observe_batch(updates)
 
     def observe_batch(self, updates: Iterable[FlowUpdate]) -> List[Alarm]:
         """Feed a batch through the vectorized engine; returns alarms.
@@ -168,25 +169,18 @@ class DDoSMonitor:
         ``check_interval`` updates), and the sketch state is
         bit-identical because ``update_batch`` is — but ingestion rides
         :meth:`~repro.sketch.dcs.DistinctCountSketch.update_batch`, so
-        with ``backend="packed"`` both the counter scatter and each
-        check's query run vectorized.  Splits the batch at
-        check-interval boundaries so no detection pass is skipped or
-        displaced.
+        both the packed counter scatter and each check's query run
+        vectorized.  The batch is cut at check-interval boundaries so
+        no detection pass is skipped or displaced.
         """
-        pending = list(updates)
         raised: List[Alarm] = []
         interval = self.config.check_interval
-        start = 0
-        count = len(pending)
-        while start < count:
-            room = interval - self._updates_seen % interval
-            chunk = pending[start:start + room]
+        for chunk in cut_stream(updates, interval, self._updates_seen):
             applied = self.sketch.update_batch(chunk)
             if self.window is not None:
                 self.window.observe_batch(chunk)
             self._updates_seen += applied
             self._obs_updates.inc(applied)
-            start += len(chunk)
             if self._updates_seen % interval == 0:
                 raised.extend(self.check_now())
         return raised

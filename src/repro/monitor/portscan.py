@@ -63,12 +63,11 @@ class PortScanDetector:
         self.sketch.update(update.dest, update.source, update.delta)
 
     def observe_stream(self, updates: Iterable[FlowUpdate]) -> int:
-        """Consume a whole update stream; returns the count."""
-        count = 0
-        for update in updates:
-            self.observe(update)
-            count += 1
-        return count
+        """Consume a whole update stream in batches; returns the count."""
+        return self.sketch.process_stream(
+            FlowUpdate(update.dest, update.source, update.delta)
+            for update in updates
+        )
 
     def top_scanners(self, k: int) -> TopKResult:
         """Top-k sources by estimated distinct contacted destinations.

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import ParameterError
 from ..obs.catalog import MONITOR_SNAPSHOTS
 from ..obs.registry import Registry, registry_or_null
 from ..sketch import TrackingDistinctCountSketch
-from ..types import FlowUpdate
+from ..types import FlowUpdate, cut_stream
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,21 @@ class MonitorTimeline:
             return self.capture()
         return None
 
-    def observe_stream(self, updates) -> int:
-        """Feed a whole stream; returns the update count."""
+    def observe_stream(self, updates: Iterable[FlowUpdate]) -> int:
+        """Feed a whole stream; returns the update count.
+
+        The stream is cut at snapshot boundaries and fed through
+        ``update_batch``, so snapshots land where per-update
+        :meth:`observe` calls would capture them.
+        """
         count = 0
-        for update in updates:
-            self.observe(update)
-            count += 1
+        interval = self.snapshot_interval
+        for chunk in cut_stream(updates, interval, self._position):
+            self.sketch.update_batch(chunk)
+            self._position += len(chunk)
+            count += len(chunk)
+            if self._position % interval == 0:
+                self.capture()
         return count
 
     def capture(self) -> Snapshot:

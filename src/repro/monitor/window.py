@@ -1,11 +1,11 @@
 """Sliding-window detection: exact windows by subtract-merge.
 
-:class:`~repro.monitor.EpochRotator` bounds the age of tracked state,
-but its query window only moves at epoch granularity: an attack shorter
-than an epoch — or one straddling an epoch boundary — can be diluted or
-seen late.  Approximate sliding-window schemes (Memento's heavy-hitter
-windows, ALBUS's burst monitoring) exist precisely because most sketches
-cannot *remove* expired updates.  Ours can: the Distinct-Count Sketch is
+A window built by rotating whole epoch sketches only moves at epoch
+granularity: an attack shorter than an epoch — or one straddling an
+epoch boundary — can be diluted or seen late.  Approximate
+sliding-window schemes (Memento's heavy-hitter windows, ALBUS's burst
+monitoring) exist precisely because most sketches cannot *remove*
+expired updates.  Ours can: the Distinct-Count Sketch is
 a linear transform of the update stream (Section 3), so the sketch of
 the expired sub-stream can be merged out with −1 multiplicity and the
 remaining state is bit-for-bit the sketch of the surviving updates.
@@ -33,21 +33,10 @@ from __future__ import annotations
 import shutil
 from collections import deque
 from pathlib import Path
-from typing import (
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Deque, Iterable, List, Optional, Union
 
 from ..exceptions import ParameterError
 from ..obs.catalog import (
-    MONITOR_THRESHOLD_CROSSINGS,
     MONITOR_WINDOW_ADVANCE_DURATION,
     MONITOR_WINDOW_ADVANCES,
     MONITOR_WINDOW_EXPIRATIONS,
@@ -58,25 +47,10 @@ from ..obs.trace import span as trace_span
 from ..resilience.durable import DurableSketch
 from ..sketch import DistinctCountSketch
 from ..sketch.estimate import TopKResult
-from ..types import AddressDomain, FlowUpdate
-from .threshold import CrossingEvent, diff_crossings, publish_crossings
+from ..types import AddressDomain, FlowUpdate, cut_stream
+from .threshold import CrossingWatch
 
 _SLOT_PREFIX = "slot-"
-
-
-class WindowEngine(Protocol):
-    """Anything a :class:`WindowedThresholdWatch` can poll.
-
-    Both :class:`SlidingWindowSketch` and
-    :class:`~repro.monitor.EpochRotator` satisfy this: feed updates in,
-    answer threshold queries over their current window.
-    """
-
-    def observe(self, update: FlowUpdate) -> object:
-        """Feed one flow update."""
-
-    def threshold(self, tau: int) -> TopKResult:
-        """All destinations with windowed estimate ``>= tau``."""
 
 
 class SlidingWindowSketch:
@@ -284,23 +258,21 @@ class SlidingWindowSketch:
             self._advance()
 
     def observe_batch(self, updates: Iterable[FlowUpdate]) -> int:
-        """Feed a batch, splitting it at sub-epoch boundaries.
+        """Feed a batch, cutting it at sub-epoch boundaries.
 
-        Whole-sub-epoch chunks ride the batched ingestion path of both
-        the open sketch and the running sum.  Returns the update count.
+        Each chunk rides the batched ingestion path of both the open
+        sketch and the running sum.  Returns the update count.
         """
-        pending = list(updates)
-        total = len(pending)
-        start = 0
-        while start < total:
-            room = self.subepoch_length - self._updates_in_subepoch
-            chunk = pending[start:start + room]
-            start += len(chunk)
+        total = 0
+        for chunk in cut_stream(
+            updates, self.subepoch_length, self._updates_in_subepoch
+        ):
             if self._durable is not None:
                 self._durable.update_batch(chunk)
             else:
                 self._current.update_batch(chunk)
             self._sum.update_batch(chunk)
+            total += len(chunk)
             self._updates_seen += len(chunk)
             self._updates_in_subepoch += len(chunk)
             if self._updates_in_subepoch >= self.subepoch_length:
@@ -309,12 +281,9 @@ class SlidingWindowSketch:
         return total
 
     def observe_stream(self, updates: Iterable[FlowUpdate]) -> int:
-        """Feed a whole stream; returns the update count."""
-        count = 0
-        for update in updates:
-            self.observe(update)
-            count += 1
-        return count
+        """Feed a whole stream through :meth:`observe_batch`; returns
+        the update count."""
+        return self.observe_batch(updates)
 
     def _advance(self) -> None:
         """Close the open sub-epoch; expire anything past the horizon."""
@@ -409,102 +378,40 @@ class SlidingWindowSketch:
         )
 
 
-class WindowedThresholdWatch:
-    """Crossing detection over any windowed engine.
+class WindowedThresholdWatch(CrossingWatch):
+    """Crossing detection over a :class:`SlidingWindowSketch`.
 
-    The windowed counterpart of :class:`ThresholdWatch`: instead of one
-    ever-growing tracking sketch it polls a window *engine* — a
-    :class:`SlidingWindowSketch` (exact window at sub-epoch granularity)
-    or an :class:`~repro.monitor.EpochRotator` (epoch granularity) —
-    so a burst is flagged while it is inside the window and the alarm
-    clears once it ages out, regardless of where the burst falls
-    relative to sub-epoch boundaries.  Both engines share the crossing
-    semantics, metrics, and flight-recorder records of
-    :class:`ThresholdWatch`, which is what lets
-    ``benchmarks/bench_window_latency.py`` compare their detection
-    latency like for like.
+    The windowed counterpart of
+    :class:`~repro.monitor.ThresholdWatch`: the same crossing loop
+    (:class:`~repro.monitor.threshold.CrossingWatch`), polling the
+    exact window instead of one ever-growing tracking sketch, so a
+    burst is flagged while it is inside the window and the alarm clears
+    once it ages out, regardless of where the burst falls relative to
+    sub-epoch boundaries.
 
     Args:
-        engine: the windowed engine to feed and poll.
+        engine: the window to feed and poll.
         tau: the frequency threshold.
-        check_interval: poll the engine every this many updates.
+        check_interval: poll the window every this many updates.
         obs: optional :class:`~repro.obs.Registry`; crossings export as
             ``repro_monitor_threshold_crossings_total{direction=...}``.
     """
 
     def __init__(
         self,
-        engine: WindowEngine,
+        engine: SlidingWindowSketch,
         tau: int,
         check_interval: int = 1000,
         obs: Optional[Registry] = None,
     ) -> None:
-        if tau < 1:
-            raise ParameterError(f"tau must be >= 1, got {tau}")
-        if check_interval < 1:
-            raise ParameterError(
-                f"check_interval must be >= 1, got {check_interval}"
-            )
+        super().__init__(tau, check_interval, obs)
         self.engine = engine
-        self.tau = tau
-        self.check_interval = check_interval
-        self._updates_seen = 0
-        self._currently_above: Set[int] = set()
-        self._events: List[CrossingEvent] = []
-        self.obs: Registry = registry_or_null(obs)
-        crossings = self.obs.counter_from(MONITOR_THRESHOLD_CROSSINGS)
-        self._obs_cross_up = crossings.labels(direction="up")
-        self._obs_cross_down = crossings.labels(direction="down")
 
-    def observe(self, update: FlowUpdate) -> List[CrossingEvent]:
-        """Feed one update; returns crossing events from a due poll."""
+    def _feed(self, update: FlowUpdate) -> None:
         self.engine.observe(update)
-        self._updates_seen += 1
-        if self._updates_seen % self.check_interval == 0:
-            return self.poll()
-        return []
 
-    def observe_stream(
-        self, updates: Iterable[FlowUpdate]
-    ) -> List[CrossingEvent]:
-        """Feed a whole stream; returns all crossing events raised."""
-        raised: List[CrossingEvent] = []
-        for update in updates:
-            raised.extend(self.observe(update))
-        return raised
+    def _feed_batch(self, updates: List[FlowUpdate]) -> None:
+        self.engine.observe_batch(updates)
 
-    def poll(self) -> List[CrossingEvent]:
-        """Query the engine now and emit crossing events."""
-        result = self.engine.threshold(self.tau)
-        now_above: Dict[int, int] = result.as_dict()
-        events = diff_crossings(
-            now_above, self._currently_above, self._updates_seen
-        )
-        self._currently_above = set(now_above)
-        self._events.extend(events)
-        publish_crossings(events, self._obs_cross_up, self._obs_cross_down)
-        return events
-
-    def above_threshold(self) -> List[Tuple[int, int]]:
-        """Current ``(dest, estimate)`` list over the threshold."""
-        return [
-            (entry.dest, entry.estimate)
-            for entry in self.engine.threshold(self.tau)
-        ]
-
-    @property
-    def events(self) -> List[CrossingEvent]:
-        """All crossing events observed so far."""
-        return list(self._events)
-
-    @property
-    def updates_seen(self) -> int:
-        """Number of flow updates processed so far."""
-        return self._updates_seen
-
-    def __repr__(self) -> str:
-        return (
-            f"WindowedThresholdWatch(tau={self.tau}, "
-            f"updates={self._updates_seen}, "
-            f"above={len(self._currently_above)})"
-        )
+    def _threshold(self) -> TopKResult:
+        return self.engine.threshold(self.tau)

@@ -244,21 +244,6 @@ MONITOR_CHECK_ALARMS = MetricSpec(
     paper_ref="§2: attack breadth per poll (0 in quiet periods)",
 )
 
-MONITOR_EPOCH_ROTATIONS = MetricSpec(
-    name="repro_monitor_epoch_rotations_total",
-    kind="counter",
-    help="Epoch sketches opened by the sliding-window rotator "
-         "(including the initial epoch).",
-    paper_ref="bounded-age tracked state (deployment engineering of §2)",
-)
-
-MONITOR_EPOCH_LIVE_SKETCHES = MetricSpec(
-    name="repro_monitor_epoch_live_sketches",
-    kind="gauge",
-    help="Concurrent live epoch sketches (pull gauge).",
-    paper_ref="window_epochs concurrent synopses, each §5-sized",
-)
-
 MONITOR_THRESHOLD_CROSSINGS = MetricSpec(
     name="repro_monitor_threshold_crossings_total",
     kind="counter",
@@ -414,8 +399,6 @@ CATALOG: Tuple[MetricSpec, ...] = tuple(
             MONITOR_CHECKS,
             MONITOR_ALARMS,
             MONITOR_CHECK_ALARMS,
-            MONITOR_EPOCH_ROTATIONS,
-            MONITOR_EPOCH_LIVE_SKETCHES,
             MONITOR_THRESHOLD_CROSSINGS,
             MONITOR_SNAPSHOTS,
             MONITOR_WINDOW_ADVANCES,

@@ -62,7 +62,6 @@ SpanDict = Dict[str, Union[int, str]]
 SPAN_NAMES = (
     "arena.decode_slab",
     "checkpoint.write",
-    "monitor.epoch_rotate",
     "monitor.window_advance",
     "recovery.replay",
     "sharded.delta_sync",

@@ -248,12 +248,13 @@ class CheckpointStore:
         return None
 
     def load_latest(
-        self, label: str = "sketch", *, backend: str = "reference"
+        self, label: str = "sketch", *, backend: str = "packed"
     ) -> Optional[Tuple[serialize.AnySketch, CheckpointInfo]]:
         """Deserialize the newest good checkpoint for a label.
 
         ``backend`` selects the storage backend of the restored sketch
-        (``"packed"`` restores a packed-arena sketch as packed).
+        (the payload is backend-agnostic; ``"reference"`` restores the
+        oracle store).
         """
         loaded = self.load_latest_payload(label)
         if loaded is None:

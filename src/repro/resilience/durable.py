@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, Optional, Union
 
 from ..exceptions import ParameterError
 from ..obs.catalog import WAL_RECORDS_REPLAYED
@@ -33,7 +33,7 @@ from ..sketch import serialize
 from ..sketch.dcs import DistinctCountSketch
 from ..sketch.params import SketchParams
 from ..sketch.tracking import TrackingDistinctCountSketch
-from ..types import AddressDomain, FlowUpdate
+from ..types import AddressDomain, FlowUpdate, cut_stream
 from .checkpoint import CheckpointInfo, CheckpointStore
 from .wal import WalCorruption, WriteAheadLog
 
@@ -79,18 +79,10 @@ def replay_into(
     updates applied.
     """
     counter = registry_or_null(obs).counter_from(WAL_RECORDS_REPLAYED)
-    replayed = 0
-    batch: List[FlowUpdate] = []
     with trace_span("recovery.replay"):
-        for _, update in wal.replay(start_seq):
-            batch.append(update)
-            if len(batch) >= REPLAY_BATCH:
-                sketch.update_batch(batch)
-                replayed += len(batch)
-                batch.clear()
-        if batch:
-            sketch.update_batch(batch)
-            replayed += len(batch)
+        replayed = sketch.process_stream(
+            (update for _, update in wal.replay(start_seq)), REPLAY_BATCH
+        )
     if replayed:
         counter.inc(replayed)
     return replayed
@@ -100,7 +92,7 @@ def recover_sketch(
     directory: Path,
     *,
     label: str = "sketch",
-    backend: str = "reference",
+    backend: str = "packed",
     obs: Optional[Registry] = None,
 ) -> RecoveryResult:
     """Reconstruct a sketch from a durability directory.
@@ -180,7 +172,7 @@ class DurableSketch:
         seed: int = 0,
         r: int = 3,
         s: int = 128,
-        backend: str = "reference",
+        backend: str = "packed",
         checkpoint_every: int = 0,
         keep_checkpoints: int = 2,
         wal_segment_bytes: int = 1 << 20,
@@ -280,34 +272,17 @@ class DurableSketch:
         return len(batch)
 
     def process_stream(
-        self,
-        updates: Iterable[FlowUpdate],
-        batch_size: Optional[int] = None,
+        self, updates: Iterable[FlowUpdate], batch_size: int = 1024
     ) -> int:
         """Ingest a whole stream; returns the update count.
 
-        With ``batch_size`` set, chunks ride through
-        :meth:`update_batch` (one WAL record per chunk).
+        Chunks of ``batch_size`` ride through :meth:`update_batch`
+        (one WAL record per chunk), so automatic checkpoints land
+        within one chunk of each ``checkpoint_every`` multiple.
         """
-        if batch_size is None:
-            count = 0
-            for update in updates:
-                self.process(update)
-                count += 1
-            return count
-        if batch_size < 1:
-            raise ParameterError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
         total = 0
-        batch: List[FlowUpdate] = []
-        for update in updates:
-            batch.append(update)
-            if len(batch) >= batch_size:
-                total += self.update_batch(batch)
-                batch.clear()
-        if batch:
-            total += self.update_batch(batch)
+        for chunk in cut_stream(updates, batch_size):
+            total += self.update_batch(chunk)
         return total
 
     def _bump(self, count: int) -> None:

@@ -41,7 +41,7 @@ from ..sketch.estimate import TopKResult
 from ..sketch.process_pool import PoolUnavailable, WorkerDied
 from ..sketch.sharded import ShardedSketch
 from ..sketch.tracking import TrackingDistinctCountSketch
-from ..types import FlowUpdate
+from ..types import FlowUpdate, cut_stream
 from .checkpoint import CheckpointInfo, CheckpointStore
 from .durable import CHECKPOINT_SUBDIR, REPLAY_BATCH, WAL_SUBDIR
 from .wal import WriteAheadLog
@@ -200,24 +200,12 @@ class ShardSupervisor:
         return len(batch)
 
     def process_stream(
-        self,
-        updates: Iterable[FlowUpdate],
-        batch_size: int = 1024,
+        self, updates: Iterable[FlowUpdate], batch_size: int = 1024
     ) -> int:
         """Ingest a whole stream in WAL-record-sized chunks."""
-        if batch_size < 1:
-            raise ParameterError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
         total = 0
-        batch: List[FlowUpdate] = []
-        for update in updates:
-            batch.append(update)
-            if len(batch) >= batch_size:
-                total += self.update_batch(batch)
-                batch.clear()
-        if batch:
-            total += self.update_batch(batch)
+        for chunk in cut_stream(updates, batch_size):
+            total += self.update_batch(chunk)
         return total
 
     def _send(self, index: int, group: List[FlowUpdate]) -> None:
@@ -254,19 +242,14 @@ class ShardSupervisor:
                 mid-replay (the caller retries with backoff).
         """
         replayed = 0
-        batch: List[FlowUpdate] = []
+        routed = (
+            update
+            for seq, update in self.wal.replay(start_seq)
+            if self._route(seq, update) == index
+        )
         with trace_span("recovery.replay"):
-            for seq, update in self.wal.replay(start_seq):
-                if self._route(seq, update) != index:
-                    continue
-                batch.append(update)
-                if len(batch) >= REPLAY_BATCH:
-                    self.sharded.ingest_shard(index, batch)
-                    replayed += len(batch)
-                    batch.clear()
-            if batch:
-                self.sharded.ingest_shard(index, batch)
-                replayed += len(batch)
+            for chunk in cut_stream(routed, REPLAY_BATCH):
+                replayed += self.sharded.ingest_shard(index, chunk)
         if replayed:
             self._obs_replayed.inc(replayed)
         return replayed

@@ -59,7 +59,7 @@ from ..obs.catalog import (
 )
 from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import span as trace_span
-from ..types import AddressDomain, FlowUpdate
+from ..types import AddressDomain, FlowUpdate, cut_stream
 from .arena import SignatureArena, pack_codes, singleton_mask
 from .estimate import TopKResult, build_result, rank_frequencies
 from .params import SketchParams
@@ -97,10 +97,12 @@ class DistinctCountSketch:
             (see ``docs/observability.md``).  ``None`` (the default)
             resolves to the no-op null registry, so uninstrumented
             sketches pay one empty method call per update.
-        backend: ``"reference"`` (per-bucket ``CountSignature`` objects,
-            the paper-faithful baseline) or ``"packed"`` (flat
+        backend: ``"packed"`` (the default: flat
             :class:`~repro.sketch.arena.SignatureArena` storage feeding
-            the vectorized :meth:`update_batch` engine).  Both backends
+            the vectorized :meth:`update_batch` engine) or
+            ``"reference"`` (per-bucket ``CountSignature`` objects, the
+            paper-faithful store — the test oracle, and the store the
+            per-update timing reproductions measure).  Both backends
             are bit-identical: same seeds imply
             :meth:`structurally_equal` states after the same stream.
 
@@ -122,7 +124,7 @@ class DistinctCountSketch:
         s: int = 128,
         seed: int = 0,
         obs: Optional[Registry] = None,
-        backend: str = "reference",
+        backend: str = "packed",
     ) -> None:
         if isinstance(params, AddressDomain):
             params = SketchParams(domain=params, r=r, s=s)
@@ -235,37 +237,18 @@ class DistinctCountSketch:
         )
 
     def process_stream(
-        self,
-        updates: Iterable[FlowUpdate],
-        batch_size: Optional[int] = None,
+        self, updates: Iterable[FlowUpdate], batch_size: int = 1024
     ) -> int:
         """Process every update from an iterable; returns the count.
 
-        With ``batch_size`` set, updates are buffered into chunks of
-        that size and fed through :meth:`update_batch` — the final
-        sketch state is bit-identical either way; batching only changes
-        the constant per-update cost.
+        Updates are cut into chunks of ``batch_size`` and fed through
+        :meth:`update_batch` — the final sketch state is bit-identical
+        to per-update :meth:`process` calls; batching only changes the
+        constant per-update cost.
         """
-        if batch_size is None:
-            count = 0
-            for update in updates:
-                self.process(update)
-                count += 1
-            return count
-        if batch_size < 1:
-            raise ParameterError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
         total = 0
-        batch: List[FlowUpdate] = []
-        append = batch.append
-        for update in updates:
-            append(update)
-            if len(batch) >= batch_size:
-                total += self.update_batch(batch)
-                batch.clear()
-        if batch:
-            total += self.update_batch(batch)
+        for chunk in cut_stream(updates, batch_size):
+            total += self.update_batch(chunk)
         return total
 
     def update_batch(self, updates: Iterable[FlowUpdate]) -> int:  # hot-path

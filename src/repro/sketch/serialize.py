@@ -58,13 +58,13 @@ def sketch_to_dict(sketch: AnySketch) -> Dict[str, Any]:
 
 
 def sketch_from_dict(
-    payload: Dict[str, Any], *, backend: str = "reference"
+    payload: Dict[str, Any], *, backend: str = "packed"
 ) -> AnySketch:
     """Decode a sketch from :func:`sketch_to_dict` output.
 
     ``backend`` selects the storage backend of the reconstructed sketch
-    (the wire format is backend-agnostic — both backends serialize to
-    the same payload and load into either).
+    (packed by default; the wire format is backend-agnostic — both
+    backends serialize to the same payload and load into either).
     """
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
@@ -115,7 +115,7 @@ def dumps(sketch: AnySketch) -> bytes:
     ).encode("ascii")
 
 
-def loads(data: bytes, *, backend: str = "reference") -> AnySketch:
+def loads(data: bytes, *, backend: str = "packed") -> AnySketch:
     """Deserialize a sketch from :func:`dumps` output.
 
     ``backend`` selects the storage backend of the loaded sketch; see

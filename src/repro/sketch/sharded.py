@@ -56,7 +56,7 @@ from ..obs.catalog import (
 from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import current_tracer
 from ..obs.trace import span as trace_span
-from ..types import AddressDomain, FlowUpdate
+from ..types import AddressDomain, FlowUpdate, cut_stream
 from .estimate import TopKResult
 from .params import SketchParams
 from .process_pool import PoolUnavailable, ProcessShardPool, WorkerDied
@@ -65,10 +65,6 @@ from .tracking import TrackingDistinctCountSketch
 
 #: Valid values for the ``backend`` constructor argument.
 SHARD_BACKENDS = ("sync", "process")
-
-#: Chunk size used when a process-backed stream is fed without an
-#: explicit ``batch_size`` (per-update pipe messages would dominate).
-DEFAULT_PROCESS_BATCH = 1024
 
 
 class ShardedSketch:
@@ -237,39 +233,17 @@ class ShardedSketch:
         return len(group)
 
     def process_stream(
-        self,
-        updates: Iterable[FlowUpdate],
-        batch_size: Optional[int] = None,
+        self, updates: Iterable[FlowUpdate], batch_size: int = 1024
     ) -> int:
         """Route a whole stream; returns the update count.
 
-        With ``batch_size`` set, updates are buffered into chunks of
-        that size and routed through :meth:`update_batch`.  The process
-        backend always chunks (``DEFAULT_PROCESS_BATCH`` when no size
-        is given) — per-update pipe messages would swamp the workers.
+        Updates are cut into chunks of ``batch_size`` and routed
+        through :meth:`update_batch` (one pipe message per touched
+        shard and chunk on the process backend).
         """
-        if batch_size is None:
-            if self._pool is None:
-                count = 0
-                for update in updates:
-                    self.process(update)
-                    count += 1
-                return count
-            batch_size = DEFAULT_PROCESS_BATCH
-        if batch_size < 1:
-            raise ParameterError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
         total = 0
-        batch: List[FlowUpdate] = []
-        append = batch.append
-        for update in updates:
-            append(update)
-            if len(batch) >= batch_size:
-                total += self.update_batch(batch)
-                batch.clear()
-        if batch:
-            total += self.update_batch(batch)
+        for chunk in cut_stream(updates, batch_size):
+            total += self.update_batch(chunk)
         return total
 
     def update_batch(self, updates: Iterable[FlowUpdate]) -> int:

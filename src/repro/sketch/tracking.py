@@ -125,7 +125,7 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         s: int = 128,
         seed: int = 0,
         obs: Optional[Registry] = None,
-        backend: str = "reference",
+        backend: str = "packed",
     ) -> None:
         super().__init__(
             params, r=r, s=s, seed=seed, obs=obs, backend=backend

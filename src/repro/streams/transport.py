@@ -13,9 +13,9 @@ imperfection interacts differently with the sketch semantics:
 
 These channel models are deterministic given their seed, so experiments
 can sweep loss rates reproducibly (bench E13); the monitor-facing fix —
-periodic re-synchronisation from a fresh epoch — is what
-:class:`~repro.monitor.epochs.EpochRotator` provides, and the bench
-demonstrates the combination.
+forgetting state older than a window, so a lost deletion's phantom
+flow eventually expires — is what
+:class:`~repro.monitor.SlidingWindowSketch` provides.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ library, plus the encoding/decoding helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, Tuple
 
-from .exceptions import DomainError, StreamError
+from .exceptions import DomainError, ParameterError, StreamError
 
 #: Update delta for an insertion (e.g. an observed SYN packet).
 INSERT = 1
@@ -127,3 +128,32 @@ def iter_updates(
     """Wrap an iterator of raw triples into :class:`FlowUpdate` objects."""
     for source, dest, delta in triples:
         yield FlowUpdate(source, dest, delta)
+
+
+def cut_stream(
+    updates: Iterable[FlowUpdate], interval: int, position: int = 0
+) -> Iterator[List[FlowUpdate]]:
+    """Cut a stream into lists that end at every multiple of ``interval``.
+
+    Stream positions count from ``position`` (the updates a consumer
+    has already seen), so feeding the chunks to a batch engine places a
+    chunk boundary exactly where per-update feeding would reach each
+    multiple — the poll, check or sync point.  Lazy: at most one chunk
+    is materialised at a time.
+
+    Example:
+        >>> stream = [FlowUpdate(source, 1) for source in range(7)]
+        >>> [len(chunk) for chunk in cut_stream(stream, 3, position=1)]
+        [2, 3, 2]
+    """
+    if interval < 1:
+        raise ParameterError(f"interval must be >= 1, got {interval}")
+    iterator = iter(updates)
+    room = interval - position % interval
+    while True:
+        chunk = list(islice(iterator, room))
+        if chunk:
+            yield chunk
+        if len(chunk) < room:
+            return
+        room = interval

@@ -50,7 +50,9 @@ class TestShardShipAndMerge:
         merged = TrackingDistinctCountSketch(sharded.params, seed=7)
         for shard in shipped:
             merged.merge(shard)
-        direct = TrackingDistinctCountSketch(sharded.params, seed=7)
+        direct = TrackingDistinctCountSketch(
+            sharded.params, seed=7, backend="reference"
+        )
         direct.process_stream(updates)
         assert merged.structurally_equal(direct)
         merged.check_invariants()
@@ -70,7 +72,9 @@ class TestShardShipAndMerge:
     def test_pipeline_answers_match_every_stage(self, tmp_path):
         updates = stream(600, seed=3)
         # Stage A: direct.
-        direct = TrackingDistinctCountSketch(DOMAIN, seed=9)
+        direct = TrackingDistinctCountSketch(
+            DOMAIN, seed=9, backend="reference"
+        )
         direct.process_stream(updates)
         expected = direct.track_topk(5).as_dict()
         # Stage B: trace -> shard -> serialize -> merge.

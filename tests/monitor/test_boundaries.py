@@ -1,25 +1,19 @@
-"""Epoch-boundary regressions: the straddling artifacts, pinned.
+"""Poll-boundary regressions: the straddling artifacts, pinned.
 
 The bugfix sweep for the windowing work audited
-:class:`~repro.monitor.EpochRotator` and
-:class:`~repro.monitor.ThresholdWatch` for off-by-one behaviour at
-epoch boundaries.  The arithmetic is correct — these tests pin it so it
-stays correct — but the rotator's *coverage* is one epoch short of its
-nominal window right after every rotation (documented in
-``repro/monitor/epochs.py``), which makes a threshold watch over a
-rotator flap around boundaries.  The last test demonstrates that flap
-and shows the sliding-window engine does not exhibit it — the exact
-behaviour gap ``docs/windowing.md`` explains.
+:class:`~repro.monitor.ThresholdWatch` for off-by-one behaviour at poll
+boundaries; these tests pin the arithmetic so it stays correct.  The
+last test pins that a threshold watch over the sliding window does not
+flap around sub-epoch boundaries — the epoch-rotation baseline in
+``benchmarks/bench_window_latency.py`` does, on the same stream, which
+is the behaviour gap ``docs/windowing.md`` explains.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 import pytest
 
 from repro.monitor import (
-    EpochRotator,
     SlidingWindowSketch,
     ThresholdWatch,
     WindowedThresholdWatch,
@@ -38,54 +32,6 @@ def distinct_flood(dest: int, count: int, start: int = 0):
         FlowUpdate(source, dest, 1)
         for source in range(start, start + count)
     )
-
-
-class TestRotationArithmetic:
-    def test_rotation_fires_exactly_at_epoch_length(self, domain) -> None:
-        rotator = EpochRotator(domain, epoch_length=100, window_epochs=2)
-        for update in distinct_flood(7, 99):
-            rotator.observe(update)
-        assert rotator.epochs_started == 1  # 99 updates: no rotation yet
-        rotator.observe(FlowUpdate(99, 7, 1))
-        assert rotator.epochs_started == 2  # the 100th update rotates
-
-    def test_coverage_is_one_epoch_short_after_rotation(
-        self, domain
-    ) -> None:
-        """Pins the documented min-coverage: (window_epochs-1) epochs."""
-        rotator = EpochRotator(domain, epoch_length=100, window_epochs=3)
-        for update in distinct_flood(7, 350):
-            rotator.observe(update)
-        # Rotations at 100, 200, 300; the oldest live sketch started at
-        # update 100 and has seen 250 updates — not the nominal 300.
-        assert rotator.epochs_started == 4
-        assert rotator.query_sketch.updates_processed == 250
-
-    def test_query_sketch_resets_discontinuously(self, domain) -> None:
-        """Right after a boundary the query view drops one whole epoch."""
-        rotator = EpochRotator(domain, epoch_length=100, window_epochs=2)
-        for update in distinct_flood(7, 199):
-            rotator.observe(update)
-        before = rotator.query_sketch.updates_processed  # 199: full view
-        rotator.observe(FlowUpdate(199, 7, 1))           # rotates at 200
-        after = rotator.query_sketch.updates_processed
-        assert before == 199
-        assert after == 100  # the new query sketch started at update 100
-
-    def test_on_rotate_sees_post_rotation_state(self, domain) -> None:
-        observed: List[int] = []
-
-        def hook(r: EpochRotator) -> None:
-            observed.append(r.query_sketch.updates_processed)
-
-        rotator = EpochRotator(
-            domain, epoch_length=50, window_epochs=2, on_rotate=hook
-        )
-        for update in distinct_flood(7, 150):
-            rotator.observe(update)
-        # At each boundary the hook runs after the rotation: the new
-        # query sketch covers exactly the previous epoch.
-        assert observed == [50, 50, 50]
 
 
 class TestThresholdWatchBoundaries:
@@ -107,38 +53,16 @@ class TestThresholdWatchBoundaries:
 
 
 class TestBoundaryFlap:
-    """A steady heavy hitter: the rotator flaps, the window does not."""
-
-    TAU = 120
-    POLL = 10
-
-    def _events(self, engine, length: int):
-        watch = WindowedThresholdWatch(
-            engine, tau=self.TAU, check_interval=self.POLL
-        )
-        watch.observe_stream(distinct_flood(9, length))
-        return [e for e in watch.events if e.dest == 9]
-
-    def test_rotator_flaps_at_epoch_boundary(self, domain) -> None:
-        # Coverage oscillates in [100, 200]; tau=120 sits inside, so
-        # right after the rotation at 300 the fresh query sketch (100
-        # updates old) reports the continuously-hot victim *below*
-        # threshold — a spurious down/up pair per boundary.
-        rotator = EpochRotator(
-            domain, epoch_length=100, window_epochs=2, seed=9
-        )
-        events = self._events(rotator, 400)
-        downs = [e for e in events if not e.above]
-        ups = [e for e in events if e.above]
-        assert downs, "expected the rotator to flap at a boundary"
-        assert len(ups) >= 2  # initial flag + re-flag after the dip
+    """A steady heavy hitter: the window does not flap."""
 
     def test_window_does_not_flap(self, domain) -> None:
-        # Same minimum coverage (150 > tau) at sub-epoch granularity:
-        # the windowed estimate never dips below threshold, so the only
+        # Minimum coverage 150 > tau at sub-epoch granularity: the
+        # windowed estimate never dips below threshold, so the only
         # event stream is the single initial up-crossing.
         window = SlidingWindowSketch(
             domain, subepoch_length=50, window_subepochs=4, seed=9
         )
-        events = self._events(window, 400)
+        watch = WindowedThresholdWatch(window, tau=120, check_interval=10)
+        watch.observe_stream(distinct_flood(9, 400))
+        events = [e for e in watch.events if e.dest == 9]
         assert [e.above for e in events] == [True]

@@ -113,7 +113,7 @@ class TestLifecycle:
 
 
 class TestObserveBatch:
-    """observe_batch must be indistinguishable from observe_stream."""
+    """observe_batch must be indistinguishable from per-update observe."""
 
     def _mixed_stream(self, sources=1500):
         # A flood with interleaved background noise so several
@@ -139,7 +139,9 @@ class TestObserveBatch:
                                   absolute_floor=50),
             seed=3, backend=backend,
         )
-        expected = streamed.observe_stream(updates)
+        expected = []
+        for update in updates:
+            expected.extend(streamed.observe(update))
         raised = []
         for start in range(0, len(updates), batch_size):
             raised.extend(
@@ -149,6 +151,17 @@ class TestObserveBatch:
         assert batched.updates_seen == streamed.updates_seen
         assert batched.sketch.structurally_equal(streamed.sketch)
         assert batched.current_top() == streamed.current_top()
+
+    def test_stream_equals_per_update(self, domain):
+        updates = self._mixed_stream()
+        looped = make_monitor(domain, check_interval=100)
+        expected = []
+        for update in updates:
+            expected.extend(looped.observe(update))
+        streamed = make_monitor(domain, check_interval=100)
+        assert streamed.observe_stream(iter(updates)) == expected
+        assert streamed.updates_seen == looped.updates_seen
+        assert streamed.sketch.structurally_equal(looped.sketch)
 
     def test_batch_splits_at_check_boundaries(self, domain):
         monitor = make_monitor(domain, check_interval=100)

@@ -63,6 +63,20 @@ class TestScannerDetection:
         assert detector.observe_stream(updates) == 200
         assert detector.top_scanners(1).destinations == [9]
 
+    def test_observe_stream_equals_per_update(self, domain):
+        looped = PortScanDetector(domain, seed=6)
+        streamed = PortScanDetector(domain, seed=6)
+        updates = [
+            FlowUpdate(source % 7, dest, +1)
+            for source, dest in enumerate(range(3000))
+        ]
+        updates += [update.inverted() for update in updates[::3]]
+        for update in updates:
+            looped.observe(update)
+        assert streamed.observe_stream(iter(updates)) == len(updates)
+        assert streamed.sketch.structurally_equal(looped.sketch)
+        assert streamed.top_scanners(3) == looped.top_scanners(3)
+
     def test_distinct_semantics_resist_repeats(self, domain):
         detector = PortScanDetector(domain, seed=6)
         # One host hammering a single destination is NOT a scanner.

@@ -67,6 +67,39 @@ class TestCrossing:
         assert second == []
 
 
+def rise_and_fall(dests=(7, 8), sources=400):
+    """Distinct-source floods that later drain through deletions."""
+    rises = [
+        FlowUpdate(source, dest, +1)
+        for source in range(sources)
+        for dest in dests
+    ]
+    return rises + [update.inverted() for update in rises]
+
+
+class TestObserveStream:
+    """observe_stream (the batch path) equals a per-update loop."""
+
+    @pytest.mark.parametrize("check_interval", [1, 37, 400])
+    def test_stream_equals_per_update(self, domain, check_interval):
+        updates = rise_and_fall()
+        looped = ThresholdWatch(domain, tau=100,
+                                check_interval=check_interval, seed=8)
+        expected = []
+        for update in updates:
+            expected.extend(looped.observe(update))
+        streamed = ThresholdWatch(domain, tau=100,
+                                  check_interval=check_interval, seed=8)
+        # Two pieces, the first ending mid-interval: the cut positions
+        # must carry over between calls.
+        raised = streamed.observe_stream(iter(updates[:501]))
+        raised += streamed.observe_stream(iter(updates[501:]))
+        assert raised == expected == streamed.events == looped.events
+        assert any(not event.above for event in expected)
+        assert streamed.updates_seen == looped.updates_seen
+        assert streamed.sketch.structurally_equal(looped.sketch)
+
+
 class TestValidation:
     def test_rejects_bad_tau(self, domain):
         with pytest.raises(ParameterError):

@@ -44,6 +44,31 @@ class TestCapture:
         assert timeline.snapshots[0].position == 80
 
 
+class TestObserveStream:
+    @pytest.mark.parametrize("interval", [1, 30, 100])
+    def test_stream_equals_per_update(self, interval):
+        updates = flood(7, 250) + flood(8, 120, base=500)
+        updates += [update.inverted() for update in updates[:180]]
+
+        def fresh():
+            sketch = TrackingDistinctCountSketch(AddressDomain(2 ** 16),
+                                                 seed=4)
+            return MonitorTimeline(sketch, k=3, snapshot_interval=interval)
+
+        looped = fresh()
+        for update in updates:
+            looped.observe(update)
+        streamed = fresh()
+        # Two pieces, the first ending mid-interval.
+        assert streamed.observe_stream(iter(updates[:77])) == 77
+        assert streamed.observe_stream(iter(updates[77:])) == (
+            len(updates) - 77
+        )
+        assert streamed.snapshots == looped.snapshots
+        assert streamed.position == looped.position
+        assert streamed.sketch.structurally_equal(looped.sketch)
+
+
 class TestRetrospection:
     def test_series_shows_the_ramp(self, timeline):
         timeline.observe_stream(flood(7, 500))

@@ -17,7 +17,6 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.monitor import (
     DDoSMonitor,
-    EpochRotator,
     MonitorConfig,
     SlidingWindowSketch,
     WindowedThresholdWatch,
@@ -219,16 +218,30 @@ class TestWindowedThresholdWatch:
         events = watch.observe_stream(more_quiet)
         assert any(e.dest == 9 and not e.above for e in events)
 
-    def test_engine_generic_over_rotator(self) -> None:
-        """The same watch drives an EpochRotator unchanged."""
-        rotator = EpochRotator(
-            DOMAIN, epoch_length=100, window_epochs=2, seed=SEED
+    @pytest.mark.parametrize("check_interval", [7, 10, 120])
+    def test_stream_equals_per_update(self, check_interval) -> None:
+        """observe_stream (the batch path) equals a per-update loop."""
+        quiet = [
+            FlowUpdate(source, source % 5, 1) for source in range(100)
+        ]
+        burst = [FlowUpdate(source, 9, 1) for source in range(100, 160)]
+        updates = quiet + burst + quiet * 3
+        looped = WindowedThresholdWatch(
+            make_window("packed"), tau=30, check_interval=check_interval
         )
-        watch = WindowedThresholdWatch(rotator, tau=30, check_interval=10)
-        events = watch.observe_stream(
-            FlowUpdate(source, 9, 1) for source in range(80)
+        expected = []
+        for update in updates:
+            expected.extend(looped.observe(update))
+        streamed = WindowedThresholdWatch(
+            make_window("packed"), tau=30, check_interval=check_interval
         )
-        assert any(e.dest == 9 and e.above for e in events)
+        raised = streamed.observe_stream(iter(updates[:133]))
+        raised += streamed.observe_stream(iter(updates[133:]))
+        assert raised == expected == streamed.events
+        assert {event.above for event in expected} == {True, False}
+        assert streamed.engine.window_sum.structurally_equal(
+            looped.engine.window_sum
+        )
 
     def test_parameter_validation(self) -> None:
         window = make_window("reference")

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.monitor import DDoSMonitor, MonitorConfig
-from repro.monitor.epochs import EpochRotator
 from repro.monitor.threshold import ThresholdWatch
 from repro.monitor.timeline import MonitorTimeline
 from repro.obs import Registry
@@ -203,18 +202,6 @@ class TestMonitorInstrumentation:
         assert counter_value(registry, "repro_monitor_alarms_total") >= 1
         histogram = registry.get("repro_monitor_check_alarms")
         assert histogram.count == 5
-
-    def test_epoch_rotator(self, domain, registry):
-        rotator = EpochRotator(
-            domain, epoch_length=100, window_epochs=2, obs=registry
-        )
-        for update in stream(250, seed=7):
-            rotator.observe(update)
-        assert counter_value(
-            registry, "repro_monitor_epoch_rotations_total"
-        ) == rotator.epochs_started == 3
-        live = registry.get("repro_monitor_epoch_live_sketches")
-        assert live.value == rotator.live_sketches == 2
 
     def test_threshold_watch_crossings(self, domain, registry):
         watch = ThresholdWatch(

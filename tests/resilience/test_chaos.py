@@ -39,7 +39,9 @@ def random_stream(count, seed=0, dests=13):
 
 
 def reference_for(stream, seed=5):
-    sketch = TrackingDistinctCountSketch(AddressDomain(2 ** 16), seed=seed)
+    sketch = TrackingDistinctCountSketch(
+        AddressDomain(2 ** 16), seed=seed, backend="reference"
+    )
     sketch.update_batch(stream)
     return sketch
 

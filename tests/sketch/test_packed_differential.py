@@ -57,16 +57,19 @@ def make_stream(
 
 class TestBasicSketchDifferential:
     @pytest.mark.parametrize("stream_seed", [1, 2, 3])
-    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    @pytest.mark.parametrize("batch_size", [1, 7, 256, None])
     def test_batched_packed_matches_per_update_reference(
         self, stream_seed, batch_size
     ):
         updates = make_stream(stream_seed, 3000)
-        reference = DistinctCountSketch(DOMAIN, seed=42)
+        reference = DistinctCountSketch(DOMAIN, seed=42, backend="reference")
         packed = DistinctCountSketch(DOMAIN, seed=42, backend="packed")
         for update in updates:
             reference.process(update)
-        packed.process_stream(updates, batch_size=batch_size)
+        if batch_size is None:
+            packed.process_stream(updates)  # the default chunking
+        else:
+            packed.process_stream(updates, batch_size=batch_size)
         assert reference.structurally_equal(packed)
         assert packed.structurally_equal(reference)
         assert packed.updates_processed == reference.updates_processed
@@ -79,8 +82,8 @@ class TestBasicSketchDifferential:
 
     def test_reference_update_batch_matches_per_update(self):
         updates = make_stream(7, 2000)
-        one_by_one = DistinctCountSketch(DOMAIN, seed=9)
-        batched = DistinctCountSketch(DOMAIN, seed=9)
+        one_by_one = DistinctCountSketch(DOMAIN, seed=9, backend="reference")
+        batched = DistinctCountSketch(DOMAIN, seed=9, backend="reference")
         for update in updates:
             one_by_one.process(update)
         batched.process_stream(updates, batch_size=64)
@@ -113,7 +116,7 @@ class TestBasicSketchDifferential:
             sketch.process_stream(updates, batch_size=100)
             return sketch
 
-        whole = DistinctCountSketch(DOMAIN, seed=3)
+        whole = DistinctCountSketch(DOMAIN, seed=3, backend="reference")
         whole.process_stream(left_updates + right_updates)
 
         packed_left = build("packed", left_updates)
@@ -143,7 +146,7 @@ class TestBasicSketchDifferential:
         sketch = DistinctCountSketch(DOMAIN, seed=8, backend="packed")
         sketch.process_stream(make_stream(41, 1200), batch_size=64)
         payload = serialize.dumps(sketch)
-        as_reference = serialize.loads(payload)
+        as_reference = serialize.loads(payload, backend="reference")
         as_packed = serialize.loads(payload, backend="packed")
         assert as_reference.backend == "reference"
         assert as_packed.backend == "packed"
@@ -156,7 +159,9 @@ class TestTrackingSketchDifferential:
     @pytest.mark.parametrize("batch_size", [1, 7, 256])
     def test_tracked_state_matches_reference(self, stream_seed, batch_size):
         updates = make_stream(stream_seed, 2500)
-        reference = TrackingDistinctCountSketch(DOMAIN, seed=13)
+        reference = TrackingDistinctCountSketch(
+            DOMAIN, seed=13, backend="reference"
+        )
         packed = TrackingDistinctCountSketch(
             DOMAIN, seed=13, backend="packed"
         )
@@ -195,7 +200,9 @@ class TestTrackingSketchDifferential:
         clone.check_invariants()
         left.merge(right)
         left.check_invariants()
-        whole = TrackingDistinctCountSketch(DOMAIN, seed=4)
+        whole = TrackingDistinctCountSketch(
+            DOMAIN, seed=4, backend="reference"
+        )
         whole.process_stream(make_stream(61, 1000))
         whole.process_stream(make_stream(62, 1000))
         assert whole.structurally_equal(left)

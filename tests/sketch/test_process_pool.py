@@ -78,7 +78,7 @@ class TestLifecycle:
             assert pool.pid(0) != old_pid
             restored = serialize.loads(pool.snapshot(0))
             reference = TrackingDistinctCountSketch(
-                AddressDomain(2 ** 16), seed=7
+                AddressDomain(2 ** 16), seed=7, backend="reference"
             )
             reference.update_batch(stream)
             assert restored.structurally_equal(reference)
@@ -114,7 +114,7 @@ class TestShardedFallbacks:
         stream = random_stream(200, seed=2)
         bank.process_stream(stream)
         reference = TrackingDistinctCountSketch(
-            AddressDomain(2 ** 16), seed=3
+            AddressDomain(2 ** 16), seed=3, backend="reference"
         )
         reference.update_batch(stream)
         assert bank.combined().structurally_equal(reference)

@@ -24,7 +24,7 @@ def domain() -> AddressDomain:
 
 def loaded_sketch(domain, tracking=False, seed=3, updates=200):
     cls = TrackingDistinctCountSketch if tracking else DistinctCountSketch
-    sketch = cls(domain, seed=seed)
+    sketch = cls(domain, seed=seed, backend="reference")
     rng = random.Random(seed)
     for _ in range(updates):
         sketch.insert(rng.randrange(2 ** 16), rng.randrange(40))
@@ -128,10 +128,10 @@ class TestValidation:
 
 
 class TestBackendSelection:
-    def test_loads_default_is_reference(self, domain):
+    def test_loads_default_is_packed(self, domain):
         sketch = loaded_sketch(domain)
         restored = serialize.loads(serialize.dumps(sketch))
-        assert restored.backend == "reference"
+        assert restored.backend == "packed"
         assert restored.structurally_equal(sketch)
 
     def test_loads_into_packed_backend(self, domain):

@@ -30,7 +30,9 @@ class TestEquivalence:
         stream = random_stream(600, seed=1)
         sharded = ShardedSketch(domain, shards=4, policy=policy, seed=9)
         sharded.process_stream(stream)
-        single = TrackingDistinctCountSketch(sharded.params, seed=9)
+        single = TrackingDistinctCountSketch(
+            sharded.params, seed=9, backend="reference"
+        )
         single.process_stream(stream)
         combined = sharded.combined()
         assert combined.structurally_equal(single)
@@ -43,7 +45,9 @@ class TestEquivalence:
         stream += [update.inverted() for update in stream[:150]]
         sharded = ShardedSketch(domain, shards=3, seed=10)
         sharded.process_stream(stream)
-        single = TrackingDistinctCountSketch(sharded.params, seed=10)
+        single = TrackingDistinctCountSketch(
+            sharded.params, seed=10, backend="reference"
+        )
         single.process_stream(stream)
         assert sharded.combined().structurally_equal(single)
 
@@ -147,7 +151,9 @@ class TestBatchedIngestion:
         stream = random_stream(333, seed=7)
         sharded = ShardedSketch(domain, shards=2, seed=9)
         assert sharded.process_stream(stream, batch_size=100) == 333
-        single = TrackingDistinctCountSketch(sharded.params, seed=9)
+        single = TrackingDistinctCountSketch(
+            sharded.params, seed=9, backend="reference"
+        )
         single.process_stream(stream)
         assert sharded.combined().structurally_equal(single)
 
@@ -162,7 +168,9 @@ class TestBatchedIngestion:
             domain, shards=3, seed=9, sketch_backend="packed"
         )
         sharded.process_stream(stream, batch_size=64)
-        single = TrackingDistinctCountSketch(sharded.params, seed=9)
+        single = TrackingDistinctCountSketch(
+            sharded.params, seed=9, backend="reference"
+        )
         single.process_stream(stream)
         assert sharded.shard(0).backend == "packed"
         assert sharded.combined().structurally_equal(single)
@@ -194,7 +202,7 @@ class TestProcessBackend:
         stream += [update.inverted() for update in stream[:200]]
         process_sharded.process_stream(stream, batch_size=128)
         single = TrackingDistinctCountSketch(
-            process_sharded.params, seed=9
+            process_sharded.params, seed=9, backend="reference"
         )
         single.process_stream(stream)
         combined = process_sharded.combined()

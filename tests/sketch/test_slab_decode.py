@@ -112,7 +112,7 @@ class TestSlabDecodeDifferential:
     @pytest.mark.parametrize("stream_seed", [4, 5])
     def test_query_answers_identical_across_backends(self, stream_seed):
         updates = make_stream(stream_seed, 2500, delete_fraction=0.5)
-        reference = DistinctCountSketch(DOMAIN, seed=9)
+        reference = DistinctCountSketch(DOMAIN, seed=9, backend="reference")
         packed = DistinctCountSketch(DOMAIN, seed=9, backend="packed")
         reference.process_stream(updates)
         packed.process_stream(updates, batch_size=128)
@@ -237,7 +237,9 @@ class TestShardedBaseTopk:
             sketch_backend="packed",
         )
         sharded.process_stream(updates, batch_size=250)
-        whole = TrackingDistinctCountSketch(DOMAIN, seed=5)
+        whole = TrackingDistinctCountSketch(
+            DOMAIN, seed=5, backend="reference"
+        )
         whole.process_stream(updates)
         assert sharded.base_topk(10) == whole.base_topk(10)
         assert sharded.track_topk(10) == whole.track_topk(10)

@@ -184,13 +184,78 @@ class TestStatsCommand:
         assert "repro_sketch_occupied_buckets" in output
 
 
+    @pytest.mark.parametrize("flag", ["--watch", "--updates"])
+    def test_negative_count_is_a_usage_error(self, flag, capsys):
+        # --watch -1 used to print a line per update, --updates -5 to
+        # ingest nothing and exit 0.
+        assert main(["stats", flag, "-1"]) == 2
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+
+
+class TestCheckpointRoundTrip:
+    """stats --checkpoint-dir writes what recover restores."""
+
+    @staticmethod
+    def _top_rows(output):
+        start = output.index("rank  destination")
+        return output[start:].splitlines()
+
+    def test_stats_then_recover(self, tmp_path, capsys):
+        directory = str(tmp_path / "durable")
+        assert main([
+            "stats", "--updates", "2000", "--seed", "5",
+            "--format", "json", "--checkpoint-dir", directory,
+            "--checkpoint-every", "700",
+        ]) == 0
+        output = capsys.readouterr().out
+        ingested = int(output.split("# ingested ")[1].split()[0])
+        assert ingested > 0
+        assert main(["recover", directory]) == 0
+        packed = capsys.readouterr().out
+        assert f"sketch reflects wal position: {ingested}" in packed
+        assert main(["recover", directory, "--backend", "reference"]) == 0
+        reference = capsys.readouterr().out
+        assert f"sketch reflects wal position: {ingested}" in reference
+        assert self._top_rows(packed) == self._top_rows(reference)
+        assert len(self._top_rows(packed)) > 1
+        assert main([
+            "stats", "--updates", "300", "--seed", "6",
+            "--format", "json", "--checkpoint-dir", directory,
+        ]) == 0
+        assert "# resumed from checkpoint" in capsys.readouterr().out
+
+
 class TestServeCommand:
-    @pytest.mark.parametrize("flag", ["--shards", "--sample-every"])
+    @pytest.mark.parametrize(
+        "flag", ["--shards", "--sample-every", "--max-requests", "--updates"]
+    )
     def test_negative_count_is_a_usage_error(self, flag, capsys):
         # Rejected before any ingest or socket: no silent fallback to
         # a single in-process sketch.
         assert main(["serve", "--updates", "100", flag, "-1"]) == 2
         assert f"{flag} must be >= 0" in capsys.readouterr().err
+
+
+class TestLibraryRejections:
+    """A ParameterError raised by the library is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--checkpoint-every", "-3", "--checkpoint-dir", "D"],
+            ["topk", "--pairs", "0"],
+            ["synflood", "--flood-size", "-1"],
+            ["serve", "--workload", "zipf", "--updates", "0"],
+        ],
+        ids=["checkpoint-every", "pairs", "flood-size", "zipf-updates"],
+    )
+    def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / "d") if arg == "D" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro-ddos {argv[0]}: ")
+        assert not (tmp_path / "d").exists()
 
 
 class TestArgumentHandling:

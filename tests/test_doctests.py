@@ -14,7 +14,6 @@ import pytest
 
 import repro.baselines.exact
 import repro.hashing.seeds
-import repro.monitor.epochs
 import repro.monitor.monitor
 import repro.monitor.portscan
 import repro.monitor.window
@@ -25,11 +24,11 @@ import repro.obs.registry
 import repro.resilience.durable
 import repro.sketch.dcs
 import repro.sketch.tracking
+import repro.types
 
 MODULES = [
     repro.baselines.exact,
     repro.hashing.seeds,
-    repro.monitor.epochs,
     repro.monitor.monitor,
     repro.monitor.portscan,
     repro.monitor.window,
@@ -40,6 +39,7 @@ MODULES = [
     repro.resilience.durable,
     repro.sketch.dcs,
     repro.sketch.tracking,
+    repro.types,
 ]
 
 
