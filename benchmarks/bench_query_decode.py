@@ -9,11 +9,11 @@ sketch) on the same Zipf stream and seed:
   ``recover_singleton`` over the reference dict store, one level at a
   time;
 - ``packed-scalar``: the same scalar predicate evaluated in place over
-  the packed arenas (``decode_occupied``), isolating what packed
+  the packed slab (``decode_occupied``), isolating what packed
   storage alone buys;
 - ``packed-slab``: the vectorized engine —
   :meth:`~repro.sketch.dcs.DistinctCountSketch.dsample_sweep` decodes
-  every arena of the sketch with one application of the
+  the sketch's whole slab with one application of the
   :func:`~repro.sketch.arena.singleton_mask` kernel.
 
 All three must produce identical per-level samples (the bit-identity
@@ -36,7 +36,6 @@ from typing import Dict, List, Set
 import pytest
 
 from repro.sketch import DistinctCountSketch
-from repro.sketch.arena import SignatureArena
 
 from conftest import make_workload, print_table, scaled_pairs
 
@@ -63,16 +62,16 @@ def _best_seconds(run, inner: int, repeats: int = 5) -> float:
 
 
 def _scalar_arena_sweep(sketch: DistinctCountSketch) -> Dict[int, Set[int]]:
-    """Scalar singleton decode over packed arenas, level by level."""
-    sweep: Dict[int, Set[int]] = {}
-    for level in range(sketch.params.num_levels):
-        sample: Set[int] = set()
-        for store in sketch._tables[level]:
-            assert isinstance(store, SignatureArena)
-            for code in store.decode_occupied():
-                if code is not None:
-                    sample.add(code)
-        sweep[level] = sample
+    """Scalar singleton decode over the packed slab, row by row."""
+    slab = sketch._slab
+    assert slab is not None
+    per_level = sketch.params.r * sketch.params.s
+    sweep: Dict[int, Set[int]] = {
+        level: set() for level in range(sketch.params.num_levels)
+    }
+    for key, code in slab.decode_occupied():
+        if code is not None:
+            sweep[key // per_level].add(code)
     return sweep
 
 

@@ -180,20 +180,20 @@ class FloatInCounterPathRule(Rule):
     title = "no float arithmetic in counter hot paths"
     invariant = "exact integer counters / delete-resistance (Section 3)"
 
-    #: module -> function names forming the hot path (None = whole module).
+    #: module -> function names forming the hot path (None = whole
+    #: module).  Every name must be a function the module defines.
     HOT_PATHS: Dict[str, Optional[FrozenSet[str]]] = {
         "repro.sketch.signature": None,
         "repro.sketch.arena": None,
         "repro.sketch.dcs": frozenset(
             {"update", "insert", "delete", "process", "process_stream",
-             "update_batch", "_update_pair", "_apply_pair",
-             "_apply_pairs_batch", "_apply_batch_vectorized",
-             "_scatter_into_store", "merge"}
+             "update_batch", "_encode_batch", "_update_pair",
+             "_apply_pair", "_fold_pass", "_key_runs", "_sum_runs", "_fold",
+             "apply_bucket_deltas", "merge", "subtract", "_add_counters",
+             "_export_rows"}
         ),
         "repro.sketch.tracking": frozenset(
-            {"update", "insert", "delete", "process", "process_stream",
-             "update_batch", "_update_pair", "_apply_pair",
-             "_scatter_into_store", "_add_singleton_occurrence",
+            {"_apply_pair", "_fold", "_add_singleton_occurrence",
              "_remove_singleton_occurrence"}
         ),
         "repro.hashing.universal": frozenset(

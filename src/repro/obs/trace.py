@@ -3,7 +3,7 @@
 The metrics layer (:mod:`repro.obs.registry`) answers *how many*; this
 module answers *where*.  A :class:`Tracer` records named spans — scoped
 intervals with explicit parent/child structure — through the whole
-pipeline: batch ingest, bulk hashing, arena scatter, shard pipe hops,
+pipeline: batch ingest, bulk hashing, the slab fold, shard pipe hops,
 WAL appends and fsyncs, checkpoint writes, recovery replay, the slab
 query sweep, and monitor epoch rotation.  Every instrumentation point
 in the library uses a name from :data:`SPAN_NAMES`, which is checked

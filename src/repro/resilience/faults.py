@@ -85,10 +85,7 @@ def drop_delta_sync(sharded: ShardedSketch, index: int) -> int:
             f"backend={sharded.backend!r})"
         )
     reply = pool.collect_delta(index)
-    return sum(
-        len(bucket_bytes) + len(row_bytes)
-        for _, _, bucket_bytes, row_bytes in reply["arenas"]
-    )
+    return len(reply["keys"]) + len(reply["rows"])
 
 
 def truncate_wal_tail(

@@ -1,31 +1,37 @@
-"""Packed signature arenas: flat counter storage for the sketch hot path.
+"""The packed counter slab: flat storage for the sketch hot path.
 
-The reference store keeps one :class:`~repro.sketch.signature.CountSignature`
-heap object (plus a boxed-int list) per occupied second-level bucket.
-At line rate that object overhead dominates the ``O(r log m)`` counter
-cost the paper promises (Section 3).  A :class:`SignatureArena` packs
-every signature of one ``(level, table)`` pair into a single flat
-``array('q')`` of stride ``pair_bits + 1``:
+Figure 2 of the paper is one 4-d counter array ``X[level, table,
+bucket, counter]``.  The reference store keeps one
+:class:`~repro.sketch.signature.CountSignature` heap object (plus a
+boxed-int list) per occupied bucket; at line rate that object overhead
+dominates the ``O(r log m)`` counter cost the paper promises
+(Section 3).  A :class:`SignatureArena` packs the whole array into a
+single flat ``array('q')`` of stride ``pair_bits + 1``:
 
 ``[total, bit_0, ..., bit_{pair_bits-1}] [total, bit_0, ...] ...``
 
-with a sparse ``bucket -> slot`` map on top and free-slot recycling when
-a row nets back to zero (pruned rows are already all-zero, so recycled
-slots need no clearing).  The layout is scatter-friendly: the batch
-engine views the buffer as a ``(slots, stride)`` int64 matrix and
-applies a whole batch with one ``np.add.at`` per touched arena.
+one row per occupied *key*.  The sketch owns the key arithmetic — a
+bucket's key is its flat id ``(level * r + j) * s + bucket`` — so the
+arena only sees keys in ``[0, range_size)``.  A ``key -> slot`` map
+(a dense int64 index up to :data:`MAX_DENSE_RANGE` keys, a dict
+beyond) sits on top, with the inverse ``slot -> key`` map kept as an
+int64 array, and free-slot recycling when a row nets back to zero
+(pruned rows are already all-zero, so recycled slots need no
+clearing).
 
-The arena also quacks like the reference ``Dict[int, CountSignature]``
-store — ``get``/``items``/``values``/``len``/``in``/``==`` and friends —
-so ``structurally_equal``, ``serialize``, and ``debug`` work unchanged
-across backends.  :class:`CountSignature` remains the interchange type:
-every accessor returns an independent copy, never a view into the
-buffer.
+The layout is fold-friendly: :meth:`fold` adds a block of rows for
+distinct keys with one gather, one add and one write-back, and
+returns the before and after images of the block so the tracking
+sketch can diff singleton state without re-reading the buffer.  Query
+decode views the buffer as one ``(slots, stride)`` int64 matrix
+(:meth:`decode_slab`).
+
+:class:`CountSignature` remains the interchange type: every mapping
+accessor returns an independent copy, never a view into the buffer.
 
 Counters are 64-bit here versus unbounded ints in the reference store;
 they saturate only beyond ``2^63 - 1`` net occurrences of one bucket,
-far past any feasible stream (``array('q')`` raises ``OverflowError``
-rather than wrapping, so even that cannot corrupt state silently).
+far past any feasible stream.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from ..exceptions import MergeError, ParameterError
 from ..obs.trace import span as trace_span
 from .signature import CountSignature
 
-#: Largest second-level range for which a dense bucket -> slot index is
-#: kept (8 bytes per bucket; beyond this the sparse dict is used).
+#: Largest key range for which a dense key -> slot index is kept
+#: (8 bytes per key; beyond this the sparse dict is used).
 MAX_DENSE_RANGE = 65536
 
 
@@ -83,18 +89,19 @@ def pack_codes(eq_bits: Any) -> Any:  # hot-path
 
 
 class SignatureArena:
-    """Packed :class:`CountSignature` storage for one ``(level, table)``.
+    """Packed :class:`CountSignature` storage keyed by flat bucket id.
 
     Args:
         pair_bits: width of the pair encoding (``2 log2 m``); each slot
             holds ``pair_bits + 1`` counters (total first).
-        range_size: the second-level hash range ``s`` (bucket indices
-            are validated against it only through the dense index size).
+        range_size: the key range; a sketch's slab has
+            ``num_levels * r * s`` keys.  Keys are validated against it
+            only through the dense index size.
     """
 
     __slots__ = (
         "pair_bits", "stride", "range_size",
-        "_buf", "_slots", "_bucket_of", "_free", "_zeros", "_dense",
+        "_buf", "_slots", "_key_of", "_free", "_zeros", "_dense",
         "_view", "_dirty",
     )
 
@@ -110,10 +117,11 @@ class SignatureArena:
         self.stride = pair_bits + 1
         self.range_size = range_size
         self._buf = array("q")
-        #: bucket -> slot for every occupied bucket.
+        #: key -> slot for every occupied key.
         self._slots: Dict[int, int] = {}
-        #: slot -> bucket (-1 for free slots); kept for O(1) pruning.
-        self._bucket_of: List[int] = []
+        #: slot -> key (-1 for free slots), with spare capacity past
+        #: the last slot; an array so decode sweeps index it directly.
+        self._key_of: Any = _np.full(64, -1, dtype=_np.int64)
         #: Recycled slot indices (their rows are all-zero by invariant).
         self._free: List[int] = []
         # Reused zero row so growth never allocates a fresh list.
@@ -123,49 +131,69 @@ class SignatureArena:
             self._dense = _np.full(range_size, -1, dtype=_np.int64)
         # Cached buffer view (see view2d); dropped before any growth.
         self._view: Any = None
-        # Dirty-bucket index for delta propagation (None = tracking
-        # off): bucket -> the row's counter values at the moment the
-        # bucket was first touched after the last drain (its baseline).
+        # Dirty-key index for delta propagation (None = tracking off):
+        # key -> the row's counter values at the moment the key was
+        # first touched after the last drain (its baseline).
         self._dirty: Optional[Dict[int, List[int]]] = None
 
     # -- slot management -----------------------------------------------------
 
-    def _allocate(self, bucket: int) -> int:  # hot-path
-        """Bind ``bucket`` to a zeroed slot (recycled or fresh)."""
+    def _slot_count(self) -> int:
+        """Slots in the buffer, free ones included."""
+        return len(self._buf) // self.stride
+
+    def _allocate(self, key: int) -> int:  # hot-path
+        """Bind ``key`` to a zeroed slot (recycled or fresh)."""
         free = self._free
         if free:
             slot = free.pop()
-            self._bucket_of[slot] = bucket
         else:
-            slot = len(self._buf) // self.stride
+            slot = self._slot_count()
             # Release the cached view's buffer export first: ``array``
             # refuses to resize while a view holds its memory.
             self._view = None
             self._buf.extend(self._zeros)
-            self._bucket_of.append(bucket)
-        self._slots[bucket] = slot
+            if slot == len(self._key_of):
+                grown = _np.full(2 * slot, -1, dtype=_np.int64)
+                grown[:slot] = self._key_of
+                self._key_of = grown
+        self._key_of[slot] = key
+        self._slots[key] = slot
         if self._dense is not None:
-            self._dense[bucket] = slot
+            self._dense[key] = slot
         return slot
 
-    def _release(self, bucket: int, slot: int) -> None:  # hot-path
+    def _release(self, key: int, slot: int) -> None:  # hot-path
         """Unbind an all-zero slot and queue it for reuse."""
-        del self._slots[bucket]
-        self._bucket_of[slot] = -1
+        del self._slots[key]
+        self._key_of[slot] = -1
         if self._dense is not None:
-            self._dense[bucket] = -1
+            self._dense[key] = -1
         self._free.append(slot)
 
-    # -- delta propagation (dirty-bucket tracking) ----------------------------
+    def slot_keys(self) -> Any:
+        """The key of every slot (int64 ndarray, -1 for free slots).
+
+        Row ``i`` of :meth:`view2d` holds the counters of key
+        ``slot_keys()[i]``.  A view: valid until the next allocation.
+        """
+        return self._key_of[:self._slot_count()]
+
+    def occupied_keys(self) -> Any:
+        """Every occupied key, ascending (int64 ndarray)."""
+        keys = self.slot_keys()
+        return _np.sort(keys[keys >= 0])
+
+    # -- delta propagation (dirty-key tracking) -------------------------------
 
     def track_deltas(self, enabled: bool = True) -> None:
-        """Switch dirty-bucket tracking on or off.
+        """Switch dirty-key tracking on or off.
 
-        While enabled, every mutation records the touched bucket's
+        While enabled, every mutation records the touched key's
         *baseline* (its counter row before the first touch since the
         last drain), so :meth:`drain_deltas` can ship exact signed
         counter deltas instead of full state.  Off by default: only
-        delta-transport shard workers pay the bookkeeping.
+        shard workers pay the bookkeeping.
         """
         if enabled:
             if self._dirty is None:
@@ -178,96 +206,73 @@ class SignatureArena:
         if self._dirty is not None:
             self._dirty.clear()
 
-    def _note_bucket(self, dirty: Dict[int, List[int]], bucket: int) -> None:
-        """Record ``bucket``'s baseline row on first touch since drain."""
-        if bucket in dirty:
+    def _note_key(self, dirty: Dict[int, List[int]], key: int) -> None:
+        """Record ``key``'s baseline row on first touch since drain."""
+        if key in dirty:
             return
-        slot = self._slots.get(bucket)
+        slot = self._slots.get(key)
         if slot is None:
-            dirty[bucket] = self._zeros.tolist()
+            dirty[key] = self._zeros.tolist()
         else:
             base = slot * self.stride
-            dirty[bucket] = self._buf[base:base + self.stride].tolist()
-
-    def note_touched(self, touched: Any) -> None:
-        """Record baselines for a batch scatter's touched slots.
-
-        Called by the batch engine *after* slot resolution and *before*
-        the ``np.add.at`` scatter, so every baseline is the
-        pre-mutation image.  ``touched`` holds distinct occupied slot
-        indices (``np.unique`` output).  No-op unless tracking is on.
-        """
-        dirty = self._dirty
-        if dirty is None:
-            return
-        bucket_of = self._bucket_of
-        buf = self._buf
-        stride = self.stride
-        for slot in touched.tolist():
-            bucket = bucket_of[slot]
-            if bucket not in dirty:
-                base = slot * stride
-                dirty[bucket] = buf[base:base + stride].tolist()
+            dirty[key] = self._buf[base:base + self.stride].tolist()
 
     # linear: delta extraction is exact counter subtraction (RL013)
     def drain_deltas(self) -> Tuple[Any, Any]:
         """Extract and clear the signed counter deltas since last drain.
 
-        Returns ``(buckets, rows)`` as flat ``array('q')`` runs:
-        ``rows`` holds one ``stride``-wide delta row per bucket, where
-        each delta is the bucket's current counter minus its recorded
-        baseline (zeros for buckets that were empty, or that have been
-        freed, at either end).  Buckets whose deltas net to zero are
-        skipped entirely — a touched-then-reverted bucket costs no
-        wire bytes.  Linearity makes folding these rows into another
-        sketch by addition exact (Section 3).
+        Returns ``(keys, rows)`` as flat int64 ndarrays: ``rows`` holds
+        one ``stride``-wide delta row per key, where each delta is the
+        key's current counter minus its recorded baseline (zeros for
+        keys that were empty, or that have been freed, at either end).
+        Keys whose deltas net to zero are skipped entirely — a
+        touched-then-reverted key costs no wire bytes.  Linearity makes
+        folding these rows into another sketch by addition exact
+        (Section 3).
         """
-        buckets_out = array("q")
+        keys_out = array("q")
         rows_out = array("q")
         dirty = self._dirty
-        if not dirty:
-            return buckets_out, rows_out
-        buf = self._buf
-        stride = self.stride
-        slots = self._slots
-        zeros = self._zeros
-        for bucket, baseline in dirty.items():
-            slot = slots.get(bucket)
-            if slot is None:
-                current = zeros
-            else:
-                base = slot * stride
-                current = buf[base:base + stride]
-            row = [now - then for now, then in zip(current, baseline)]
-            if any(row):
-                buckets_out.append(bucket)
-                rows_out.extend(row)
-        dirty.clear()
-        return buckets_out, rows_out
+        if dirty:
+            buf = self._buf
+            stride = self.stride
+            slots = self._slots
+            zeros = self._zeros
+            for key, baseline in dirty.items():
+                slot = slots.get(key)
+                if slot is None:
+                    current = zeros
+                else:
+                    base = slot * stride
+                    current = buf[base:base + stride]
+                row = [now - then for now, then in zip(current, baseline)]
+                if any(row):
+                    keys_out.append(key)
+                    rows_out.extend(row)
+            dirty.clear()
+        return (
+            _np.frombuffer(keys_out, dtype=_np.int64),
+            _np.frombuffer(rows_out, dtype=_np.int64),
+        )
 
     def export_rows(self) -> Tuple[Any, Any]:
-        """Every occupied bucket's full counter row, as flat arrays.
+        """Every occupied key's full counter row, as flat int64 ndarrays.
 
-        The full-resync form of :meth:`drain_deltas`: relative to an
-        empty sketch the absolute rows *are* the deltas, so a parent
-        can rebuild its running sum from scratch by folding these in.
-        Does not touch the dirty index (callers pair this with
-        :meth:`reset_deltas` when it marks a sync point).
+        The full-resync form of :meth:`drain_deltas`, in ascending key
+        order: relative to an empty sketch the absolute rows *are* the
+        deltas, so a parent can rebuild its running sum from scratch by
+        folding these in.  Does not touch the dirty index (callers pair
+        this with :meth:`reset_deltas` when it marks a sync point).
         """
-        buckets_out = array("q")
-        rows_out = array("q")
-        buf = self._buf
-        stride = self.stride
-        for bucket, slot in self._slots.items():
-            base = slot * stride
-            buckets_out.append(bucket)
-            rows_out.extend(buf[base:base + stride])
-        return buckets_out, rows_out
+        keys = self.slot_keys()
+        slots = _np.flatnonzero(keys >= 0)
+        slots = slots[_np.argsort(keys[slots])]
+        return keys[slots], self.view2d()[slots].reshape(-1)
 
     # -- per-update fast path ------------------------------------------------
 
-    def update(self, bucket: int, pair_code: int, delta: int) -> None:  # hot-path
-        """Apply one stream update to ``bucket``, pruning zeroed rows.
+    def update(self, key: int, pair_code: int, delta: int) -> None:  # hot-path
+        """Apply one stream update to ``key``, pruning zeroed rows.
 
         Mirrors ``CountSignature.update`` plus the store-level
         create-on-miss / delete-on-zero bookkeeping of the reference
@@ -280,10 +285,10 @@ class SignatureArena:
             )
         dirty = self._dirty
         if dirty is not None:
-            self._note_bucket(dirty, bucket)
-        slot = self._slots.get(bucket)
+            self._note_key(dirty, key)
+        slot = self._slots.get(key)
         if slot is None:
-            slot = self._allocate(bucket)
+            slot = self._allocate(key)
         buf = self._buf
         base = slot * self.stride
         buf[base] += delta
@@ -296,16 +301,16 @@ class SignatureArena:
             for offset in range(base + 1, base + self.stride):
                 if buf[offset]:
                     return
-            self._release(bucket, slot)
+            self._release(key, slot)
 
-    def singleton_at(self, bucket: int) -> Optional[int]:  # hot-path
-        """Decode the bucket's unique pair code, or ``None``.
+    def singleton_at(self, key: int) -> Optional[int]:  # hot-path
+        """Decode the key's unique pair code, or ``None``.
 
         The paper's ``ReturnSingleton`` test evaluated in place: the
-        bucket is a singleton iff the total is positive and each bit
+        row is a singleton iff the total is positive and each bit
         count is either 0 or equal to the total.
         """
-        slot = self._slots.get(bucket)
+        slot = self._slots.get(key)
         if slot is None:
             return None
         buf = self._buf
@@ -322,20 +327,20 @@ class SignatureArena:
                 return None
         return code
 
-    def decode_occupied(self) -> Iterator[Optional[int]]:
-        """Singleton decode (or ``None``) per occupied bucket, in place.
+    def decode_occupied(self) -> Iterator[Tuple[int, Optional[int]]]:
+        """``(key, singleton code or None)`` per occupied key, in place.
 
-        One entry per occupied bucket, in slot-map order — the arena
-        analogue of decoding every ``table.values()`` signature, without
+        The scalar per-row decode, in slot-map order — the arena
+        analogue of decoding every stored signature, without
         materializing any :class:`CountSignature`.
         """
         buf = self._buf
         stride = self.stride
-        for slot in self._slots.values():
+        for key, slot in self._slots.items():
             base = slot * stride
             total = buf[base]
             if total <= 0:
-                yield None
+                yield key, None
                 continue
             code = 0
             singleton = True
@@ -346,45 +351,44 @@ class SignatureArena:
                 elif count != 0:
                     singleton = False
                     break
-            yield code if singleton else None
+            yield key, (code if singleton else None)
 
     # -- batch engine surface -------------------------------------------------
 
-    def resolve_slots(self, buckets: Any) -> Any:  # hot-path
-        """Slot index per bucket (int64 ndarray), allocating on miss.
+    def resolve_slots(self, keys: Any) -> Any:  # hot-path
+        """Slot index per key (int64 ndarray), allocating on miss.
 
         Allocation may grow (and therefore reallocate) the underlying
         buffer, so callers must create :meth:`view2d` only *after* this
         call.
         """
         if self._dense is not None:
-            slots = self._dense[buckets]
+            slots = self._dense[keys]
             if bool((slots < 0).any()):
                 dense = self._dense
-                bucket_list = buckets.tolist()
+                key_list = keys.tolist()
                 for position in _np.nonzero(slots < 0)[0].tolist():
-                    bucket = bucket_list[position]
-                    slot = int(dense[bucket])
+                    key = key_list[position]
+                    slot = int(dense[key])
                     if slot < 0:
-                        slot = self._allocate(bucket)
+                        slot = self._allocate(key)
                     slots[position] = slot
             return slots
         table = self._slots
-        out = _np.empty(len(buckets), dtype=_np.int64)
-        for position, bucket in enumerate(buckets.tolist()):
-            slot = table.get(bucket)
+        out = _np.empty(len(keys), dtype=_np.int64)
+        for position, key in enumerate(keys.tolist()):
+            slot = table.get(key)
             if slot is None:
-                slot = self._allocate(bucket)
+                slot = self._allocate(key)
             out[position] = slot
         return out
 
     def view2d(self) -> Any:
         """Writable ``(slots, stride)`` int64 view of the raw buffer.
 
-        The view is cached between calls (decode sweeps request many
-        slab views back to back) and re-created after buffer growth.
-        Invalidated by any later allocation (growth may move the
-        buffer): create after :meth:`resolve_slots`, use, drop.
+        The view is cached between calls and re-created after buffer
+        growth.  Invalidated by any later allocation (growth may move
+        the buffer): create after :meth:`resolve_slots`, use, drop.
         """
         view = self._view
         if view is not None:
@@ -397,146 +401,80 @@ class SignatureArena:
         self._view = view
         return view
 
-    def _decode_rows(self, slots: Any) -> Tuple[Any, Any]:  # hot-path
-        """Singleton test over the given slot rows via the slab kernel.
+    # linear: the fold is exact integer addition (RL013)
+    def fold(self, keys: Any, rows: Any) -> Any:  # hot-path
+        """Add ``rows[i]`` into the row of ``keys[i]``; keys are distinct.
 
-        Returns ``(ok, codes)`` ndarrays: a bool singleton mask and the
-        decoded uint64 pair code per row (meaningful only where
-        ``ok``).
+        One gather of the touched rows, one add, one write-back:
+        ``keys`` is an int64 ndarray of distinct keys and ``rows`` the
+        matching ``(len(keys), stride)`` integer matrix.  Missing keys
+        get fresh slots, rows that net to zero are released (so absent
+        always means empty), and dirty-key baselines are recorded from
+        the gathered block.  Returns the ``(2, len(keys), stride)``
+        int64 images of the block before and after the add.
+
+        Raises:
+            MergeError: when ``rows`` is not ``stride`` counters wide.
         """
-        rows = self.view2d()[slots]
-        ok, ne = singleton_mask(rows)
-        return ok, pack_codes(~ne[:, 1:])
+        count = len(keys)
+        stride = self.stride
+        if rows.shape != (count, stride):
+            raise MergeError(
+                f"cannot fold rows of shape {rows.shape} into an arena "
+                f"of stride {stride}"
+            )
+        images = _np.empty((2, count, stride), dtype=_np.int64)
+        if not count:
+            return images
+        slots = self.resolve_slots(keys)
+        view = self.view2d()
+        before = images[0]
+        after = images[1]
+        _np.take(view, slots, axis=0, out=before)
+        _np.add(before, rows, out=after)
+        view[slots] = after
+        dirty = self._dirty
+        if dirty is not None:
+            baselines = before.tolist()
+            for position, key in enumerate(keys.tolist()):
+                if key not in dirty:
+                    dirty[key] = baselines[position]
+        zero = ~after.any(axis=1)
+        if bool(zero.any()):
+            release = self._release
+            key_list = keys.tolist()
+            slot_list = slots.tolist()
+            for position in _np.flatnonzero(zero).tolist():
+                release(key_list[position], slot_list[position])
+        return images
 
-    def decode_slots_raw(self, slots: Any) -> Tuple[Any, Any]:  # hot-path
-        """Vectorized singleton decode returning raw ``(ok, codes)``.
-
-        The allocation-free variant of :meth:`decode_slots` for callers
-        that diff decode states with numpy (the tracking batch engine):
-        ``ok`` is a bool mask, ``codes`` the uint64 pair code per row.
-        Zeroed (freed) rows decode to not-ok, so the same call serves
-        as the before- and after-image of a batch scatter.
-        """
-        if len(slots) == 0:
-            empty = _np.empty(0, dtype=_np.uint64)
-            return empty.astype(bool), empty
-        return self._decode_rows(slots)
-
-    def decode_slots(self, slots: Any) -> List[Optional[int]]:  # hot-path
-        """Vectorized singleton decode of the given slot rows.
-
-        Zeroed (freed) rows decode to ``None``, so the same call serves
-        as the before- and after-image of a batch scatter.
-        """
-        count = len(slots)
-        if count == 0:
-            return []
-        ok, codes = self._decode_rows(slots)
-        ok_list = ok.tolist()
-        code_list = codes.tolist()
-        out: List[Optional[int]] = []
-        append = out.append
-        for index in range(count):
-            append(code_list[index] if ok_list[index] else None)
-        return out
-
-    def decode_slab(self) -> Tuple[List[int], int]:  # hot-path
-        """Decode every occupied bucket of the arena in one pass.
+    def decode_slab(self, narrow: bool = False) -> Tuple[Any, Any]:  # hot-path
+        """Decode every occupied row of the arena in one pass.
 
         The whole-slab form of the paper's ``GetdSample`` inner loop:
-        returns ``(singleton pair codes, collision count)`` over all
-        occupied buckets.  When the pair encoding fits 64 bits the
-        entire slab is evaluated by a single application of the
-        vectorized singleton predicate; wider encodings fall back to
-        the scalar per-bucket decode with identical results.
+        one application of :func:`singleton_mask` over the full buffer
+        (free rows are all-zero and fail the predicate, so no slot
+        gather is needed).  Returns ``(keys, codes)``: the int64 key
+        and uint64 pair code of every singleton row, in slot order.
+        ``narrow`` runs the predicate over a 32-bit copy of the
+        counters — half the bytes through every pass — which is exact
+        only while every counter fits 32 bits (the caller's proof).
+
+        Raises:
+            ParameterError: for pair encodings wider than 64 bits
+                (decode those through :meth:`singleton_at`).
         """
-        occupied = len(self._slots)
-        if occupied == 0:
-            return [], 0
+        if self.pair_bits > 64:
+            raise ParameterError(
+                f"decode_slab needs pair_bits <= 64, got {self.pair_bits}"
+            )
         with trace_span("arena.decode_slab"):
-            if self.pair_bits > 64:
-                codes_out: List[int] = []
-                append = codes_out.append
-                for code in self.decode_occupied():
-                    if code is not None:
-                        append(code)
-                return codes_out, occupied - len(codes_out)
-            # Decode the full buffer, free rows included: all-zero rows
-            # fail the singleton predicate, so no slot gather is needed.
-            ok, ne = singleton_mask(self.view2d())
-            index = _np.nonzero(ok)[0]
-            recovered: List[int] = pack_codes(~ne[index, 1:]).tolist()
-            return recovered, occupied - len(recovered)
-
-    def free_zero_slots(self, touched: Any) -> None:  # hot-path
-        """Release every touched slot whose row netted to all zeros.
-
-        ``touched`` must hold distinct occupied slot indices (the batch
-        engine passes ``np.unique`` output).
-        """
-        if len(touched) == 0:
-            return
-        rows = self.view2d()[touched]
-        zero = ~rows.any(axis=1)
-        if not bool(zero.any()):
-            return
-        bucket_of = self._bucket_of
-        for slot in touched[zero].tolist():
-            self._release(bucket_of[slot], slot)
-
-    # -- merge / interchange -------------------------------------------------
-
-    # linear: merge must stay an exact integer addition (RL013)
-    def merge_signature(self, bucket: int, signature: CountSignature) -> None:
-        """Fold a signature's counters into ``bucket`` (pruning on zero)."""
-        if signature.pair_bits != self.pair_bits:
-            raise MergeError(
-                f"cannot merge signatures of widths {self.pair_bits} "
-                f"and {signature.pair_bits}"
-            )
-        dirty = self._dirty
-        if dirty is not None:
-            self._note_bucket(dirty, bucket)
-        slot = self._slots.get(bucket)
-        if slot is None:
-            slot = self._allocate(bucket)
-        buf = self._buf
-        base = slot * self.stride
-        buf[base] += signature.total
-        counts = signature.bit_counts
-        for index in range(self.pair_bits):
-            buf[base + 1 + index] += counts[index]
-        if buf[base] == 0:
-            for offset in range(base + 1, base + self.stride):
-                if buf[offset]:
-                    return
-            self._release(bucket, slot)
-
-    # linear: subtract must stay an exact integer subtraction (RL013)
-    def subtract_signature(self, bucket: int, signature: CountSignature) -> None:
-        """Subtract a signature's counters from ``bucket`` (pruning on zero)."""
-        if signature.pair_bits != self.pair_bits:
-            raise MergeError(
-                f"cannot subtract signatures of widths {self.pair_bits} "
-                f"and {signature.pair_bits}"
-            )
-        dirty = self._dirty
-        if dirty is not None:
-            self._note_bucket(dirty, bucket)
-        slot = self._slots.get(bucket)
-        if slot is None:
-            slot = self._allocate(bucket)
-        buf = self._buf
-        base = slot * self.stride
-        buf[base] -= signature.total
-        counts = signature.bit_counts
-        for index in range(self.pair_bits):
-            buf[base + 1 + index] -= counts[index]
-        if buf[base] == 0:
-            for offset in range(base + 1, base + self.stride):
-                if buf[offset]:
-                    return
-            self._release(bucket, slot)
+            view = self.view2d()
+            if narrow:
+                view = view.astype(_np.int32)
+            ok, ne = singleton_mask(view)
+            index = _np.flatnonzero(ok)
+            return self.slot_keys()[index], pack_codes(~ne[index, 1:])
 
     def _row(self, slot: int) -> List[int]:
         """The raw counter row of ``slot`` as a list of ints."""
@@ -556,30 +494,30 @@ class SignatureArena:
         clone = SignatureArena(self.pair_bits, self.range_size)
         clone._buf = array("q", self._buf)
         clone._slots = dict(self._slots)
-        clone._bucket_of = list(self._bucket_of)
+        clone._key_of = self._key_of.copy()
         clone._free = list(self._free)
         if self._dense is not None and clone._dense is not None:
             clone._dense = self._dense.copy()
         return clone
 
-    # -- dict-compatible mapping surface -------------------------------------
+    # -- mapping surface -----------------------------------------------------
 
     def get(
-        self, bucket: int, default: Optional[CountSignature] = None
+        self, key: int, default: Optional[CountSignature] = None
     ) -> Optional[CountSignature]:
-        """The bucket's signature (a copy), or ``default`` if empty."""
-        slot = self._slots.get(bucket)
+        """The key's signature (a copy), or ``default`` if empty."""
+        slot = self._slots.get(key)
         if slot is None:
             return default
         return self._signature_for(slot)
 
-    def __getitem__(self, bucket: int) -> CountSignature:
-        slot = self._slots.get(bucket)
+    def __getitem__(self, key: int) -> CountSignature:
+        slot = self._slots.get(key)
         if slot is None:
-            raise KeyError(bucket)
+            raise KeyError(key)
         return self._signature_for(slot)
 
-    def __setitem__(self, bucket: int, signature: CountSignature) -> None:
+    def __setitem__(self, key: int, signature: CountSignature) -> None:
         if signature.pair_bits != self.pair_bits:
             raise ParameterError(
                 f"signature width {signature.pair_bits} does not match "
@@ -587,15 +525,15 @@ class SignatureArena:
             )
         dirty = self._dirty
         if dirty is not None:
-            self._note_bucket(dirty, bucket)
+            self._note_key(dirty, key)
         if signature.is_zero:
             # Keep the store invariant: absent always means empty.
-            if bucket in self._slots:
-                del self[bucket]
+            if key in self._slots:
+                del self[key]
             return
-        slot = self._slots.get(bucket)
+        slot = self._slots.get(key)
         if slot is None:
-            slot = self._allocate(bucket)
+            slot = self._allocate(key)
         buf = self._buf
         base = slot * self.stride
         buf[base] = signature.total
@@ -603,21 +541,21 @@ class SignatureArena:
         for index in range(self.pair_bits):
             buf[base + 1 + index] = counts[index]
 
-    def __delitem__(self, bucket: int) -> None:
-        slot = self._slots.get(bucket)
+    def __delitem__(self, key: int) -> None:
+        slot = self._slots.get(key)
         if slot is None:
-            raise KeyError(bucket)
+            raise KeyError(key)
         dirty = self._dirty
         if dirty is not None:
-            self._note_bucket(dirty, bucket)
+            self._note_key(dirty, key)
         buf = self._buf
         base = slot * self.stride
         for offset in range(base, base + self.stride):
             buf[offset] = 0
-        self._release(bucket, slot)
+        self._release(key, slot)
 
-    def __contains__(self, bucket: object) -> bool:
-        return bucket in self._slots
+    def __contains__(self, key: object) -> bool:
+        return key in self._slots
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -629,51 +567,30 @@ class SignatureArena:
         return iter(self._slots)
 
     def keys(self) -> Iterator[int]:
-        """Occupied bucket indices."""
+        """Occupied keys."""
         return iter(self._slots)
 
     def values(self) -> Iterator[CountSignature]:
-        """Signature copies of every occupied bucket."""
+        """Signature copies of every occupied key."""
         for slot in self._slots.values():
             yield self._signature_for(slot)
 
     def items(self) -> Iterator[Tuple[int, CountSignature]]:
-        """``(bucket, signature copy)`` pairs for every occupied bucket."""
-        for bucket, slot in self._slots.items():
-            yield bucket, self._signature_for(slot)
+        """``(key, signature copy)`` pairs for every occupied key."""
+        for key, slot in self._slots.items():
+            yield key, self._signature_for(slot)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, SignatureArena):
-            if (
-                self.pair_bits != other.pair_bits
-                or len(self._slots) != len(other._slots)
-            ):
-                return False
-            theirs = other._slots
-            for bucket, slot in self._slots.items():
-                other_slot = theirs.get(bucket)
-                if other_slot is None:
-                    return False
-                if self._row(slot) != other._row(other_slot):
-                    return False
-            return True
-        if isinstance(other, dict):
-            # Reflected comparison against the reference dict store:
-            # dict.__eq__(arena) returns NotImplemented, so Python
-            # retries here and structural equality spans backends.
-            if len(self._slots) != len(other):
-                return False
-            for bucket, slot in self._slots.items():
-                signature = other.get(bucket)
-                if not isinstance(signature, CountSignature):
-                    return False
-                if signature.pair_bits != self.pair_bits:
-                    return False
-                row = self._row(slot)
-                if signature.total != row[0] or signature.bit_counts != row[1:]:
-                    return False
-            return True
-        return NotImplemented
+        if not isinstance(other, SignatureArena):
+            return NotImplemented
+        if self.pair_bits != other.pair_bits or len(self) != len(other):
+            return False
+        mine_keys, mine_rows = self.export_rows()
+        their_keys, their_rows = other.export_rows()
+        return bool(
+            _np.array_equal(mine_keys, their_keys)
+            and _np.array_equal(mine_rows, their_rows)
+        )
 
     # Mutable container: never hashable.
     __hash__ = None  # type: ignore[assignment]
@@ -685,7 +602,7 @@ class SignatureArena:
 
         A pickled ``frombuffer`` view would come back as an independent
         copy — silently divergent from ``_buf`` — so the cache never
-        crosses a serialization boundary.  The dirty-bucket index stays
+        crosses a serialization boundary.  The dirty-key index stays
         behind too: it describes a live transport session (baselines
         since one parent's last drain), meaningless to a restored copy.
         """
@@ -705,5 +622,5 @@ class SignatureArena:
         return (
             f"SignatureArena(pair_bits={self.pair_bits}, "
             f"occupied={len(self._slots)}, "
-            f"slots={len(self._bucket_of)})"
+            f"slots={self._slot_count()})"
         )

@@ -37,11 +37,9 @@ from typing import (
     Set,
     Tuple,
     Union,
-    cast,
 )
 
 from .._accel import np as _np
-from .._accel import to_uint64_array as _to_uint64_array
 from ..exceptions import MergeError, ParameterError
 from ..hashing import CarterWegmanHash, GeometricLevelHash, derive_seed
 from ..obs.catalog import (
@@ -60,7 +58,7 @@ from ..obs.catalog import (
 from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import span as trace_span
 from ..types import AddressDomain, FlowUpdate, cut_stream
-from .arena import SignatureArena, pack_codes, singleton_mask
+from .arena import SignatureArena
 from .estimate import TopKResult, build_result, rank_frequencies
 from .params import SketchParams
 from .signature import CountSignature
@@ -68,20 +66,54 @@ from .signature import CountSignature
 #: Default relative-error parameter used when a query does not supply one.
 DEFAULT_EPSILON = 0.25
 
-#: One second-level table's state: the reference sparse map
-#: bucket-index -> signature, or its packed-arena equivalent.
-BucketStore = Union[Dict[int, CountSignature], SignatureArena]
-
-# A level's state: one store per inner table.
-LevelTables = List[BucketStore]
-
 #: Valid values for the ``backend`` constructor argument.
 BACKENDS = ("reference", "packed")
 
-#: Whole-walk decode copies counters into 32-bit scratch when every
+#: Whole-slab decode copies counters into 32-bit scratch when every
 #: counter is provably below this bound (each update's delta is +/-1,
 #: so ``|counter| <= updates_processed``); wider states use int64.
 _INT32_SAFE = 2 ** 31
+
+#: Most updates the batch engine folds in one pass (the default
+#: ``process_stream`` cut): bounds the pass's temporaries, whatever
+#: the size of the batch handed to :meth:`DistinctCountSketch.update_batch`.
+FOLD_PASS = 1024
+
+
+def _key_runs(keys: Any) -> Tuple[Any, Any, Any]:  # hot-path
+    """Sort ``keys`` once: ``(order, distinct keys, run starts)``.
+
+    ``keys[order]`` is ascending, and its run of equal keys number
+    ``i`` starts at ``starts[i]`` and holds ``distinct[i]`` (see
+    :func:`_sum_runs`).  ``keys`` must be non-empty.
+    """
+    order = _np.argsort(keys)
+    ordered = keys[order]
+    starts = _np.flatnonzero(
+        _np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    return order, ordered[starts], starts
+
+
+# linear: per-key sums are exact integer addition (RL013)
+def _sum_runs(rows: Any, picks: Any, starts: Any) -> Any:  # hot-path
+    """Sum the rows ``rows[picks]`` over each run beginning at ``starts``.
+
+    A run of one row is that row, gathered directly; the longer runs
+    are summed by one ``np.add.reduceat`` over just their rows.
+    (``reduceat`` pays a fixed cost per run, and most keys of a pass
+    are hit once.)
+    """
+    lengths = _np.diff(starts, append=len(picks))
+    sums = rows[picks[starts]]
+    longer = lengths > 1
+    if bool(longer.any()):
+        grouped = picks[_np.repeat(longer, lengths)]
+        sizes = lengths[longer]
+        sums[longer] = _np.add.reduceat(
+            rows[grouped], _np.cumsum(sizes) - sizes, axis=0
+        )
+    return sums
 
 
 class DistinctCountSketch:
@@ -97,8 +129,8 @@ class DistinctCountSketch:
             (see ``docs/observability.md``).  ``None`` (the default)
             resolves to the no-op null registry, so uninstrumented
             sketches pay one empty method call per update.
-        backend: ``"packed"`` (the default: flat
-            :class:`~repro.sketch.arena.SignatureArena` storage feeding
+        backend: ``"packed"`` (the default: every counter in one
+            :class:`~repro.sketch.arena.SignatureArena` slab feeding
             the vectorized :meth:`update_batch` engine) or
             ``"reference"`` (per-bucket ``CountSignature`` objects, the
             paper-faithful store — the test oracle, and the store the
@@ -148,17 +180,20 @@ class DistinctCountSketch:
             )
             for j in range(params.r)
         ]
-        self._tables: List[LevelTables] = [
-            [self._new_store() for _ in range(params.r)]
-            for _ in range(params.num_levels)
-        ]
-        # Typed alias of the same store objects for the packed hot path
-        # (saves an isinstance branch per update).
-        self._arenas: Optional[List[List[SignatureArena]]] = None
+        #: Reference store: per level and inner table, a sparse
+        #: bucket -> signature map (empty on the packed backend).
+        self._tables: List[List[Dict[int, CountSignature]]] = []
+        #: Packed store: Figure 2's whole counter array as one slab,
+        #: keyed by flat bucket id (see :meth:`_key`).
+        self._slab: Optional[SignatureArena] = None
         if backend == "packed":
-            self._arenas = [
-                [cast(SignatureArena, store) for store in level_tables]
-                for level_tables in self._tables
+            self._slab = SignatureArena(
+                params.pair_bits, params.num_levels * params.r * params.s
+            )
+        else:
+            self._tables = [
+                [{} for _ in range(params.r)]
+                for _ in range(params.num_levels)
             ]
         #: Number of stream updates processed (the paper's ``n``).
         self.updates_processed = 0
@@ -208,11 +243,23 @@ class DistinctCountSketch:
         )
         self.obs.gauge_from(SKETCH_ACTIVE_LEVELS).watch(self.active_levels)
 
-    def _new_store(self) -> BucketStore:
-        """One second-level table's empty store for this backend."""
-        if self.backend == "packed":
-            return SignatureArena(self.params.pair_bits, self.params.s)
-        return {}
+    def _key(self, level: int, j: int, bucket: int) -> int:
+        """Flat slab key ``(level * r + j) * s + bucket`` of one bucket.
+
+        Raises:
+            ParameterError: for coordinates outside the sketch — an
+                unchecked bucket would alias a neighbouring table.
+        """
+        params = self.params
+        if not (
+            0 <= level < params.num_levels
+            and 0 <= j < params.r
+            and 0 <= bucket < params.s
+        ):
+            raise ParameterError(
+                f"bucket ({level}, {j}, {bucket}) outside the sketch"
+            )
+        return (level * params.r + j) * params.s + bucket
 
     # -- maintenance (Section 3) --------------------------------------------
 
@@ -237,7 +284,7 @@ class DistinctCountSketch:
         )
 
     def process_stream(
-        self, updates: Iterable[FlowUpdate], batch_size: int = 1024
+        self, updates: Iterable[FlowUpdate], batch_size: int = FOLD_PASS
     ) -> int:
         """Process every update from an iterable; returns the count.
 
@@ -255,30 +302,40 @@ class DistinctCountSketch:
         """Process a batch of updates with per-batch amortized costs.
 
         Bit-identical to processing the batch one update at a time (the
-        sketch is a linear transform of the update multiset), but: the
-        first- and second-level hashes are evaluated through their bulk
-        ``levels_many``/``hash_many`` methods, packed-backend counter
-        updates become one vectorized scatter per touched arena, and
-        the insert/delete observability counters receive one aggregated
+        sketch is a linear transform of the update multiset).  The whole
+        batch is encoded before any counter moves, so a batch holding a
+        malformed update raises what per-update :meth:`process` raises
+        and leaves the sketch untouched.  On the packed backend the
+        encoded batch is folded into the slab in passes of at most
+        :data:`FOLD_PASS` updates (:meth:`_fold_pass`); the
+        insert/delete observability counters receive one aggregated
         ``inc(n)`` each.  Returns the number of updates applied.
         """
         with trace_span("sketch.update_batch"):
-            encode = self.domain.encode_pair
-            pairs: List[int] = []
-            deltas: List[int] = []
-            pairs_append = pairs.append
-            deltas_append = deltas.append
-            inserts = 0
-            for update in updates:
-                delta = update.delta
-                pairs_append(encode(update.source, update.dest))
-                deltas_append(delta)
-                if delta > 0:
-                    inserts += 1
-            count = len(pairs)
+            batch = updates if isinstance(updates, list) else list(updates)
+            count = len(batch)
             if not count:
                 return 0
-            self._apply_pairs_batch(pairs, deltas)
+            codes, deltas = self._encode_batch(batch)
+            if self._slab is not None and not isinstance(codes, list):
+                for lo in range(0, count, FOLD_PASS):
+                    hi = lo + FOLD_PASS
+                    self._fold_pass(codes[lo:hi], deltas[lo:hi])
+                inserts = int(_np.count_nonzero(deltas > 0))
+            else:
+                # Per-pair path: the reference store, pair domains wider
+                # than 64 bits, and batches only the scalar encoder
+                # accepts.
+                if not isinstance(codes, list):
+                    codes = codes.tolist()
+                    deltas = deltas.tolist()
+                apply_pair = self._apply_pair
+                inserts = 0
+                for index in range(count):
+                    delta = deltas[index]
+                    apply_pair(codes[index], delta)
+                    if delta > 0:
+                        inserts += 1
             self.updates_processed += count
             deletes = count - inserts
             self.net_total += inserts - deletes
@@ -287,6 +344,41 @@ class DistinctCountSketch:
             if deletes:
                 self._obs_deletes.inc(deletes)
             return count
+
+    def _encode_batch(self, batch: List[FlowUpdate]) -> Tuple[Any, Any]:  # hot-path
+        """Pair codes and deltas of a whole batch, before any counter moves.
+
+        A clean batch — integer addresses inside the domain, pair codes
+        of at most 64 bits — is encoded with numpy: sources and
+        destinations are gathered, range-checked, then shifted and or-ed
+        into uint64 codes, with int64 deltas.  Any other batch goes
+        through the scalar :meth:`~repro.types.AddressDomain.encode_pair`,
+        which raises the :class:`~repro.exceptions.DomainError` or
+        ``TypeError`` per-update processing raises; what it accepts
+        comes back as two lists (codes and deltas).
+        """
+        domain = self.domain
+        try:
+            # No dtype: numpy must not coerce a float address to int.
+            columns = _np.array([(u.source, u.dest, u.delta) for u in batch])
+        except ValueError:
+            columns = None
+        if (
+            columns is not None
+            and columns.ndim == 2
+            and columns.dtype.kind in "iu"
+            and self.params.pair_bits <= 64
+        ):
+            addresses = columns[:, :2]
+            if addresses.min() >= 0 and addresses.max() < domain.m:
+                addresses = addresses.astype(_np.uint64)
+                codes = (
+                    addresses[:, 0] << _np.uint64(domain.address_bits)
+                ) | addresses[:, 1]
+                return codes, columns[:, 2].astype(_np.int64)
+        encode = domain.encode_pair
+        pairs = [encode(u.source, u.dest) for u in batch]
+        return pairs, [u.delta for u in batch]
 
     def _update_pair(self, pair: int, delta: int) -> None:
         """Apply one update for an encoded pair: the sketch hot path."""
@@ -301,11 +393,13 @@ class DistinctCountSketch:
     def _apply_pair(self, pair: int, delta: int) -> None:
         """Counter-state maintenance for one update (no bookkeeping)."""
         level = self._level_hash(pair)
-        arenas = self._arenas
-        if arenas is not None:
-            arena_row = arenas[level]
-            for j, inner_hash in enumerate(self._inner_hashes):
-                arena_row[j].update(inner_hash(pair), pair, delta)
+        slab = self._slab
+        if slab is not None:
+            s = self.params.s
+            key = level * self.params.r * s
+            for inner_hash in self._inner_hashes:
+                slab.update(key + inner_hash(pair), pair, delta)
+                key += s
             return
         tables = self._tables[level]
         pair_bits = self.params.pair_bits
@@ -323,93 +417,52 @@ class DistinctCountSketch:
                 # saw a deleted pair.
                 del table[bucket]
 
-    def _apply_pairs_batch(
-        self, pairs: List[int], deltas: List[int]
-    ) -> None:  # hot-path
-        """Apply encoded-pair updates, vectorized when possible.
+    # linear: the batch fold is exact integer addition (RL013)
+    def _fold_pass(self, codes: Any, deltas: Any) -> None:  # hot-path
+        """Fold one pass of encoded updates into the slab.
 
-        Falls back to the sequential per-pair path on the reference
-        backend or for pair domains wider than 64 bits.
+        Hashes the pass to flat keys — one per inner table of each
+        update's level — then sorts the keys once, sums every distinct
+        key's contribution rows ``[delta, bit_0 * delta, ...]`` with one
+        ``np.add.reduceat``, and hands the block to :meth:`_fold` (one
+        gather, add and write-back of the touched rows).
         """
-        if self._arenas is not None:
-            codes = _to_uint64_array(pairs)
-            if codes is not None:
-                self._apply_batch_vectorized(codes, deltas)
-                return
-        apply_pair = self._apply_pair
-        for index in range(len(pairs)):
-            apply_pair(pairs[index], deltas[index])
-
-    def _apply_batch_vectorized(
-        self, codes: Any, deltas: List[int]
-    ) -> None:  # hot-path
-        """The packed-backend batch engine: group, then scatter.
-
-        Sorts the batch by level (stable, so per-bucket update order is
-        preserved — not that order matters: counter addition commutes),
-        builds the per-update contribution matrix ``[delta, bit_0 *
-        delta, ...]`` once, and for each ``(level, table)`` group adds
-        all contributions with a single ``np.add.at`` scatter into the
-        arena's flat buffer.
-        """
-        arenas = self._arenas
-        assert arenas is not None
+        params = self.params
+        count = len(codes)
         with trace_span("sketch.hash_bulk"):
-            levels = self._level_hash.levels_many(codes)
-            order = _np.argsort(levels, kind="stable")
-            codes_sorted = codes[order]
-            deltas_sorted = _np.asarray(deltas, dtype=_np.int64)[order]
-            levels_sorted = levels[order]
-            bucket_arrays = [
-                inner_hash.hash_many(codes_sorted)
-                for inner_hash in self._inner_hashes
-            ]
-        pair_bits = self.params.pair_bits
-        shifts = _np.arange(pair_bits, dtype=_np.uint64)
-        bits = (
-            (codes_sorted[:, None] >> shifts) & _np.uint64(1)
-        ).astype(_np.int64)
-        count = len(deltas)
-        contrib = _np.empty((count, pair_bits + 1), dtype=_np.int64)
-        contrib[:, 0] = deltas_sorted
-        contrib[:, 1:] = bits * deltas_sorted[:, None]
-        unique_levels, starts = _np.unique(levels_sorted, return_index=True)
-        boundaries = starts.tolist()
-        boundaries.append(count)
-        level_list = unique_levels.tolist()
+            tables = self._level_hash.levels_many(codes) * params.r
+            keys = _np.empty((params.r, count), dtype=_np.int64)
+            for j, inner_hash in enumerate(self._inner_hashes):
+                keys[j] = (tables + j) * params.s + inner_hash.hash_many(codes)
         with trace_span("sketch.scatter"):
-            for group in range(len(level_list)):
-                level = level_list[group]
-                lo = boundaries[group]
-                hi = boundaries[group + 1]
-                group_contrib = contrib[lo:hi]
-                arena_row = arenas[level]
-                for j in range(len(bucket_arrays)):
-                    store = arena_row[j]
-                    slots = store.resolve_slots(bucket_arrays[j][lo:hi])
-                    touched = _np.unique(slots)
-                    self._scatter_into_store(
-                        level, store, slots, group_contrib, touched
-                    )
+            order, distinct, starts = _key_runs(keys.reshape(-1))
+            bits = _np.unpackbits(
+                codes.astype("<u8").view(_np.uint8).reshape(count, 8),
+                axis=1,
+                bitorder="little",
+            )
+            rows = _np.empty((count, params.pair_bits + 1), _np.int64)
+            rows[:, 0] = deltas
+            _np.multiply(
+                bits[:, :params.pair_bits], deltas[:, None], out=rows[:, 1:]
+            )
+            # Entry i of the flattened (r, count) key matrix belongs to
+            # update i % count.
+            self._fold(distinct, _sum_runs(rows, order % count, starts))
 
-    def _scatter_into_store(
-        self,
-        level: int,
-        store: SignatureArena,
-        slots: Any,
-        contrib: Any,
-        touched: Any,
-    ) -> None:  # hot-path
-        """Apply one level-group's contributions to one arena.
+    # linear: folding is exact integer addition (RL013)
+    def _fold(self, keys: Any, rows: Any) -> Any:  # hot-path
+        """Add counter rows into the slab at distinct ``keys``.
 
-        Overridden by the tracking sketch to diff singleton state
-        around the scatter.  The view is created after slot resolution
-        (allocation may have moved the buffer) and dropped before any
-        further allocation.
+        The one mutation point of packed state outside per-update
+        calls: update passes, merges, subtracts, delta syncs and loads
+        all end here.  Returns the slab's before/after images of the
+        block (:meth:`~repro.sketch.arena.SignatureArena.fold`), which
+        the tracking sketch diffs.
         """
-        store.note_touched(touched)
-        _np.add.at(store.view2d(), slots, contrib)
-        store.free_zero_slots(touched)
+        slab = self._slab
+        assert slab is not None
+        return slab.fold(keys, rows)
 
     # -- structural accessors -----------------------------------------------
 
@@ -425,6 +478,9 @@ class DistinctCountSketch:
         self, level: int, j: int, bucket: int
     ) -> Optional[CountSignature]:
         """The signature at ``(level, j, bucket)``, or ``None`` if empty."""
+        slab = self._slab
+        if slab is not None:
+            return slab.get(self._key(level, j, bucket))
         return self._tables[level][j].get(bucket)
 
     def return_singleton(self, level: int, j: int, bucket: int) -> Optional[int]:
@@ -432,33 +488,40 @@ class DistinctCountSketch:
 
         Returns the encoded pair, or ``None`` for empty/collision buckets.
         """
-        store = self._tables[level][j]
-        if isinstance(store, SignatureArena):
-            return store.singleton_at(bucket)
-        signature = store.get(bucket)
+        slab = self._slab
+        if slab is not None:
+            return slab.singleton_at(self._key(level, j, bucket))
+        signature = self._tables[level][j].get(bucket)
         if signature is None:
             return None
         return signature.recover_singleton()
 
     def decoded_slab(self, level: int, j: int) -> Tuple[List[int], int]:
-        """Decode one ``(level, table)`` slab of occupied buckets.
+        """Decode the occupied buckets of one ``(level, table)``.
 
-        Returns ``(singleton pair codes, collision count)``.  On the
-        packed backend this is a single vectorized pass over the slab's
-        contiguous counter rows
-        (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`); on
-        the reference backend — or for pair domains wider than 64 bits
-        — it transparently takes the scalar per-signature path with
-        identical results.  Does not touch
-        observability counters (callers aggregate per scan).
+        Returns ``(singleton pair codes, collision count)`` through the
+        scalar per-bucket decode on either backend: the per-table view
+        the scalar query fallback walks.  The vectorized query path
+        decodes the whole packed slab at once instead
+        (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`).  Does
+        not touch observability counters (callers aggregate per scan).
         """
-        store = self._tables[level][j]
-        if isinstance(store, SignatureArena):
-            return store.decode_slab()
-        codes: List[int] = []
+        slab = self._slab
+        if slab is not None:
+            lo = self._key(level, j, 0)
+            keys = slab.occupied_keys()
+            first, last = _np.searchsorted(
+                keys, [lo, lo + self.params.s]
+            ).tolist()
+            decoded = [
+                slab.singleton_at(key) for key in keys[first:last].tolist()
+            ]
+            codes = [code for code in decoded if code is not None]
+            return codes, len(decoded) - len(codes)
+        codes = []
         append = codes.append
         collisions = 0
-        for signature in store.values():
+        for signature in self._tables[level][j].values():
             pair = signature.recover_singleton()
             if pair is None:
                 collisions += 1
@@ -468,68 +531,49 @@ class DistinctCountSketch:
 
     def _slab_decode_ready(self) -> bool:
         """True when whole-slab decode can serve queries on this sketch."""
-        return self._arenas is not None and self.params.pair_bits <= 64
+        return self._slab is not None and self.params.pair_bits <= 64
 
     def _decode_levels(
         self, levels: List[int]
     ) -> List[Tuple[Set[int], int, int]]:
-        """Slab-decode whole levels with one application of the kernel.
+        """Slab-decode the sketch with one application of the kernel.
 
-        The core of the vectorized query path: gathers every requested
-        level's arena buffers into one scratch matrix (downcast to
-        32-bit counters when ``updates_processed`` proves that safe —
-        half the bytes through every predicate pass), runs the
-        :func:`~repro.sketch.arena.singleton_mask` kernel once over all
-        of them, and splits the recovered codes back per level.
-        Returns ``(sample, recovered, collisions)`` tuples aligned with
-        ``levels``; does not touch observability counters (callers
-        record only the levels they actually visit, matching the scalar
-        walk).  Callers must check :meth:`_slab_decode_ready` first.
+        The core of the vectorized query path: one
+        :meth:`~repro.sketch.arena.SignatureArena.decode_slab` pass over
+        the whole slab (on 32-bit counters when ``updates_processed``
+        proves that safe), with the recovered codes split by level
+        ``key // (r * s)``.  Returns ``(sample, recovered, collisions)``
+        tuples aligned with ``levels``; does not touch observability
+        counters (callers record only the levels they actually visit,
+        matching the scalar walk).  Callers must check
+        :meth:`_slab_decode_ready` first.
         """
-        arenas = self._arenas
-        assert arenas is not None
-        views = []
-        bounds = [0]
-        occupied_by_level = []
-        rows = 0
-        for level in levels:
-            occupied = 0
-            for store in arenas[level]:
-                if len(store):
-                    view = store.view2d()
-                    views.append(view)
-                    rows += view.shape[0]
-                    occupied += len(store)
-            bounds.append(rows)
-            occupied_by_level.append(occupied)
-        if not rows:
+        slab = self._slab
+        assert slab is not None
+        if not slab:
             return [(set(), 0, 0) for _ in levels]
-        dtype = (
-            _np.int32 if self.updates_processed < _INT32_SAFE else _np.int64
+        num_levels = self.params.num_levels
+        per_level = self.params.r * self.params.s
+        keys, codes = slab.decode_slab(
+            narrow=self.updates_processed < _INT32_SAFE
         )
-        scratch = _np.empty(
-            (rows, self.params.pair_bits + 1), dtype=dtype
-        )
-        position = 0
-        for view in views:
-            count = view.shape[0]
-            # Slice assignment casts while copying, so the int32 path
-            # never materializes an intermediate int64 gather.
-            scratch[position:position + count] = view
-            position += count
-        ok, ne = singleton_mask(scratch)
-        index = _np.nonzero(ok)[0]
-        code_list = pack_codes(~ne[index, 1:]).tolist()
-        cuts = _np.searchsorted(index, _np.asarray(bounds)).tolist()
+        code_levels = keys // per_level
+        order = _np.argsort(code_levels, kind="stable")
+        code_list = codes[order].tolist()
+        cuts = _np.searchsorted(
+            code_levels[order], _np.arange(num_levels + 1)
+        ).tolist()
+        slot_keys = slab.slot_keys()
+        occupied = _np.bincount(
+            slot_keys[slot_keys >= 0] // per_level, minlength=num_levels
+        ).tolist()
         out: List[Tuple[Set[int], int, int]] = []
-        for offset, level in enumerate(levels):
-            lo = cuts[offset]
-            hi = cuts[offset + 1]
-            out.append((
-                set(code_list[lo:hi]),
-                hi - lo,
-                occupied_by_level[offset] - (hi - lo),
-            ))
+        for level in levels:
+            lo = cuts[level]
+            hi = cuts[level + 1]
+            out.append(
+                (set(code_list[lo:hi]), hi - lo, occupied[level] - (hi - lo))
+            )
         return out
 
     def _record_dsample_obs(
@@ -609,15 +653,18 @@ class DistinctCountSketch:
 
     def active_levels(self) -> int:
         """Number of first-level buckets currently holding any state."""
-        return sum(
-            1
-            for level_tables in self._tables
-            if any(level_tables[j] for j in range(self.params.r))
-        )
+        slab = self._slab
+        if slab is not None:
+            keys = slab.slot_keys()
+            per_level = self.params.r * self.params.s
+            return len(_np.unique(keys[keys >= 0] // per_level))
+        return sum(1 for level_tables in self._tables if any(level_tables))
 
     @property
     def is_empty(self) -> bool:
         """True when the sketch holds no state at all."""
+        if self._slab is not None:
+            return not self._slab
         return all(
             not table for level in self._tables for table in level
         )
@@ -756,61 +803,10 @@ class DistinctCountSketch:
             raise MergeError(
                 "sketches must share params and seed to merge"
             )
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                mine = self._tables[level][j]
-                theirs = other._tables[level][j]
-                if isinstance(mine, SignatureArena):
-                    # Arena accessors return signature *copies*, so merge
-                    # through the in-place arena primitive instead.
-                    for bucket, signature in theirs.items():
-                        mine.merge_signature(bucket, signature)
-                    continue
-                for bucket, signature in theirs.items():
-                    existing = mine.get(bucket)
-                    if existing is None:
-                        mine[bucket] = signature.copy()
-                    else:
-                        existing.merge(signature)
-                        if existing.is_zero:
-                            del mine[bucket]
+        self._add_counters(other, 1)
         self.updates_processed += other.updates_processed
         self.net_total += other.net_total
         self._obs_merges.inc()
-
-    # linear: delta folding must stay an exact integer addition (RL013)
-    def apply_bucket_deltas(
-        self, level: int, j: int, buckets: Any, rows: Any
-    ) -> None:
-        """Fold signed counter-delta rows into one inner table.
-
-        ``buckets`` is an int64 ndarray of second-level bucket indices
-        and ``rows`` the matching ``(len(buckets), pair_bits + 1)``
-        int64 delta matrix (``SignatureArena.drain_deltas`` output
-        reshaped).  Because the sketch is linear, adding another
-        sketch's per-bucket counter deltas is exactly equivalent to
-        having processed its updates here — the incremental-merge
-        primitive behind the process-backed ``ShardedSketch`` sync.
-        Buckets whose rows net to zero are pruned, and the tracking
-        subclass maintains its sample state through the same scatter
-        override the batch engine uses.  Does **not** adjust
-        ``updates_processed``/``net_total`` (callers account for those
-        from the shard workers' cumulative totals).
-
-        Requires the packed backend (process-backed shard banks
-        require it too).
-        """
-        arenas = self._arenas
-        if arenas is None:
-            raise ParameterError(
-                "apply_bucket_deltas requires backend='packed'"
-            )
-        if len(buckets) == 0:
-            return
-        store = arenas[level][j]
-        slots = store.resolve_slots(buckets)
-        touched = _np.unique(slots)
-        self._scatter_into_store(level, store, slots, rows, touched)
 
     # linear: subtract must stay an exact integer subtraction (RL013)
     def subtract(self, other: "DistinctCountSketch") -> None:
@@ -825,54 +821,115 @@ class DistinctCountSketch:
         sketch is merged out of the running window sum when it ages
         past the window horizon.
 
-        When both sketches are packed each inner table is subtracted by
-        negating ``other``'s exported counter rows and folding them
-        through :meth:`apply_bucket_deltas`; otherwise the per-bucket
-        signature path is used.  Both paths
-        prune buckets that net to zero, so the result is structurally
-        equal to a from-scratch sketch of the remaining stream.
+        On the packed backend ``other``'s counter rows are negated and
+        folded into the slab in one pass; the reference store subtracts
+        signature by signature.  Both prune buckets that net to zero,
+        so the result is structurally equal to a from-scratch sketch of
+        the remaining stream.
         """
         if not self.compatible_with(other):
             raise MergeError(
                 "sketches must share params and seed to subtract"
             )
-        vectorized = self._arenas is not None and other._arenas is not None
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                theirs = other._tables[level][j]
-                if vectorized:
-                    store = cast(SignatureArena, theirs)
-                    buckets, rows = store.export_rows()
-                    if len(buckets) == 0:
-                        continue
-                    bucket_ids = _np.frombuffer(buckets, dtype=_np.int64)
-                    deltas = -_np.frombuffer(rows, dtype=_np.int64)
-                    self.apply_bucket_deltas(
-                        level,
-                        j,
-                        bucket_ids,
-                        deltas.reshape(len(bucket_ids), store.stride),
-                    )
-                    continue
-                mine = self._tables[level][j]
-                if isinstance(mine, SignatureArena):
-                    for bucket, signature in theirs.items():
-                        mine.subtract_signature(bucket, signature)
-                    continue
-                for bucket, signature in theirs.items():
-                    existing = mine.get(bucket)
-                    if existing is None:
-                        negated = CountSignature(self.params.pair_bits)
-                        negated.subtract(signature)
-                        if not negated.is_zero:
-                            mine[bucket] = negated
-                        continue
-                    existing.subtract(signature)
-                    if existing.is_zero:
-                        del mine[bucket]
+        self._add_counters(other, -1)
         self.updates_processed -= other.updates_processed
         self.net_total -= other.net_total
         self._obs_merges.inc()
+
+    # linear: counter addition with multiplicity +/-1 (RL013)
+    def _add_counters(self, other: "DistinctCountSketch", sign: int) -> None:
+        """Add ``sign`` (+1 or -1) times ``other``'s counters in place."""
+        if self._slab is not None:
+            keys, rows = other._export_rows()
+            if len(keys):
+                # The exported rows are a fresh copy: scale in place.
+                _np.multiply(rows, sign, out=rows)
+                self._fold(keys, rows)
+            return
+        pair_bits = self.params.pair_bits
+        for level, j, bucket, signature in other._iter_signatures():
+            table = self._tables[level][j]
+            existing = table.get(bucket)
+            if existing is None:
+                existing = CountSignature(pair_bits)
+                table[bucket] = existing
+            if sign == 1:
+                existing.merge(signature)
+            else:
+                existing.subtract(signature)
+            if existing.is_zero:
+                del table[bucket]
+
+    def _export_rows(self) -> Tuple[Any, Any]:
+        """Every occupied bucket: ascending slab keys, ``(n, stride)`` rows.
+
+        The counter rows are int64, on either backend.
+        """
+        stride = self.params.pair_bits + 1
+        slab = self._slab
+        if slab is not None:
+            keys, rows = slab.export_rows()
+            return keys, rows.reshape(len(keys), stride)
+        r = self.params.r
+        s = self.params.s
+        key_list: List[int] = []
+        row_list: List[List[int]] = []
+        for level, j, bucket, signature in self._iter_signatures():
+            key_list.append((level * r + j) * s + bucket)
+            row_list.append(signature.counter_values())
+        return (
+            _np.array(key_list, dtype=_np.int64),
+            _np.array(row_list, dtype=_np.int64).reshape(len(key_list), stride),
+        )
+
+    # linear: delta folding must stay an exact integer addition (RL013)
+    def apply_bucket_deltas(self, keys: Any, rows: Any) -> None:
+        """Fold signed counter-delta rows into the slab.
+
+        ``keys`` is an int64 ndarray of flat bucket keys ``(level * r +
+        j) * s + bucket`` and ``rows`` the matching ``(len(keys),
+        pair_bits + 1)`` int64 delta matrix
+        (``SignatureArena.drain_deltas``/``export_rows`` output
+        reshaped); repeated keys are summed.  Because the sketch is
+        linear, adding another sketch's per-bucket counter deltas is
+        exactly equivalent to having processed its updates here — the
+        incremental-merge primitive behind the process-backed
+        ``ShardedSketch`` sync.  Buckets whose rows net to zero are
+        pruned, and the tracking subclass maintains its sample state
+        through the same fold the batch engine uses.  Does **not**
+        adjust ``updates_processed``/``net_total`` (callers account for
+        those from the shard workers' cumulative totals).
+
+        Raises:
+            ParameterError: on the reference backend (process-backed
+                shard banks require packed storage too), for rows of the
+                wrong shape, or for keys outside the slab.
+        """
+        slab = self._slab
+        if slab is None:
+            raise ParameterError(
+                "apply_bucket_deltas requires backend='packed'"
+            )
+        if rows.shape != (len(keys), slab.stride):
+            raise ParameterError(
+                f"delta rows of shape {rows.shape} do not match "
+                f"{len(keys)} keys of {slab.stride} counters"
+            )
+        if len(keys) == 0:
+            return
+        order, distinct, starts = _key_runs(keys)
+        self._check_keys(distinct)
+        self._fold(distinct, _sum_runs(rows, order, starts))
+
+    def _check_keys(self, keys: Any) -> None:
+        """Reject ascending slab ``keys`` that fall outside the slab."""
+        slab = self._slab
+        assert slab is not None
+        if keys[0] < 0 or keys[-1] >= slab.range_size:
+            raise ParameterError(
+                f"bucket keys must lie in [0, {slab.range_size}), got "
+                f"{keys[0]}..{keys[-1]}"
+            )
 
     def copy(self) -> "DistinctCountSketch":
         """Return a deep, independent copy of this sketch.
@@ -881,23 +938,16 @@ class DistinctCountSketch:
         registry (it would double every pull gauge); instrument a copy
         explicitly if needed.
         """
-        clone = DistinctCountSketch(
-            self.params, seed=self.seed, backend=self.backend
-        )
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                store = self._tables[level][j]
-                if isinstance(store, SignatureArena):
-                    clone._tables[level][j] = store.copy()
-                else:
-                    clone._tables[level][j] = {
-                        bucket: signature.copy()
-                        for bucket, signature in store.items()
-                    }
-        if clone._arenas is not None:
-            clone._arenas = [
-                [cast(SignatureArena, store) for store in level_tables]
-                for level_tables in clone._tables
+        clone = type(self)(self.params, seed=self.seed, backend=self.backend)
+        if self._slab is not None:
+            clone._slab = self._slab.copy()
+        else:
+            clone._tables = [
+                [
+                    {bucket: signature.copy() for bucket, signature in table.items()}
+                    for table in level_tables
+                ]
+                for level_tables in self._tables
             ]
         clone.updates_processed = self.updates_processed
         clone.net_total = self.net_total
@@ -908,11 +958,14 @@ class DistinctCountSketch:
 
         This is the delete-resilience test surface: a sketch that saw
         matched insert/delete pairs must be structurally equal to one
-        that never saw them.
+        that never saw them.  Backends compare against each other
+        through :meth:`_iter_signatures`.
         """
         if not self.compatible_with(other):
             return False
-        return self._tables == other._tables
+        if self._slab is not None and other._slab is not None:
+            return self._slab == other._slab
+        return list(self._iter_signatures()) == list(other._iter_signatures())
 
     # -- space accounting (Section 6.1) ----------------------------------------
 
@@ -934,6 +987,8 @@ class DistinctCountSketch:
 
     def occupied_buckets(self) -> int:
         """Number of second-level buckets currently holding state."""
+        if self._slab is not None:
+            return len(self._slab)
         return sum(
             len(table) for level in self._tables for table in level
         )
@@ -948,8 +1003,24 @@ class DistinctCountSketch:
     def _iter_signatures(
         self,
     ) -> Iterator[Tuple[int, int, int, CountSignature]]:
-        """Yield ``(level, j, bucket, signature)`` for all occupied buckets."""
+        """Yield ``(level, j, bucket, signature)`` for all occupied buckets.
+
+        In ascending ``(level, j, bucket)`` order on both backends, so
+        the serialized payload and cross-backend comparisons do not
+        depend on storage layout.  Packed signatures are copies.
+        """
+        slab = self._slab
+        if slab is not None:
+            r = self.params.r
+            s = self.params.s
+            for key in slab.occupied_keys().tolist():
+                table, bucket = divmod(key, s)
+                level, j = divmod(table, r)
+                signature = slab.get(key)
+                assert signature is not None
+                yield level, j, bucket, signature
+            return
         for level, level_tables in enumerate(self._tables):
             for j, table in enumerate(level_tables):
-                for bucket, signature in table.items():
-                    yield level, j, bucket, signature
+                for bucket in sorted(table):
+                    yield level, j, bucket, table[bucket]

@@ -38,31 +38,28 @@ class LevelStats:
 
 def level_occupancy(sketch: DistinctCountSketch) -> List[LevelStats]:
     """Per-level occupancy of every non-empty level, top level last."""
-    stats: List[LevelStats] = []
-    for level in range(sketch.params.num_levels):
-        occupied = 0
-        singletons = 0
-        collisions = 0
-        total = 0
-        for j in range(sketch.params.r):
-            for signature in sketch._tables[level][j].values():
-                occupied += 1
-                total += signature.total
-                if signature.recover_singleton() is not None:
-                    singletons += 1
-                else:
-                    collisions += 1
-        if occupied:
-            stats.append(
-                LevelStats(
-                    level=level,
-                    occupied_buckets=occupied,
-                    singletons=singletons,
-                    collisions=collisions,
-                    total_count=total,
-                )
-            )
-    return stats
+    tallies: Dict[int, List[int]] = {}
+    for level, _, _, signature in sketch._iter_signatures():
+        # [occupied, singletons, collisions, net total]
+        tally = tallies.setdefault(level, [0, 0, 0, 0])
+        tally[0] += 1
+        if signature.recover_singleton() is not None:
+            tally[1] += 1
+        else:
+            tally[2] += 1
+        tally[3] += signature.total
+    return [
+        LevelStats(
+            level=level,
+            occupied_buckets=occupied,
+            singletons=singletons,
+            collisions=collisions,
+            total_count=total,
+        )
+        for level, (occupied, singletons, collisions, total) in sorted(
+            tallies.items()
+        )
+    ]
 
 
 def bucket_report(sketch: DistinctCountSketch) -> Dict[str, int]:

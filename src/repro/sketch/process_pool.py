@@ -9,10 +9,10 @@ share params and seed, so the parent combines them by bucket-wise
 addition into the exact sketch a single-process run would have
 produced (linearity, Section 3).
 
-Shard state reaches the parent by delta only: every worker arena keeps
-a dirty-bucket index (:meth:`~repro.sketch.arena.SignatureArena.
-track_deltas`), and a ``delta`` request drains it as ``(bucket, signed
-counter delta)`` runs of raw int64 bytes.  Every reply is epoch-tagged:
+Shard state reaches the parent by delta only: every worker slab keeps
+a dirty-key index (:meth:`~repro.sketch.arena.SignatureArena.
+track_deltas`), and a ``delta`` request drains it as one ``(keys,
+signed counter delta rows)`` run of raw int64 bytes.  Every reply is epoch-tagged:
 the parent detects a missed or stale sync and asks for absolute rows
 instead (a full resync), so the running sum it folds the runs into is
 always exact.  Whole :mod:`repro.sketch.serialize` snapshots remain the
@@ -57,13 +57,11 @@ class WorkerDied(RuntimeError):
         self.shard = shard
 
 
-def _track_arena_deltas(sketch: Any) -> None:
-    """Enable dirty-bucket tracking on every arena of a packed sketch."""
-    arenas = sketch._arenas
-    assert arenas is not None, "delta sync requires packed arenas"
-    for row in arenas:
-        for arena in row:
-            arena.track_deltas(True)
+def _track_slab_deltas(sketch: Any) -> None:
+    """Enable dirty-key tracking on a packed sketch's slab."""
+    slab = sketch._slab
+    assert slab is not None, "delta sync requires packed storage"
+    slab.track_deltas(True)
 
 
 def _worker_main(
@@ -96,7 +94,7 @@ def _worker_main(
 
     registry, updates_total = fresh_registry()
     sketch = TrackingDistinctCountSketch(params, seed=seed, backend="packed")
-    _track_arena_deltas(sketch)
+    _track_slab_deltas(sketch)
     #: Monotonic sync counter: one tick per delta reply, so the parent
     #: can prove no other drain slipped in between its own syncs.
     epoch = 0
@@ -116,24 +114,19 @@ def _worker_main(
                 conn.send(serialize.dumps(sketch))
             elif command == "delta":
                 epoch += 1
-                arena_payload: List[Tuple[int, int, bytes, bytes]] = []
-                assert sketch._arenas is not None
-                for level, row in enumerate(sketch._arenas):
-                    for j, arena in enumerate(row):
-                        if payload:  # full resync: absolute rows
-                            arena.reset_deltas()
-                            buckets, rows = arena.export_rows()
-                        else:
-                            buckets, rows = arena.drain_deltas()
-                        if len(buckets):
-                            arena_payload.append(
-                                (level, j, buckets.tobytes(), rows.tobytes())
-                            )
+                slab = sketch._slab
+                assert slab is not None
+                if payload:  # full resync: absolute rows
+                    slab.reset_deltas()
+                    keys, rows = slab.export_rows()
+                else:
+                    keys, rows = slab.drain_deltas()
                 conn.send(
                     {
                         "epoch": epoch,
                         "full": bool(payload),
-                        "arenas": arena_payload,
+                        "keys": keys.tobytes(),
+                        "rows": rows.tobytes(),
                         "updates": sketch.updates_processed,
                         "net": sketch.net_total,
                     }
@@ -145,7 +138,7 @@ def _worker_main(
                 sketch = loaded
                 # Fresh dirty indexes: the parent invalidated its
                 # running sum on restore and will full-resync.
-                _track_arena_deltas(sketch)
+                _track_slab_deltas(sketch)
                 # Rebuild the observability state from the restored
                 # sketch: ``updates_processed`` travels in the wire
                 # format, so the counter restarts exactly where the
@@ -357,8 +350,9 @@ class ProcessShardPool:
         """Drain one worker's delta run (epoch-tagged).
 
         The reply carries the worker's sync epoch, its cumulative
-        ``updates``/``net`` totals, and per-arena ``(level, j, bucket
-        bytes, delta-row bytes)`` runs — absolute rows when ``full``.
+        ``updates``/``net`` totals, and one run of int64 bytes: the
+        touched slab ``keys`` and their delta ``rows`` — absolute rows
+        when ``full``.
 
         Raises:
             WorkerDied: when the worker died before answering.

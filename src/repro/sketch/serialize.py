@@ -18,8 +18,9 @@ shipping it — the raw signatures fully determine it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Set, Tuple, Union
 
+from .._accel import np as _np
 from ..exceptions import ParameterError
 from ..types import AddressDomain
 from .dcs import DistinctCountSketch
@@ -57,6 +58,55 @@ def sketch_to_dict(sketch: AnySketch) -> Dict[str, Any]:
     }
 
 
+def _is_int(value: Any) -> bool:
+    """True for a plain integer (``bool`` is not a coordinate or counter)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _bucket_rows(
+    entries: Any, params: SketchParams
+) -> Tuple[List[Tuple[int, int, int]], List[List[int]]]:
+    """Validated ``(level, j, bucket)`` coordinates and counter rows.
+
+    Raises:
+        ParameterError: for a malformed entry, a coordinate outside the
+            sketch (which would alias a neighbouring table in the flat
+            packed slab), a non-integer coordinate or counter, a
+            counter row of the wrong width, or a repeated bucket.
+    """
+    if not isinstance(entries, list):
+        raise ParameterError("sketch payload buckets must be a list")
+    bounds = (
+        ("level", params.num_levels), ("table", params.r), ("bucket", params.s)
+    )
+    width = params.pair_bits + 1
+    seen: Set[Tuple[int, int, int]] = set()
+    coordinates: List[Tuple[int, int, int]] = []
+    rows: List[List[int]] = []
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ParameterError(f"malformed bucket entry: {entry!r}")
+        for (name, bound), value in zip(bounds, entry):
+            if not _is_int(value) or not 0 <= value < bound:
+                raise ParameterError(
+                    f"bucket {name} {value!r} outside [0, {bound})"
+                )
+        counters = entry[3]
+        if not isinstance(counters, list) or len(counters) != width:
+            raise ParameterError(
+                f"count signature must be a list of {width} counters"
+            )
+        if not all(_is_int(count) for count in counters):
+            raise ParameterError("count signature counters must be integers")
+        where = (entry[0], entry[1], entry[2])
+        if where in seen:
+            raise ParameterError(f"bucket {where} listed twice")
+        seen.add(where)
+        coordinates.append(where)
+        rows.append(counters)
+    return coordinates, rows
+
+
 def sketch_from_dict(
     payload: Dict[str, Any], *, backend: str = "packed"
 ) -> AnySketch:
@@ -65,6 +115,10 @@ def sketch_from_dict(
     ``backend`` selects the storage backend of the reconstructed sketch
     (packed by default; the wire format is backend-agnostic — both
     backends serialize to the same payload and load into either).
+
+    Raises:
+        ParameterError: for an unsupported version or kind, or any
+            malformed bucket (see :func:`_bucket_rows`).
     """
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
@@ -86,25 +140,31 @@ def sketch_from_dict(
         else DistinctCountSketch
     )
     sketch = cls(params, seed=payload["seed"], backend=backend)
-    pair_bits = params.pair_bits
-    for level, j, bucket, counters in payload["buckets"]:
-        if not 0 <= level < params.num_levels or not 0 <= j < params.r:
+    coordinates, rows = _bucket_rows(payload["buckets"], params)
+    if backend == "packed":
+        # The fold also maintains a tracking sketch's sample state.
+        keys = [sketch._key(*where) for where in coordinates]
+        try:
+            matrix = _np.array(rows, dtype=_np.int64)
+        except OverflowError as error:
             raise ParameterError(
-                f"bucket coordinates ({level}, {j}) out of range"
-            )
-        if len(counters) != pair_bits + 1:
-            raise ParameterError(
-                f"count signature has {len(counters)} counters, "
-                f"expected {pair_bits + 1}"
-            )
-        signature = CountSignature(pair_bits)
-        signature.total = counters[0]
-        signature.bit_counts = list(counters[1:])
-        sketch._tables[level][j][bucket] = signature
+                f"counter outside the 64-bit packed range: {error}"
+            ) from error
+        sketch.apply_bucket_deltas(
+            _np.array(keys, dtype=_np.int64),
+            matrix.reshape(len(keys), params.pair_bits + 1),
+        )
+    else:
+        for (level, j, bucket), counters in zip(coordinates, rows):
+            signature = CountSignature(params.pair_bits)
+            signature.total = counters[0]
+            signature.bit_counts = list(counters[1:])
+            if not signature.is_zero:
+                sketch._tables[level][j][bucket] = signature
+        if isinstance(sketch, TrackingDistinctCountSketch):
+            sketch._rebuild_tracking_state()
     sketch.updates_processed = payload["updates_processed"]
     sketch.net_total = payload["net_total"]
-    if isinstance(sketch, TrackingDistinctCountSketch):
-        sketch._rebuild_tracking_state()
     return sketch
 
 

@@ -345,13 +345,12 @@ class ShardedSketch:
             synced_bytes = 0
             for shard, reply in enumerate(replies):
                 self._sync_epochs[shard] = reply["epoch"]
-                for level, j, bucket_bytes, row_bytes in reply["arenas"]:
-                    buckets = _np.frombuffer(bucket_bytes, dtype=_np.int64)
-                    rows = _np.frombuffer(
-                        row_bytes, dtype=_np.int64
-                    ).reshape(len(buckets), stride)
-                    running.apply_bucket_deltas(level, j, buckets, rows)
-                    synced_bytes += len(bucket_bytes) + len(row_bytes)
+                keys = _np.frombuffer(reply["keys"], dtype=_np.int64)
+                rows = _np.frombuffer(reply["rows"], dtype=_np.int64)
+                running.apply_bucket_deltas(
+                    keys, rows.reshape(len(keys), stride)
+                )
+                synced_bytes += len(reply["keys"]) + len(reply["rows"])
             running.updates_processed = sum(
                 reply["updates"] for reply in replies
             )

@@ -29,7 +29,7 @@ singleton -> empty — plus the no-op transitions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, Union, cast
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from .._accel import np as _np
 from ..exceptions import ParameterError
@@ -40,7 +40,7 @@ from ..obs.catalog import (
 )
 from ..obs.registry import Registry
 from ..types import AddressDomain
-from .arena import SignatureArena
+from .arena import pack_codes, singleton_mask
 from .dcs import DEFAULT_EPSILON, DistinctCountSketch
 from .estimate import TopKResult, build_result
 from .heap import IndexedMaxHeap
@@ -157,15 +157,16 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
     def _apply_pair(self, pair: int, delta: int) -> None:
         """UpdateTracking: signature update plus sample-state maintenance."""
         level = self._level_hash(pair)
-        arenas = self._arenas
-        if arenas is not None:
-            arena_row = arenas[level]
-            for j, inner_hash in enumerate(self._inner_hashes):
-                bucket = inner_hash(pair)
-                store = arena_row[j]
-                before = store.singleton_at(bucket)
-                store.update(bucket, pair, delta)
-                after = store.singleton_at(bucket)
+        slab = self._slab
+        if slab is not None:
+            s = self.params.s
+            key = level * self.params.r * s
+            for inner_hash in self._inner_hashes:
+                bucket_key = key + inner_hash(pair)
+                key += s
+                before = slab.singleton_at(bucket_key)
+                slab.update(bucket_key, pair, delta)
+                after = slab.singleton_at(bucket_key)
                 if before == after:
                     continue
                 if before is not None:
@@ -199,44 +200,56 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             if after is not None:
                 self._add_singleton_occurrence(level, after)
 
-    def _scatter_into_store(
-        self,
-        level: int,
-        store: SignatureArena,
-        slots: Any,
-        contrib: Any,
-        touched: Any,
-    ) -> None:  # hot-path
-        """Batch UpdateTracking: diff singleton state around the scatter.
+    def _fold(self, keys: Any, rows: Any) -> Any:  # hot-path
+        """Batch UpdateTracking: diff singleton state across a slab fold.
 
         The tracked structures are a pure function of the counter state
         (:meth:`check_invariants` is exactly that statement), so diffing
-        each touched bucket's singleton occupant before and after the
-        whole-group scatter yields the same final state as replaying the
-        group update by update.  Both images come from the vectorized
-        slab-decode kernel as raw ``(ok, codes)`` arrays, and the diff
-        itself is a numpy comparison — Python only touches the buckets
-        whose occupant actually changed.
+        each folded row's singleton occupant between the fold's before
+        and after images yields the same final state as replaying the
+        fold update by update.  The images come back from the fold
+        itself (no extra gathers), one :func:`~repro.sketch.arena.
+        singleton_mask` pass decodes both, the diff is a numpy
+        comparison, and Python touches only the rows whose occupant
+        changed, at level ``key // (r * s)``.  Removals and adds may run
+        in any order: every removal is a before-image occupant, so
+        ``decr_count`` cannot underflow.
         """
-        before_ok, before_codes = store.decode_slots_raw(touched)
-        super()._scatter_into_store(level, store, slots, contrib, touched)
-        after_ok, after_codes = store.decode_slots_raw(touched)
-        changed = (before_ok != after_ok) | (
-            before_ok & after_ok & (before_codes != after_codes)
-        )
-        if not bool(changed.any()):
-            return
+        images = super()._fold(keys, rows)
+        count = len(keys)
+        if not count:
+            return images
+        if self.params.pair_bits > 64:
+            # pack_codes holds at most 64 bits: recount from scratch.
+            self._rebuild_tracking_state()
+            return images
+        ok, ne = singleton_mask(images.reshape(2 * count, images.shape[2]))
+        was_ok = ok[:count]
+        now_ok = ok[count:]
+        either = _np.flatnonzero(was_ok | now_ok)
+        if not len(either):
+            return images
+        was = was_ok[either]
+        now = now_ok[either]
+        before = pack_codes(~ne[either, 1:])
+        after = pack_codes(~ne[either + count, 1:])
+        changed = _np.flatnonzero((was != now) | (before != after))
+        if not len(changed):
+            return images
+        per_level = self.params.r * self.params.s
+        levels = (keys[either[changed]] // per_level).tolist()
+        was_list = was[changed].tolist()
+        now_list = now[changed].tolist()
+        before_list = before[changed].tolist()
+        after_list = after[changed].tolist()
         remove = self._remove_singleton_occurrence
         add = self._add_singleton_occurrence
-        before_ok_list = before_ok.tolist()
-        after_ok_list = after_ok.tolist()
-        before_code_list = before_codes.tolist()
-        after_code_list = after_codes.tolist()
-        for index in _np.nonzero(changed)[0].tolist():
-            if before_ok_list[index]:
-                remove(level, before_code_list[index])
-            if after_ok_list[index]:
-                add(level, after_code_list[index])
+        for index, level in enumerate(levels):
+            if was_list[index]:
+                remove(level, before_list[index])
+            if now_list[index]:
+                add(level, after_list[index])
+        return images
 
     def _add_singleton_occurrence(self, level: int, pair: int) -> None:
         """A bucket at ``level`` became a singleton holding ``pair``."""
@@ -364,8 +377,9 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         Used heavily by the test suite; O(sketch size), not for hot paths.
         """
         cumulative: Dict[int, int] = {}
+        sweep = self.dsample_sweep()
         for level in range(self.params.num_levels - 1, -1, -1):
-            expected_sample = self.get_dsample(level)
+            expected_sample = sweep[level]
             tracked_sample = self._singletons[level].pairs()
             if expected_sample != tracked_sample:
                 raise AssertionError(
@@ -394,32 +408,35 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
     def merge(self, other: DistinctCountSketch) -> None:
         """Merge another sketch's stream into this one.
 
-        Implemented by replaying the structural merge and then rebuilding
-        the tracked sample state, since singleton-ness is not additive
-        (two singletons can merge into a collision).
+        Singleton-ness is not additive (two singletons can merge into a
+        collision), so the tracked state is re-derived: the packed fold
+        diffs every touched row (:meth:`_fold`), and the reference
+        store rebuilds from its signatures.
         """
         super().merge(other)
-        self._rebuild_tracking_state()
+        if self._slab is None:
+            self._rebuild_tracking_state()
 
     # linear: subtract must stay an exact integer subtraction (RL013)
     def subtract(self, other: DistinctCountSketch) -> None:
         """Remove another sketch's stream from this one.
 
-        Implemented by replaying the structural subtraction and then
-        rebuilding the tracked sample state, since singleton-ness is
-        not subtractive (removing one stream from a collision can leave
-        a singleton behind).
+        Singleton-ness is not subtractive (removing one stream from a
+        collision can leave a singleton behind), so the tracked state
+        is re-derived exactly as in :meth:`merge`.
         """
         super().subtract(other)
-        self._rebuild_tracking_state()
+        if self._slab is None:
+            self._rebuild_tracking_state()
 
     def _rebuild_tracking_state(self) -> None:
         """Recompute singletons/counters/heaps from the raw signatures.
 
-        Decodes slab-at-a-time (:meth:`decoded_slab`), so a post-merge
-        or post-copy rebuild rides the same vectorized kernel as the
-        query path; the resulting state is a pure function of the
-        counter state, so decode order is immaterial.
+        Packed sketches decode the whole slab in one kernel pass
+        (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`); the
+        reference store and pair domains wider than 64 bits decode
+        signature by signature.  The resulting state is a pure function
+        of the counter state, so decode order is immaterial.
         """
         levels = self.params.num_levels
         self._singletons = [SingletonSet() for _ in range(levels)]
@@ -427,34 +444,25 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         self._dest_heaps = [
             IndexedMaxHeap() for _ in range(levels)
         ]
-        for level in range(levels):
-            for j in range(self.params.r):
-                codes, _ = self.decoded_slab(level, j)
-                for pair in codes:
-                    self._add_singleton_occurrence(level, pair)
+        add = self._add_singleton_occurrence
+        slab = self._slab
+        if slab is not None and self._slab_decode_ready():
+            keys, codes = slab.decode_slab()
+            per_level = self.params.r * self.params.s
+            for level, pair in zip(
+                (keys // per_level).tolist(), codes.tolist()
+            ):
+                add(level, pair)
+            return
+        for level, _, _, signature in self._iter_signatures():
+            pair = signature.recover_singleton()
+            if pair is not None:
+                add(level, pair)
 
     def copy(self) -> "TrackingDistinctCountSketch":
         """Deep copy, including tracked state (rebuilt from signatures)."""
-        clone = TrackingDistinctCountSketch(
-            self.params, seed=self.seed, backend=self.backend
-        )
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                store = self._tables[level][j]
-                if isinstance(store, SignatureArena):
-                    clone._tables[level][j] = store.copy()
-                else:
-                    clone._tables[level][j] = {
-                        bucket: signature.copy()
-                        for bucket, signature in store.items()
-                    }
-        if clone._arenas is not None:
-            clone._arenas = [
-                [cast(SignatureArena, store) for store in level_tables]
-                for level_tables in clone._tables
-            ]
-        clone.updates_processed = self.updates_processed
-        clone.net_total = self.net_total
+        clone = super().copy()
+        assert isinstance(clone, TrackingDistinctCountSketch)
         clone._rebuild_tracking_state()
         return clone
 

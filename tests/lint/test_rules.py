@@ -126,6 +126,28 @@ class TestRL002FloatInCounterPath:
         assert violations == []
 
 
+    def test_hot_path_names_are_defined_functions(self):
+        # A listed name the module never defines guards nothing.
+        import ast
+        import importlib.util
+
+        from repro.lint.rules import FloatInCounterPathRule
+
+        for module, names in FloatInCounterPathRule.HOT_PATHS.items():
+            if names is None:
+                continue
+            spec = importlib.util.find_spec(module)
+            assert spec is not None and spec.origin is not None
+            with open(spec.origin, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            defined = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            assert names <= defined, (module, sorted(names - defined))
+
+
 class TestRL003WallClock:
     def test_fails_on_time_time_in_sketch(self):
         violations = run_rule("RL003", (

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import MergeError, ParameterError
-from repro.sketch import CountSignature, SignatureArena
+from repro.sketch import CountSignature, SignatureArena, singleton_mask
 
 
 def make_signature(pair_bits: int, *pairs: int) -> CountSignature:
@@ -65,19 +66,20 @@ class TestUpdateAndDecode:
         arena.update(9, 0b101, -1)
         decoded = list(arena.decode_occupied())
         expected = [
-            signature.recover_singleton() for signature in arena.values()
+            (key, signature.recover_singleton())
+            for key, signature in arena.items()
         ]
         assert decoded == expected
-        assert sorted(x for x in decoded if x is not None) == [0b1]
+        assert sorted(x for _, x in decoded if x is not None) == [0b1]
 
     def test_slot_reuse_after_prune(self):
         arena = SignatureArena(8, 128)
         arena.update(1, 0b1, 1)
         arena.update(1, 0b1, -1)
-        slots_before = len(arena._bucket_of)
+        slots_before = len(arena.slot_keys())
         arena.update(2, 0b10, 1)
         # The freed slot is recycled, not grown past.
-        assert len(arena._bucket_of) == slots_before
+        assert len(arena.slot_keys()) == slots_before
 
 
 class TestMappingSurface:
@@ -136,34 +138,31 @@ class TestEquality:
         b.update(2, 0b10, 1)
         assert a != b
 
-    def test_arena_vs_dict_reflected(self):
-        arena = SignatureArena(8, 128)
-        arena.update(1, 0b101, 1)
-        reference = {1: make_signature(8, 0b101)}
-        assert arena == reference
-        assert reference == arena  # dict delegates via NotImplemented
-        reference[2] = make_signature(8, 0b1)
-        assert arena != reference
-
     def test_not_hashable(self):
         with pytest.raises(TypeError):
             hash(SignatureArena(8, 128))
 
 
+def fold_signature(arena, key, signature):
+    """Fold one signature's counter row into ``key``."""
+    rows = np.array([signature.counter_values()], dtype=np.int64)
+    return arena.fold(np.array([key], dtype=np.int64), rows)
+
+
 class TestMergeSignature:
     def test_merge_into_empty_and_cancel(self):
         arena = SignatureArena(8, 128)
-        arena.merge_signature(5, make_signature(8, 0b1))
+        fold_signature(arena, 5, make_signature(8, 0b1))
         assert arena[5] == make_signature(8, 0b1)
         negative = CountSignature(8)
         negative.update(0b1, -1)
-        arena.merge_signature(5, negative)
+        fold_signature(arena, 5, negative)
         assert 5 not in arena
 
     def test_merge_rejects_width_mismatch(self):
         arena = SignatureArena(8, 128)
         with pytest.raises(MergeError):
-            arena.merge_signature(0, CountSignature(9))
+            fold_signature(arena, 0, CountSignature(9))
 
 
 class TestCopy:
@@ -178,32 +177,33 @@ class TestCopy:
 
 class TestBatchSurface:
     def test_resolve_scatter_decode_roundtrip(self):
-        import numpy as np
-
         arena = SignatureArena(4, 128)
-        buckets = np.array([3, 7, 3], dtype=np.int64)
-        slots = arena.resolve_slots(buckets)
-        assert len(arena) == 2
-        contrib = np.array(
-            [
-                [1, 1, 0, 1, 0],   # pair 0b0101 into bucket 3
-                [1, 0, 1, 0, 0],   # pair 0b0010 into bucket 7
-                [-1, -1, 0, -1, 0],  # matching delete into bucket 3
-            ],
-            dtype=np.int64,
+        images = arena.fold(
+            np.array([3, 7], dtype=np.int64),
+            np.array(
+                [
+                    [1, 1, 0, 1, 0],   # pair 0b0101 into bucket 3
+                    [1, 0, 1, 0, 0],   # pair 0b0010 into bucket 7
+                ],
+                dtype=np.int64,
+            ),
         )
-        np.add.at(arena.view2d(), slots, contrib)
-        touched = np.unique(slots)
-        decoded = arena.decode_slots(touched)
-        arena.free_zero_slots(touched)
+        assert len(arena) == 2
+        assert not images[0].any()  # both keys were empty before
+        images = arena.fold(
+            np.array([3], dtype=np.int64),
+            np.array([[-1, -1, 0, -1, 0]], dtype=np.int64),  # the delete
+        )
         assert 3 not in arena
         assert arena.singleton_at(7) == 0b0010
-        # decode_slots saw bucket 3 zeroed (None) and bucket 7 singleton.
-        assert set(decoded) == {None, 0b0010}
+        # The images hold bucket 3 as a singleton before, zeroed after.
+        ok, _ = singleton_mask(images.reshape(2, 5))
+        assert ok.tolist() == [True, False]
+        # An empty block changes nothing.
+        arena.fold(np.empty(0, dtype=np.int64), np.empty((0, 5), np.int64))
+        assert sorted(arena) == [7]
 
     def test_sparse_resolve_path(self):
-        import numpy as np
-
         # range_size above MAX_DENSE_RANGE forces the dict-based path.
         arena = SignatureArena(4, 1 << 20)
         buckets = np.array([123456, 9, 123456], dtype=np.int64)
@@ -211,9 +211,3 @@ class TestBatchSurface:
         assert slots[0] == slots[2]
         assert len(arena) == 2
         assert arena._dense is None
-
-    def test_decode_slots_empty(self):
-        import numpy as np
-
-        arena = SignatureArena(4, 128)
-        assert arena.decode_slots(np.array([], dtype=np.int64)) == []

@@ -18,8 +18,10 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.exceptions import DomainError
 from repro.sketch import (
     DistinctCountSketch,
+    SketchParams,
     TrackingDistinctCountSketch,
     serialize,
 )
@@ -207,3 +209,88 @@ class TestTrackingSketchDifferential:
         whole.process_stream(make_stream(62, 1000))
         assert whole.structurally_equal(left)
         assert whole.track_topk(5) == left.track_topk(5)
+
+
+class TestSlabEngineDifferential:
+    """The one-slab fold against the reference, batch size by batch size.
+
+    A pass folds at most ``FOLD_PASS`` (1024) updates, so the sizes
+    straddle that cut; delete-heavy streams drive rows back to zero
+    and through the slot free list.
+    """
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    @pytest.mark.parametrize(
+        "batch_size", [1, 25, 250, 1023, 1024, 1025, 5000]
+    )
+    def test_batch_sizes_match_reference(self, tracking, batch_size):
+        cls = TrackingDistinctCountSketch if tracking else DistinctCountSketch
+        updates = make_stream(71, 6000, delete_fraction=0.6)
+        reference = cls(DOMAIN, seed=17, backend="reference")
+        for update in updates:
+            reference.process(update)
+        packed = cls(DOMAIN, seed=17, backend="packed")
+        packed.process_stream(updates, batch_size=batch_size)
+        assert packed.structurally_equal(reference)
+        assert reference.structurally_equal(packed)
+        assert packed.updates_processed == reference.updates_processed
+        assert packed.net_total == reference.net_total
+        assert packed.base_topk(10) == reference.base_topk(10)
+        if tracking:
+            packed.check_invariants()
+            assert packed.track_topk(10) == reference.track_topk(10)
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            (FlowUpdate(DOMAIN.m, 3, 1), DomainError),
+            (FlowUpdate(4, DOMAIN.m + 7, 1), DomainError),
+            (FlowUpdate(-1, 3, 1), DomainError),
+            (FlowUpdate(1.5, 3, 1), TypeError),
+        ],
+        ids=["source-range", "dest-range", "negative", "float"],
+    )
+    def test_bad_batch_raises_like_process_and_changes_nothing(
+        self, backend, bad, error
+    ):
+        single = TrackingDistinctCountSketch(DOMAIN, seed=3, backend=backend)
+        with pytest.raises(error):
+            single.process(bad)
+        batch = make_stream(72, 300)
+        batch.insert(150, bad)
+        sketch = TrackingDistinctCountSketch(DOMAIN, seed=3, backend=backend)
+        with pytest.raises(error):
+            sketch.update_batch(batch)
+        assert sketch.updates_processed == 0
+        assert sketch.is_empty
+        sketch.check_invariants()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(r=1, s=2), dict(r=3, s=128, num_levels=1)],
+        ids=["r1-s2", "one-level"],
+    )
+    def test_minimal_shapes_never_alias_keys(self, shape):
+        params = SketchParams(AddressDomain(2 ** 8), **shape)
+        rng = random.Random(73)
+        updates = [
+            FlowUpdate(rng.randrange(2 ** 8), rng.randrange(3), 1)
+            for _ in range(400)
+        ]
+        updates += [u.inverted() for u in updates[::3]]
+        rng.shuffle(updates)
+        reference = TrackingDistinctCountSketch(
+            params, seed=12, backend="reference"
+        )
+        for update in updates:
+            reference.process(update)
+        packed = TrackingDistinctCountSketch(params, seed=12)
+        packed.process_stream(updates, batch_size=64)
+        assert packed.structurally_equal(reference)
+        packed.check_invariants()
+        assert packed.track_topk(3) == reference.track_topk(3)
+        for level, j, bucket, _ in packed._iter_signatures():
+            assert packed.signature_at(level, j, bucket) == (
+                reference.signature_at(level, j, bucket)
+            )

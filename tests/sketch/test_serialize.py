@@ -118,6 +118,46 @@ class TestValidation:
         with pytest.raises(ParameterError):
             serialize.sketch_from_dict(payload)
 
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            [0, 0, 128, [1] + [0] * 32],  # bucket == s
+            [0, 0, 10 ** 6, [1] + [0] * 32],
+            [0, 0, -1, [1] + [0] * 32],
+            [-1, 0, 5, [1] + [0] * 32],
+            [0, 3, 5, [1] + [0] * 32],  # table == r
+            [True, 0, 5, [1] + [0] * 32],
+            [0, 0, 5.0, [1] + [0] * 32],
+            [0, 0, "5", [1] + [0] * 32],
+            [0, 0, 5, [1.0] + [0] * 32],
+            [0, 0, 5, ["1"] + [0] * 32],
+            [0, 0, 5, [True] + [0] * 32],
+            [0, 0, 5, "counters"],
+            [0, 0, 5],
+            "bucket",
+        ],
+    )
+    def test_rejects_malformed_bucket(self, domain, backend, entry):
+        payload = serialize.sketch_to_dict(loaded_sketch(domain))
+        payload["buckets"].append(entry)
+        with pytest.raises(ParameterError):
+            serialize.sketch_from_dict(payload, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_rejects_repeated_bucket(self, domain, backend):
+        payload = serialize.sketch_to_dict(loaded_sketch(domain))
+        payload["buckets"].append(list(payload["buckets"][0]))
+        with pytest.raises(ParameterError):
+            serialize.sketch_from_dict(payload, backend=backend)
+
+    def test_rejects_counter_beyond_packed_range(self, domain):
+        payload = serialize.sketch_to_dict(loaded_sketch(domain, updates=0))
+        payload["buckets"].append([0, 0, 5, [2 ** 70] + [0] * 32])
+        assert serialize.sketch_from_dict(payload, backend="reference")
+        with pytest.raises(ParameterError):
+            serialize.sketch_from_dict(payload, backend="packed")
+
     def test_rejects_malformed_bytes(self):
         with pytest.raises(ParameterError):
             serialize.loads(b"not json at all {{{")

@@ -1,11 +1,12 @@
 """Differential fuzzing of the vectorized slab-decode query path.
 
 The slab engine (``SignatureArena.decode_slab``, ``DCSSketch
-.decoded_slab`` / ``get_dsample_batch`` / ``dsample_sweep``, and the
-whole-walk decode under ``collect_distinct_sample``) must be
-*bit-identical* to the scalar per-signature decode — same singleton
-sets, same collision counts, same estimator answers — on every backend,
-under delete-heavy churn, after merges, and after crash recovery.
+.get_dsample_batch`` / ``dsample_sweep``, and the whole-walk decode
+under ``collect_distinct_sample``) and the per-table ``decoded_slab``
+must be *bit-identical* to the scalar per-signature decode — same
+singleton sets, same collision counts, same estimator answers — on
+every backend, under delete-heavy churn, after merges, and after crash
+recovery.
 
 The oracle here is deliberately primitive: walk every occupied bucket,
 materialize its :class:`~repro.sketch.signature.CountSignature`, and
@@ -59,21 +60,19 @@ def make_stream(
 def oracle_dsample(sketch: DistinctCountSketch, level: int) -> Set[int]:
     """Scalar ``GetdSample`` oracle: per-signature ``recover_singleton``."""
     sample: Set[int] = set()
-    for store in sketch._tables[level]:
-        for signature in store.values():
-            code = signature.recover_singleton()
-            if code is not None:
-                sample.add(code)
+    for at_level, _, _, signature in sketch._iter_signatures():
+        code = signature.recover_singleton()
+        if at_level == level and code is not None:
+            sample.add(code)
     return sample
 
 
 def oracle_collisions(sketch: DistinctCountSketch, level: int) -> int:
     """Occupied buckets at ``level`` that fail the singleton test."""
     collisions = 0
-    for store in sketch._tables[level]:
-        for signature in store.values():
-            if signature.recover_singleton() is None:
-                collisions += 1
+    for at_level, _, _, signature in sketch._iter_signatures():
+        if at_level == level and signature.recover_singleton() is None:
+            collisions += 1
     return collisions
 
 
@@ -186,27 +185,30 @@ class TestSlabDecodeDifferential:
             )
 
 
+def slab_decode(arena: SignatureArena) -> Tuple[Dict[int, int], int]:
+    """``{key: code}`` of the arena's singleton rows, plus collisions."""
+    keys, codes = arena.decode_slab()
+    decoded = dict(zip(keys.tolist(), codes.tolist()))
+    return decoded, len(arena) - len(decoded)
+
+
 class TestArenaSlabKernel:
     def test_empty_arena_decodes_empty(self):
         arena = SignatureArena(pair_bits=8, range_size=16)
-        assert arena.decode_slab() == ([], 0)
+        assert slab_decode(arena) == ({}, 0)
 
     def test_freed_rows_are_excluded(self):
         arena = SignatureArena(pair_bits=8, range_size=16)
         arena.update(3, 0b1010, 1)
         arena.update(5, 0b0011, 1)
         arena.update(3, 0b1010, -1)  # nets bucket 3 back to zero
-        codes, collisions = arena.decode_slab()
-        assert codes == [0b0011]
-        assert collisions == 0
+        assert slab_decode(arena) == ({5: 0b0011}, 0)
 
     def test_collision_rows_counted_not_decoded(self):
         arena = SignatureArena(pair_bits=8, range_size=16)
         arena.update(3, 0b1010, 1)
         arena.update(3, 0b0101, 1)
-        codes, collisions = arena.decode_slab()
-        assert codes == []
-        assert collisions == 1
+        assert slab_decode(arena) == ({}, 1)
 
     def test_view_cache_survives_growth_and_pickle(self):
         arena = SignatureArena(pair_bits=8, range_size=16)
@@ -225,8 +227,10 @@ class TestArenaSlabKernel:
         # stale copied view.
         twin = pickle.loads(pickle.dumps(arena))
         twin.update(1, 0b1, -1)
-        assert twin.decode_slab()[0] != arena.decode_slab()[0]
-        assert sorted(arena.decode_slab()[0]) == [1] + list(range(2, 10))
+        assert slab_decode(twin) != slab_decode(arena)
+        assert slab_decode(arena)[0] == {
+            key: key for key in range(1, 10)
+        }
 
 
 class TestShardedBaseTopk:

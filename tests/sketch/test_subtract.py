@@ -3,10 +3,10 @@
 Linearity (Section 3) promises that subtracting the sketch of a
 sub-stream leaves *exactly* the sketch of the remaining updates — the
 invariant the sliding-window engine rests on.  These tests pin it at
-every layer: ``CountSignature.subtract``, ``SignatureArena
-.subtract_signature``, ``DistinctCountSketch.subtract`` (vectorized
-packed×packed path, scalar reference path, and the mixed-backend
-fallbacks), and the tracking subclass's sample rebuild.
+every layer: ``CountSignature.subtract``, a negated ``SignatureArena
+.fold``, ``DistinctCountSketch.subtract`` (vectorized packed path,
+scalar reference path, and mixed-backend operands), and the tracking
+subclass's sample state.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+import numpy as np
 import pytest
 
 from repro.exceptions import MergeError
@@ -77,14 +78,22 @@ class TestSignatureSubtract:
             CountSignature(8).subtract(CountSignature(9))
 
 
+def fold_signature(
+    arena: SignatureArena, key: int, signature: CountSignature, sign: int
+) -> None:
+    """Fold ``sign`` times one signature's counters into ``key``."""
+    row = sign * np.array([signature.counter_values()], dtype=np.int64)
+    arena.fold(np.array([key], dtype=np.int64), row)
+
+
 class TestArenaSubtract:
     def test_subtract_prunes_zeroed_rows(self) -> None:
         arena = SignatureArena(8, 16)
         signature = CountSignature(8)
         signature.update(0b11, 5)
-        arena.merge_signature(3, signature)
+        fold_signature(arena, 3, signature, +1)
         assert len(arena) == 1
-        arena.subtract_signature(3, signature)
+        fold_signature(arena, 3, signature, -1)
         assert len(arena) == 0
 
     def test_subtract_on_empty_bucket_goes_negative(self) -> None:
@@ -93,9 +102,9 @@ class TestArenaSubtract:
         arena = SignatureArena(8, 16)
         signature = CountSignature(8)
         signature.update(0b1, 2)
-        arena.subtract_signature(7, signature)
+        fold_signature(arena, 7, signature, -1)
         assert arena[7].total == -2
-        arena.merge_signature(7, signature)
+        fold_signature(arena, 7, signature, +1)
         assert len(arena) == 0
 
 

@@ -83,6 +83,9 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     ("repro.sketch", "ShardedSketch.combined"),
     ("repro.sketch", "SignatureArena.decode_slab"),
     ("repro.sketch", "SignatureArena.view2d"),
+    # packed fold surface (batch engine, merges, delta sync)
+    ("repro.sketch", "SignatureArena.fold"),
+    ("repro.sketch", "DistinctCountSketch.apply_bucket_deltas"),
     # sliding-window surface (subtract-merge kernel + engine + watch)
     ("repro.sketch", "DistinctCountSketch.subtract"),
     ("repro.monitor", "SlidingWindowSketch.observe"),
