@@ -187,11 +187,12 @@ class FloatInCounterPathRule(Rule):
         "repro.sketch.arena": None,
         "repro.sketch.dcs": frozenset(
             {"update", "insert", "delete", "process", "process_stream",
-             "update_batch", "_encode_batch", "_update_pair",
-             "_apply_pair", "_fold_pass", "_key_runs", "_sum_runs", "_fold",
-             "apply_bucket_deltas", "merge", "subtract", "_add_counters",
-             "_export_rows"}
+             "update_batch", "encode_batch", "update_encoded",
+             "_update_pair", "_apply_pair", "_fold_pass", "_key_runs",
+             "_sum_runs", "_fold", "apply_bucket_deltas", "merge",
+             "subtract", "_add_counters", "_export_rows"}
         ),
+        "repro.sketch.sharded": frozenset({"route"}),
         "repro.sketch.tracking": frozenset(
             {"_apply_pair", "_fold", "_add_singleton_occurrence",
              "_remove_singleton_occurrence"}

@@ -48,6 +48,12 @@ class TcpFlag(enum.IntFlag):
     RST = 8
 
 
+# Plain-int masks: ``enum.IntFlag`` ``&``/``|`` build a flag member per
+# operation, which dominated the per-record conversion cost.
+_SYN = int(TcpFlag.SYN)
+_COMPLETION = int(TcpFlag.ACK | TcpFlag.RST)
+_OPEN_MASK = _SYN | _COMPLETION
+
 _KIND_TO_FLAGS = {
     PacketKind.SYN: TcpFlag.SYN,
     PacketKind.SYN_ACK: TcpFlag.SYN | TcpFlag.ACK,
@@ -79,16 +85,12 @@ class FlowRecord:
     @property
     def is_half_open(self) -> bool:
         """SYN seen but no completing ACK and no reset/close."""
-        return (
-            bool(self.flags & TcpFlag.SYN)
-            and not self.flags & TcpFlag.ACK
-            and not self.flags & TcpFlag.RST
-        )
+        return int(self.flags) & _OPEN_MASK == _SYN
 
     @property
     def completes_handshake(self) -> bool:
         """The record carries the client ACK (or RST teardown)."""
-        return bool(self.flags & (TcpFlag.ACK | TcpFlag.RST))
+        return bool(int(self.flags) & _COMPLETION)
 
 
 class RecordExporter:
@@ -196,15 +198,18 @@ def records_to_updates(
     half_open: Set[Tuple[int, int]] = set()
     for record in records:
         key = (record.source, record.dest)
-        if record.is_half_open:
+        # The flags as a plain int, tested against int masks (the
+        # ``is_half_open`` / ``completes_handshake`` rules).
+        flags = int(record.flags)
+        if flags & _OPEN_MASK == _SYN:
             if key not in half_open:
                 half_open.add(key)
                 yield FlowUpdate(record.source, record.dest, +1)
-        elif record.completes_handshake:
+        elif flags & _COMPLETION:
             if key in half_open:
                 half_open.discard(key)
                 yield FlowUpdate(record.source, record.dest, -1)
-            elif record.flags & TcpFlag.SYN:
+            elif flags & _SYN:
                 # Self-contained: SYN and completion in one record.
                 # Net contribution is zero; emit nothing.
                 continue

@@ -7,7 +7,10 @@ supervisor closes that hole with three cooperating mechanisms:
 * a single **global WAL** of the routed stream — routing is a
   deterministic function of ``(seq, update)`` (round-robin is
   ``seq % shards``; by-destination is a stateless hash), so any
-  shard's sub-stream can be re-derived from the log alone;
+  shard's sub-stream can be re-derived from the log alone.  Live
+  batches and replayed ones go through the same whole-batch router
+  (:meth:`~repro.sketch.sharded.ShardedSketch.route`, positioned at
+  the batch's first sequence number);
 * **per-shard checkpoints** (labels ``shard-0`` … ``shard-N-1``) taken
   from worker snapshots, each manifest recording the global WAL
   position it is aligned to;
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Any, Callable, Iterable, List, Optional, Union
 
 from ..exceptions import ParameterError
 from ..obs.catalog import WAL_RECORDS_REPLAYED, WORKER_RESTARTS
@@ -37,6 +40,7 @@ from ..obs.recorder import current_recorder
 from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import span as trace_span
 from ..sketch import serialize
+from ..sketch.dcs import encode_batch
 from ..sketch.estimate import TopKResult
 from ..sketch.process_pool import PoolUnavailable, WorkerDied
 from ..sketch.sharded import ShardedSketch
@@ -44,7 +48,7 @@ from ..sketch.tracking import TrackingDistinctCountSketch
 from ..types import FlowUpdate, cut_stream
 from .checkpoint import CheckpointInfo, CheckpointStore
 from .durable import CHECKPOINT_SUBDIR, REPLAY_BATCH, WAL_SUBDIR
-from .wal import WriteAheadLog
+from .wal import WalCorruption, WriteAheadLog
 
 
 def _shard_label(index: int) -> str:
@@ -147,20 +151,6 @@ class ShardSupervisor:
                 self.wal.close()
                 raise
 
-    # -- routing -----------------------------------------------------------------
-
-    def _route(self, seq: int, update: FlowUpdate) -> int:
-        """Shard of the update with global sequence number ``seq``.
-
-        Deterministic in ``(seq, update)`` so replay re-derives the
-        exact original partition: round-robin is position modulo
-        shards; by-destination is the sharded sketch's stateless route
-        hash.
-        """
-        if self.sharded.policy == "round-robin":
-            return seq % self.sharded.num_shards
-        return self.sharded.shard_for(update)
-
     # -- ingestion ---------------------------------------------------------------
 
     def process(self, update: FlowUpdate) -> None:
@@ -170,9 +160,13 @@ class ShardSupervisor:
     def update_batch(self, updates: Iterable[FlowUpdate]) -> int:
         """Log a batch as one WAL record, then route it shard-by-shard.
 
-        A shard whose worker turns out to be dead is recovered inline
-        (respawn + checkpoint restore + WAL-tail replay, which includes
-        this very batch — already logged); ingestion then continues.
+        The batch is encoded and validated first, so a malformed update
+        raises before anything is logged or routed.  Routing is the
+        sharded sketch's whole-batch router positioned at the record's
+        first sequence number, one frame per touched shard.  A shard
+        whose worker turns out to be dead is recovered inline (respawn
+        + checkpoint restore + WAL-tail replay, which includes this
+        very batch — already logged); ingestion then continues.
         Returns the number of updates ingested.
         """
         if self._closed:
@@ -180,17 +174,14 @@ class ShardSupervisor:
         batch = list(updates)
         if not batch:
             return 0
+        codes, deltas = encode_batch(self.sharded.domain, batch)
         first = self.wal.append_batch(batch)
-        groups: List[List[FlowUpdate]] = [
-            [] for _ in range(self.sharded.num_shards)
-        ]
-        for offset, update in enumerate(batch):
-            groups[self._route(first + offset, update)].append(update)
-        for index, group in enumerate(groups):
-            if not group:
+        frames = self.sharded.route(codes, deltas, first)
+        for index, (shard_codes, shard_deltas) in enumerate(frames):
+            if not len(shard_codes):
                 continue
-            self._routed[index] += len(group)
-            self._send(index, group)
+            self._routed[index] += len(shard_codes)
+            self._send(index, shard_codes, shard_deltas)
         self._since_checkpoint += len(batch)
         if (
             self.checkpoint_every
@@ -208,10 +199,11 @@ class ShardSupervisor:
             total += self.update_batch(chunk)
         return total
 
-    def _send(self, index: int, group: List[FlowUpdate]) -> None:
-        """Feed one shard, detecting and recovering a dead worker."""
+    def _send(self, index: int, codes: Any, deltas: Any) -> None:
+        """Feed one shard its frame, detecting and recovering a dead
+        worker."""
         try:
-            self.sharded.ingest_shard(index, group)
+            self.sharded.ingest_frame(index, codes, deltas)
             alive = self.sharded.worker_alive(index)
         except WorkerDied:
             alive = False
@@ -237,19 +229,35 @@ class ShardSupervisor:
     def _replay_shard(self, index: int, start_seq: int) -> int:
         """Re-apply the WAL tail routed to one shard; returns count.
 
+        The log is re-routed in chunks through the same router as live
+        ingest, each positioned at its first sequence number, and only
+        the shard's frame is applied.
+
         Raises:
             WorkerDied: when the freshly-respawned worker dies again
                 mid-replay (the caller retries with backoff).
+            WalCorruption: when the replayed sequence numbers have a
+                gap (a lost segment): the partition could not be
+                re-derived.
         """
         replayed = 0
-        routed = (
-            update
-            for seq, update in self.wal.replay(start_seq)
-            if self._route(seq, update) == index
-        )
+        sharded = self.sharded
         with trace_span("recovery.replay"):
-            for chunk in cut_stream(routed, REPLAY_BATCH):
-                replayed += self.sharded.ingest_shard(index, chunk)
+            for chunk in cut_stream(self.wal.replay(start_seq), REPLAY_BATCH):
+                first = chunk[0][0]
+                if chunk[-1][0] - first != len(chunk) - 1:
+                    raise WalCorruption(
+                        f"WAL sequence gap in records {first}..{chunk[-1][0]}"
+                    )
+                codes, deltas = encode_batch(
+                    sharded.domain, [update for _, update in chunk]
+                )
+                shard_codes, shard_deltas = sharded.route(
+                    codes, deltas, first
+                )[index]
+                replayed += sharded.ingest_frame(
+                    index, shard_codes, shard_deltas
+                )
         if replayed:
             self._obs_replayed.inc(replayed)
         return replayed

@@ -102,7 +102,7 @@ class SignatureArena:
     __slots__ = (
         "pair_bits", "stride", "range_size",
         "_buf", "_slots", "_key_of", "_free", "_zeros", "_dense",
-        "_view", "_dirty",
+        "_view", "_marked", "_blocks",
     )
 
     def __init__(self, pair_bits: int, range_size: int) -> None:
@@ -132,9 +132,12 @@ class SignatureArena:
         # Cached buffer view (see view2d); dropped before any growth.
         self._view: Any = None
         # Dirty-key index for delta propagation (None = tracking off):
-        # key -> the row's counter values at the moment the key was
-        # first touched after the last drain (its baseline).
-        self._dirty: Optional[Dict[int, List[int]]] = None
+        # one bool per key, set on the key's first touch since the last
+        # drain, when its counter row before that touch (its baseline)
+        # is appended to ``_blocks`` as part of a ``(keys, baseline
+        # rows)`` block.
+        self._marked: Any = None
+        self._blocks: List[Tuple[Any, Any]] = []
 
     # -- slot management -----------------------------------------------------
 
@@ -193,67 +196,98 @@ class SignatureArena:
         *baseline* (its counter row before the first touch since the
         last drain), so :meth:`drain_deltas` can ship exact signed
         counter deltas instead of full state.  Off by default: only
-        shard workers pay the bookkeeping.
+        shard workers pay the bookkeeping (one bool per key plus the
+        baseline rows of the keys touched since the last drain).
         """
-        if enabled:
-            if self._dirty is None:
-                self._dirty = {}
-        else:
-            self._dirty = None
+        if not enabled:
+            self._marked = None
+            self._blocks = []
+        elif self._marked is None:
+            self._marked = _np.zeros(self.range_size, dtype=bool)
 
     def reset_deltas(self) -> None:
         """Forget all recorded baselines (a full sync just shipped)."""
-        if self._dirty is not None:
-            self._dirty.clear()
+        if self._marked is not None:
+            self._marked.fill(False)
+        self._blocks = []
 
-    def _note_key(self, dirty: Dict[int, List[int]], key: int) -> None:
-        """Record ``key``'s baseline row on first touch since drain."""
-        if key in dirty:
+    def _mark_dirty(self, keys: Any, before: Any) -> None:  # hot-path
+        """Record baselines for the first-touched of ``keys``.
+
+        ``keys`` is an int64 ndarray of distinct keys and ``before``
+        their ``(len(keys), stride)`` counter rows as they stand before
+        this touch; the rows of keys not yet marked since the last
+        drain are copied into a new block.
+        """
+        marked = self._marked
+        fresh = ~marked[keys]
+        if bool(fresh.all()):
+            self._blocks.append((keys.copy(), before.copy()))
+        elif bool(fresh.any()):
+            self._blocks.append((keys[fresh], before[fresh]))
+        else:
+            return
+        marked[keys] = True
+
+    def _note_key(self, key: int) -> None:
+        """Record ``key``'s baseline row on first touch since drain
+        (tracking must be on)."""
+        if self._marked[key]:
             return
         slot = self._slots.get(key)
-        if slot is None:
-            dirty[key] = self._zeros.tolist()
-        else:
-            base = slot * self.stride
-            dirty[key] = self._buf[base:base + self.stride].tolist()
+        row = self._zeros if slot is None else self._buf[
+            slot * self.stride:(slot + 1) * self.stride
+        ]
+        self._mark_dirty(
+            _np.array([key], dtype=_np.int64),
+            _np.frombuffer(row, dtype=_np.int64).reshape(1, self.stride),
+        )
+
+    def _slots_of(self, keys: Any) -> Any:
+        """Slot index per key (int64 ndarray, -1 where unoccupied)."""
+        if self._dense is not None:
+            return self._dense[keys]
+        owners = self.slot_keys()
+        if not len(owners):
+            return _np.full(len(keys), -1, dtype=_np.int64)
+        order = _np.argsort(owners)
+        ranked = owners[order]
+        where = _np.minimum(_np.searchsorted(ranked, keys), len(ranked) - 1)
+        return _np.where(ranked[where] == keys, order[where], -1)
 
     # linear: delta extraction is exact counter subtraction (RL013)
-    def drain_deltas(self) -> Tuple[Any, Any]:
+    def drain_deltas(self) -> Tuple[Any, Any]:  # hot-path
         """Extract and clear the signed counter deltas since last drain.
 
         Returns ``(keys, rows)`` as flat int64 ndarrays: ``rows`` holds
         one ``stride``-wide delta row per key, where each delta is the
         key's current counter minus its recorded baseline (zeros for
         keys that were empty, or that have been freed, at either end).
-        Keys whose deltas net to zero are skipped entirely — a
-        touched-then-reverted key costs no wire bytes.  Linearity makes
-        folding these rows into another sketch by addition exact
-        (Section 3).
+        Keys come in first-touch order.  Keys whose deltas net to zero
+        are skipped entirely — a touched-then-reverted key costs no
+        wire bytes.  Linearity makes folding these rows into another
+        sketch by addition exact (Section 3).
+
+        One gather of the dirty keys' current rows, one subtract of
+        their baselines, one drop of the all-zero rows.
         """
-        keys_out = array("q")
-        rows_out = array("q")
-        dirty = self._dirty
-        if dirty:
-            buf = self._buf
-            stride = self.stride
-            slots = self._slots
-            zeros = self._zeros
-            for key, baseline in dirty.items():
-                slot = slots.get(key)
-                if slot is None:
-                    current = zeros
-                else:
-                    base = slot * stride
-                    current = buf[base:base + stride]
-                row = [now - then for now, then in zip(current, baseline)]
-                if any(row):
-                    keys_out.append(key)
-                    rows_out.extend(row)
-            dirty.clear()
-        return (
-            _np.frombuffer(keys_out, dtype=_np.int64),
-            _np.frombuffer(rows_out, dtype=_np.int64),
-        )
+        blocks = self._blocks
+        if not blocks:
+            return (
+                _np.empty(0, dtype=_np.int64),
+                _np.empty(0, dtype=_np.int64),
+            )
+        self._blocks = []
+        keys = _np.concatenate([block[0] for block in blocks])
+        deltas = _np.concatenate([block[1] for block in blocks])
+        _np.negative(deltas, out=deltas)
+        self._marked[keys] = False
+        slots = self._slots_of(keys)
+        held = _np.flatnonzero(slots >= 0)
+        if len(held):
+            deltas[held] += self.view2d()[slots[held]]
+        moved = deltas.any(axis=1)
+        return keys[moved], deltas[moved].reshape(-1)
 
     def export_rows(self) -> Tuple[Any, Any]:
         """Every occupied key's full counter row, as flat int64 ndarrays.
@@ -283,9 +317,8 @@ class SignatureArena:
                 f"pair code {pair_code} needs more than "
                 f"{self.pair_bits} bits"
             )
-        dirty = self._dirty
-        if dirty is not None:
-            self._note_key(dirty, key)
+        if self._marked is not None:
+            self._note_key(key)
         slot = self._slots.get(key)
         if slot is None:
             slot = self._allocate(key)
@@ -433,12 +466,8 @@ class SignatureArena:
         _np.take(view, slots, axis=0, out=before)
         _np.add(before, rows, out=after)
         view[slots] = after
-        dirty = self._dirty
-        if dirty is not None:
-            baselines = before.tolist()
-            for position, key in enumerate(keys.tolist()):
-                if key not in dirty:
-                    dirty[key] = baselines[position]
+        if self._marked is not None:
+            self._mark_dirty(keys, before)
         zero = ~after.any(axis=1)
         if bool(zero.any()):
             release = self._release
@@ -523,9 +552,8 @@ class SignatureArena:
                 f"signature width {signature.pair_bits} does not match "
                 f"arena width {self.pair_bits}"
             )
-        dirty = self._dirty
-        if dirty is not None:
-            self._note_key(dirty, key)
+        if self._marked is not None:
+            self._note_key(key)
         if signature.is_zero:
             # Keep the store invariant: absent always means empty.
             if key in self._slots:
@@ -545,9 +573,8 @@ class SignatureArena:
         slot = self._slots.get(key)
         if slot is None:
             raise KeyError(key)
-        dirty = self._dirty
-        if dirty is not None:
-            self._note_key(dirty, key)
+        if self._marked is not None:
+            self._note_key(key)
         buf = self._buf
         base = slot * self.stride
         for offset in range(base, base + self.stride):
@@ -609,11 +636,12 @@ class SignatureArena:
         return {
             name: getattr(self, name)
             for name in self.__slots__
-            if name not in ("_view", "_dirty")
+            if name not in ("_view", "_marked", "_blocks")
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        self._dirty = None
+        self._marked = None
+        self._blocks = []
         for name, value in state.items():
             setattr(self, name, value)
         self._view = None

@@ -116,6 +116,44 @@ def _sum_runs(rows: Any, picks: Any, starts: Any) -> Any:  # hot-path
     return sums
 
 
+def encode_batch(
+    domain: AddressDomain, batch: List[FlowUpdate]
+) -> Tuple[Any, Any]:  # hot-path
+    """Pair codes and deltas of a whole batch, before any counter moves.
+
+    The one validating encoder of every batch path (sketches and shard
+    routers alike).  A clean batch — integer addresses inside the
+    domain, pair codes of at most 64 bits — is encoded with numpy:
+    sources and destinations are gathered, range-checked, then shifted
+    and or-ed into uint64 codes, with int64 deltas.  Any other batch
+    goes through the scalar :meth:`~repro.types.AddressDomain.
+    encode_pair`, which raises the :class:`~repro.exceptions.
+    DomainError` or ``TypeError`` per-update processing raises; what
+    it accepts comes back as two lists (codes and deltas).
+    """
+    try:
+        # No dtype: numpy must not coerce a float address to int.
+        columns = _np.array([(u.source, u.dest, u.delta) for u in batch])
+    except ValueError:
+        columns = None
+    if (
+        columns is not None
+        and columns.ndim == 2
+        and columns.dtype.kind in "iu"
+        and domain.pair_bits <= 64
+    ):
+        addresses = columns[:, :2]
+        if addresses.min() >= 0 and addresses.max() < domain.m:
+            addresses = addresses.astype(_np.uint64)
+            codes = (
+                addresses[:, 0] << _np.uint64(domain.address_bits)
+            ) | addresses[:, 1]
+            return codes, columns[:, 2].astype(_np.int64)
+    encode = domain.encode_pair
+    pairs = [encode(u.source, u.dest) for u in batch]
+    return pairs, [u.delta for u in batch]
+
+
 class DistinctCountSketch:
     """Delete-resistant synopsis for top-k distinct-source frequencies.
 
@@ -303,82 +341,62 @@ class DistinctCountSketch:
 
         Bit-identical to processing the batch one update at a time (the
         sketch is a linear transform of the update multiset).  The whole
-        batch is encoded before any counter moves, so a batch holding a
-        malformed update raises what per-update :meth:`process` raises
-        and leaves the sketch untouched.  On the packed backend the
-        encoded batch is folded into the slab in passes of at most
-        :data:`FOLD_PASS` updates (:meth:`_fold_pass`); the
-        insert/delete observability counters receive one aggregated
-        ``inc(n)`` each.  Returns the number of updates applied.
+        batch is encoded (:func:`encode_batch`) before any counter
+        moves, so a batch holding a malformed update raises what
+        per-update :meth:`process` raises and leaves the sketch
+        untouched; the encoded batch is then applied by
+        :meth:`update_encoded`.  Returns the number of updates applied.
         """
         with trace_span("sketch.update_batch"):
             batch = updates if isinstance(updates, list) else list(updates)
-            count = len(batch)
-            if not count:
+            if not batch:
                 return 0
-            codes, deltas = self._encode_batch(batch)
-            if self._slab is not None and not isinstance(codes, list):
-                for lo in range(0, count, FOLD_PASS):
-                    hi = lo + FOLD_PASS
-                    self._fold_pass(codes[lo:hi], deltas[lo:hi])
-                inserts = int(_np.count_nonzero(deltas > 0))
-            else:
-                # Per-pair path: the reference store, pair domains wider
-                # than 64 bits, and batches only the scalar encoder
-                # accepts.
-                if not isinstance(codes, list):
-                    codes = codes.tolist()
-                    deltas = deltas.tolist()
-                apply_pair = self._apply_pair
-                inserts = 0
-                for index in range(count):
-                    delta = deltas[index]
-                    apply_pair(codes[index], delta)
-                    if delta > 0:
-                        inserts += 1
-            self.updates_processed += count
-            deletes = count - inserts
-            self.net_total += inserts - deletes
-            if inserts:
-                self._obs_inserts.inc(inserts)
-            if deletes:
-                self._obs_deletes.inc(deletes)
-            return count
+            codes, deltas = encode_batch(self.domain, batch)
+            return self.update_encoded(codes, deltas)
 
-    def _encode_batch(self, batch: List[FlowUpdate]) -> Tuple[Any, Any]:  # hot-path
-        """Pair codes and deltas of a whole batch, before any counter moves.
+    def update_encoded(self, codes: Any, deltas: Any) -> int:  # hot-path
+        """Apply a batch already encoded by :func:`encode_batch`.
 
-        A clean batch — integer addresses inside the domain, pair codes
-        of at most 64 bits — is encoded with numpy: sources and
-        destinations are gathered, range-checked, then shifted and or-ed
-        into uint64 codes, with int64 deltas.  Any other batch goes
-        through the scalar :meth:`~repro.types.AddressDomain.encode_pair`,
-        which raises the :class:`~repro.exceptions.DomainError` or
-        ``TypeError`` per-update processing raises; what it accepts
-        comes back as two lists (codes and deltas).
+        The half of :meth:`update_batch` that runs after encoding — what
+        shard workers run on the frames their router sends.  ``codes``
+        and ``deltas`` are a uint64 and an int64 ndarray, or two lists
+        (the scalar encoder's output); the pair codes must lie inside
+        the domain.  On the packed backend ndarray batches are folded
+        into the slab in passes of at most :data:`FOLD_PASS` updates
+        (:meth:`_fold_pass`); the insert/delete observability counters
+        receive one aggregated ``inc(n)`` each.  Returns the number of
+        updates applied.
         """
-        domain = self.domain
-        try:
-            # No dtype: numpy must not coerce a float address to int.
-            columns = _np.array([(u.source, u.dest, u.delta) for u in batch])
-        except ValueError:
-            columns = None
-        if (
-            columns is not None
-            and columns.ndim == 2
-            and columns.dtype.kind in "iu"
-            and self.params.pair_bits <= 64
-        ):
-            addresses = columns[:, :2]
-            if addresses.min() >= 0 and addresses.max() < domain.m:
-                addresses = addresses.astype(_np.uint64)
-                codes = (
-                    addresses[:, 0] << _np.uint64(domain.address_bits)
-                ) | addresses[:, 1]
-                return codes, columns[:, 2].astype(_np.int64)
-        encode = domain.encode_pair
-        pairs = [encode(u.source, u.dest) for u in batch]
-        return pairs, [u.delta for u in batch]
+        count = len(codes)
+        if not count:
+            return 0
+        if self._slab is not None and not isinstance(codes, list):
+            for lo in range(0, count, FOLD_PASS):
+                hi = lo + FOLD_PASS
+                self._fold_pass(codes[lo:hi], deltas[lo:hi])
+            inserts = int(_np.count_nonzero(deltas > 0))
+        else:
+            # Per-pair path: the reference store, pair domains wider
+            # than 64 bits, and batches only the scalar encoder
+            # accepts.
+            if not isinstance(codes, list):
+                codes = codes.tolist()
+                deltas = deltas.tolist()
+            apply_pair = self._apply_pair
+            inserts = 0
+            for index in range(count):
+                delta = deltas[index]
+                apply_pair(codes[index], delta)
+                if delta > 0:
+                    inserts += 1
+        self.updates_processed += count
+        deletes = count - inserts
+        self.net_total += inserts - deletes
+        if inserts:
+            self._obs_inserts.inc(inserts)
+        if deletes:
+            self._obs_deletes.inc(deletes)
+        return count
 
     def _update_pair(self, pair: int, delta: int) -> None:
         """Apply one update for an encoded pair: the sketch hot path."""

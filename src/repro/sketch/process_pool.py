@@ -1,8 +1,9 @@
 """Worker-process pool backing ``ShardedSketch(backend="process")``.
 
 Each worker owns a private packed :class:`TrackingDistinctCountSketch`
-and drains a FIFO command pipe — ``ingest`` (a chunk of update tuples),
-``delta`` (ship the buckets touched since the last sync), ``snapshot``
+and drains a FIFO command pipe — ``ingest`` (one frame: the raw int64
+words of a batch's pair codes, then of its deltas), ``delta`` (ship the
+buckets touched since the last sync), ``snapshot``
 (serialize the whole sketch), ``load`` (replace it from a snapshot),
 ``obs``/``trace`` (observability pulls), ``close``.  All shard sketches
 share params and seed, so the parent combines them by bucket-wise
@@ -23,20 +24,18 @@ The pool prefers the ``fork`` start method (cheap, no import replay) and
 falls back to ``spawn``; if no start method is usable at all it raises
 :class:`PoolUnavailable` and the caller degrades to the synchronous
 backend.  No third-party dependencies: plain ``multiprocessing`` pipes
-carrying raw delta bytes and serialized snapshots.
+carrying raw frame and delta bytes and serialized snapshots.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from .._accel import np as _np
 from ..obs.trace import SpanDict
 from ..obs.trace import span as trace_span
 from .params import SketchParams
-
-#: Update tuple shipped over the pipe: ``(source, dest, delta)``.
-UpdateTuple = Tuple[int, int, int]
 
 
 class PoolUnavailable(RuntimeError):
@@ -55,6 +54,35 @@ class WorkerDied(RuntimeError):
             f"shard {shard} worker died{': ' + detail if detail else ''}"
         )
         self.shard = shard
+
+
+def frame_bytes(codes: Any, deltas: Any) -> bytes:
+    """One ingest frame as raw bytes: the batch's pair codes as uint64
+    words, then its deltas as int64 words (see :func:`read_frame`)."""
+    return b"".join((
+        _np.ascontiguousarray(codes, dtype=_np.uint64),
+        _np.ascontiguousarray(deltas, dtype=_np.int64),
+    ))
+
+
+def read_frame(payload: bytes) -> Tuple[Any, Any]:  # hot-path
+    """The ``(uint64 pair codes, int64 deltas)`` views of a frame.
+
+    Zero-copy (read-only views into ``payload``), for
+    :meth:`~repro.sketch.dcs.DistinctCountSketch.update_encoded`.
+
+    Raises:
+        ValueError: when the payload is not a whole number of
+            ``(code, delta)`` word pairs.
+    """
+    if len(payload) % 16:
+        raise ValueError(
+            f"ingest frame of {len(payload)} bytes is not whole "
+            "(code, delta) word pairs"
+        )
+    words = _np.frombuffer(payload, dtype=_np.int64)
+    count = len(words) // 2
+    return words[:count].view(_np.uint64), words[count:]
 
 
 def _track_slab_deltas(sketch: Any) -> None:
@@ -76,7 +104,6 @@ def _worker_main(
     from ..obs.catalog import WORKER_UPDATES
     from ..obs.registry import Registry
     from ..obs.trace import Tracer, install_tracer
-    from ..types import FlowUpdate
     from . import serialize
     from .tracking import TrackingDistinctCountSketch
 
@@ -106,10 +133,9 @@ def _worker_main(
                 break
             if command == "ingest":
                 with trace_span("worker.ingest"):
-                    sketch.update_batch(
-                        [FlowUpdate(s, d, delta) for s, d, delta in payload]
-                    )
-                updates_total.inc(len(payload))
+                    codes, deltas = read_frame(payload)
+                    sketch.update_encoded(codes, deltas)
+                updates_total.inc(len(codes))
             elif command == "snapshot":
                 conn.send(serialize.dumps(sketch))
             elif command == "delta":
@@ -310,17 +336,23 @@ class ProcessShardPool:
         self._connections[shard] = parent_conn
         self._processes[shard] = process
 
-    def ingest(self, shard: int, updates: Sequence[UpdateTuple]) -> None:
-        """Queue a chunk of update tuples on one worker (non-blocking).
+    def ingest(self, shard: int, codes: Any, deltas: Any) -> None:
+        """Queue one encoded batch on one worker (non-blocking).
+
+        ``codes``/``deltas`` are validated pair codes (at most 64 bits)
+        and their deltas — a :meth:`~repro.sketch.sharded.ShardedSketch.
+        route` frame or :func:`~repro.sketch.dcs.encode_batch` output;
+        they cross the pipe as one raw-bytes frame (:func:`frame_bytes`).
 
         Raises:
             WorkerDied: when the worker's pipe is broken.
         """
         if self._closed:
             raise PoolUnavailable("pool is closed")
+        payload = frame_bytes(codes, deltas)
         try:
             with trace_span("sharded.pipe_send"):
-                self._connections[shard].send(("ingest", list(updates)))
+                self._connections[shard].send(("ingest", payload))
         except (OSError, ValueError, BrokenPipeError) as error:
             raise WorkerDied(shard, str(error)) from error
 

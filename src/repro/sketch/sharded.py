@@ -22,10 +22,16 @@ and two execution backends:
   (Python threads would serialize on the GIL anyway; this backend is
   about partition/merge correctness);
 * ``process`` — each shard is a worker process holding a private
-  packed sketch (:mod:`repro.sketch.process_pool`), fed in chunks over
-  pipes.  If a pool cannot be started on the platform the sketch
-  silently degrades to ``sync`` (check the resolved :attr:`backend`
-  attribute).
+  packed sketch (:mod:`repro.sketch.process_pool`), fed one frame of
+  raw int64 pair codes and deltas per batch over its pipe.  If a pool
+  cannot be started on the platform the sketch silently degrades to
+  ``sync`` (check the resolved :attr:`backend` attribute).
+
+Routing works on whole arrays: a batch is encoded and validated once
+(:func:`~repro.sketch.dcs.encode_batch`, so a malformed update raises
+before any shard moves), every update's shard is computed at once
+(:meth:`ShardedSketch.route`), and one stable sort splits the batch
+into one ``(pair codes, deltas)`` frame per shard.
 
 The process backend syncs shard state by delta: workers track the
 buckets touched since the last sync and ship only those signed counter
@@ -40,7 +46,7 @@ bit-identical to a single-process sketch — the fuzz suite in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from .._accel import np as _np
 from ..exceptions import ParameterError
@@ -57,6 +63,7 @@ from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import current_tracer
 from ..obs.trace import span as trace_span
 from ..types import AddressDomain, FlowUpdate, cut_stream
+from .dcs import encode_batch
 from .estimate import TopKResult
 from .params import SketchParams
 from .process_pool import PoolUnavailable, ProcessShardPool, WorkerDied
@@ -159,7 +166,7 @@ class ShardedSketch:
         #: Router-side per-shard update tally (authoritative for the
         #: process backend, mirrors ``updates_processed`` for sync).
         self._shard_counts = [0] * shards
-        self._route = TabulationHash(
+        self._route_hash = TabulationHash(
             range_size=shards, seed=derive_seed(seed, "shard-route")
         )
         self._cursor = 0
@@ -192,9 +199,10 @@ class ShardedSketch:
         return self._num_shards
 
     def shard_for(self, update: FlowUpdate) -> int:
-        """The shard index this update routes to."""
+        """The shard index this update routes to (per-update routing:
+        :meth:`route` is its whole-batch form)."""
         if self.policy == "by-destination":
-            return self._route(update.dest)
+            return self._route_hash(update.dest)
         index = self._cursor
         self._cursor = (self._cursor + 1) % self._num_shards
         return index
@@ -203,34 +211,100 @@ class ShardedSketch:
         """Route one update to its shard."""
         self.ingest_shard(self.shard_for(update), [update])
 
-    def ingest_shard(
-        self, index: int, updates: Sequence[FlowUpdate]
-    ) -> int:
-        """Apply a pre-routed batch to one shard, bypassing routing.
+    def route(
+        self, codes: Any, deltas: Any, position: int
+    ) -> List[Tuple[Any, Any]]:  # hot-path
+        """Split an encoded batch into one ``(codes, deltas)`` frame per shard.
 
-        This is the primitive every ingest path (and the recovery
-        replay in :mod:`repro.resilience.supervisor`) funnels through:
-        it feeds the shard, maintains the per-shard tallies and
-        observability counters, and invalidates the :meth:`combined`
-        memo.  Returns the number of updates applied.
+        The whole-batch router.  ``codes``/``deltas`` are
+        :func:`~repro.sketch.dcs.encode_batch` output; ``position`` is
+        the stream position of the batch's first update, which the
+        ``round-robin`` policy maps to shard ``position % shards``
+        (``by-destination`` hashes each update's destination and
+        ignores it).  One stable argsort of the shard column keeps each
+        frame in stream order.  Frames are ndarray slices — uint64 pair
+        codes, int64 deltas — or, for pair codes wider than 64 bits
+        (the sync backend only), lists.  Reads no cursor: the caller
+        supplies the position.
+        """
+        count = len(codes)
+        shards = self._num_shards
+        wide = isinstance(codes, list)
+        if self.policy == "by-destination":
+            if wide:
+                mask = self.domain.m - 1
+                dests = _np.array(
+                    [code & mask for code in codes], dtype=_np.uint64
+                )
+            else:
+                dests = codes & _np.uint64(self.domain.m - 1)
+            owners = self._route_hash.hash_many(dests)
+        else:
+            owners = (_np.arange(count) + position % shards) % shards
+        order = _np.argsort(owners, kind="stable")
+        bounds = [0] + _np.cumsum(
+            _np.bincount(owners, minlength=shards)
+        ).tolist()
+        if wide:
+            picks = order.tolist()
+            codes = [codes[pick] for pick in picks]
+            deltas = [deltas[pick] for pick in picks]
+        else:
+            codes = codes[order]
+            deltas = deltas[order]
+        return [
+            (codes[lo:hi], deltas[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    def ingest_frame(self, index: int, codes: Any, deltas: Any) -> int:
+        """Apply one routed frame to one shard, bypassing routing.
+
+        The primitive every ingest path (and the recovery replay in
+        :mod:`repro.resilience.supervisor`) funnels through: it feeds
+        the shard — one raw-bytes pipe message on the process backend,
+        :meth:`~repro.sketch.dcs.DistinctCountSketch.update_encoded` on
+        sync — maintains the per-shard tallies and observability
+        counters, and invalidates the :meth:`combined` memo.  The
+        frame must come from :meth:`route` or
+        :func:`~repro.sketch.dcs.encode_batch` (it is not validated
+        again).  Returns the number of updates applied.
 
         Raises:
             WorkerDied: process backend, when the shard's worker pipe
                 is broken (the caller may :meth:`restore_shard`).
         """
-        group = list(updates)
-        if not group:
+        count = len(codes)
+        if not count:
             return 0
         if self._pool is not None:
-            self._pool.ingest(
-                index, [update.as_tuple() for update in group]
-            )
+            self._pool.ingest(index, codes, deltas)
         else:
-            self._shards[index].update_batch(group)
-        self._shard_counts[index] += len(group)
-        self._obs_shard_updates[index].inc(len(group))
+            self._shards[index].update_encoded(codes, deltas)
+        self._shard_counts[index] += count
+        self._obs_shard_updates[index].inc(count)
         self._combined_cache = None
-        return len(group)
+        return count
+
+    def ingest_shard(
+        self, index: int, updates: Sequence[FlowUpdate]
+    ) -> int:
+        """Apply a pre-routed batch to one shard, bypassing routing.
+
+        The batch is encoded and validated as a whole first (a
+        malformed update raises before the shard moves), then applied
+        as one frame by :meth:`ingest_frame`.  Returns the number of
+        updates applied.
+
+        Raises:
+            WorkerDied: process backend, when the shard's worker pipe
+                is broken (the caller may :meth:`restore_shard`).
+        """
+        batch = list(updates)
+        if not batch:
+            return 0
+        codes, deltas = encode_batch(self.domain, batch)
+        return self.ingest_frame(index, codes, deltas)
 
     def process_stream(
         self, updates: Iterable[FlowUpdate], batch_size: int = 1024
@@ -247,25 +321,30 @@ class ShardedSketch:
         return total
 
     def update_batch(self, updates: Iterable[FlowUpdate]) -> int:
-        """Route a batch of updates, one sub-batch per touched shard.
+        """Route a batch of updates, one frame per touched shard.
 
-        Equivalent to calling :meth:`process` per update (routing uses
-        the same per-update policy, so even the round-robin cursor
-        advances identically), but each shard receives its whole
-        sub-batch at once — one pipe message per shard on the process
-        backend, one :meth:`~repro.sketch.dcs.DistinctCountSketch.
-        update_batch` call per shard on the sync backend.  Returns the
+        Equivalent to calling :meth:`process` per update (the
+        round-robin cursor advances identically), but the batch is
+        encoded and validated once — a malformed update raises what
+        :meth:`~repro.sketch.dcs.DistinctCountSketch.update_batch`
+        raises before any shard, tally or worker moves — and routed
+        whole (:meth:`route`): one pipe message per touched shard on
+        the process backend, one
+        :meth:`~repro.sketch.dcs.DistinctCountSketch.update_encoded`
+        call per touched shard on the sync backend.  Returns the
         number of updates routed.
         """
-        groups: List[List[FlowUpdate]] = [
-            [] for _ in range(self._num_shards)
-        ]
-        shard_for = self.shard_for
-        for update in updates:
-            groups[shard_for(update)].append(update)
+        batch = updates if isinstance(updates, list) else list(updates)
+        if not batch:
+            return 0
+        codes, deltas = encode_batch(self.domain, batch)
+        position = self._cursor
+        if self.policy == "round-robin":
+            self._cursor = (position + len(batch)) % self._num_shards
         count = 0
-        for index, group in enumerate(groups):
-            count += self.ingest_shard(index, group)
+        frames = self.route(codes, deltas, position)
+        for index, (shard_codes, shard_deltas) in enumerate(frames):
+            count += self.ingest_frame(index, shard_codes, shard_deltas)
         return count
 
     def combined(self) -> TrackingDistinctCountSketch:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple, TypeVar
 
 from .exceptions import DomainError, ParameterError, StreamError
 
@@ -130,9 +130,12 @@ def iter_updates(
         yield FlowUpdate(source, dest, delta)
 
 
+_Item = TypeVar("_Item")
+
+
 def cut_stream(
-    updates: Iterable[FlowUpdate], interval: int, position: int = 0
-) -> Iterator[List[FlowUpdate]]:
+    updates: Iterable[_Item], interval: int, position: int = 0
+) -> Iterator[List[_Item]]:
     """Cut a stream into lists that end at every multiple of ``interval``.
 
     Stream positions count from ``position`` (the updates a consumer

@@ -141,6 +141,34 @@ class TestRecordsToUpdates:
         records = [FlowRecord(1, 2, 1, TcpFlag.ACK, 0.0, 0.0)]
         assert list(records_to_updates(records)) == []
 
+    @pytest.mark.parametrize("pair_open", [False, True])
+    @pytest.mark.parametrize("bits", range(16))
+    def test_every_flag_combination_follows_the_rule(self, bits, pair_open):
+        # The documented rule, restated on plain bits: SYN=1, ACK=2,
+        # FIN=4, RST=8.
+        syn, ack, rst = bits & 1, bits & 2, bits & 8
+        half_open = bool(syn and not ack and not rst)
+        completes = bool(ack or rst)
+        if half_open:
+            expected = [] if pair_open else [+1]
+        elif completes and pair_open:
+            expected = [-1]
+        else:
+            expected = []
+        record = FlowRecord(1, 2, 1, TcpFlag(bits), 5.0, 5.0)
+        assert record.is_half_open is half_open
+        assert record.completes_handshake is completes
+        opener = [FlowRecord(1, 2, 1, TcpFlag.SYN, 0.0, 0.0)]
+        updates = list(
+            records_to_updates((opener if pair_open else []) + [record])
+        )
+        if pair_open:
+            assert updates[0].delta == +1
+            updates = updates[1:]
+        assert [(u.source, u.dest, u.delta) for u in updates] == [
+            (1, 2, delta) for delta in expected
+        ]
+
 
 class TestEndToEndAgreement:
     def test_record_path_agrees_with_packet_path_on_attack(self):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.exceptions import ParameterError
+from repro.exceptions import DomainError, ParameterError
 from repro.resilience import ShardSupervisor
 from repro.sketch import ShardedSketch, TrackingDistinctCountSketch
 from repro.types import AddressDomain, FlowUpdate
@@ -70,6 +70,27 @@ class TestIngestion:
             manifests = supervisor.checkpoints.manifests("shard-0")
             assert manifests
             assert manifests[-1].wal_count >= 200
+
+    @pytest.mark.parametrize("policy", ["round-robin", "by-destination"])
+    def test_malformed_batch_is_neither_logged_nor_routed(
+        self, tmp_path, policy
+    ):
+        stream = random_stream(30, seed=4)
+        with ShardSupervisor(
+            make_bank(policy), tmp_path, sleep=NO_SLEEP
+        ) as supervisor:
+            supervisor.update_batch(stream)
+            routed = supervisor.routed_counts()
+            with pytest.raises(DomainError):
+                supervisor.update_batch(
+                    [FlowUpdate(1, 2, 1), FlowUpdate(3, 2 ** 20, 1)]
+                )
+            assert supervisor.wal.next_seq == 30
+            assert supervisor.routed_counts() == routed
+            supervisor.update_batch(stream[:5])
+            assert supervisor.combined().structurally_equal(
+                reference_for(stream + stream[:5])
+            )
 
     def test_empty_batch_is_a_noop(self, tmp_path):
         with ShardSupervisor(

@@ -8,13 +8,26 @@ import pytest
 
 from repro.sketch import ShardedSketch, TrackingDistinctCountSketch
 from repro.sketch import serialize
+from repro.sketch.dcs import encode_batch
 from repro.sketch.params import SketchParams
 from repro.sketch.process_pool import (
     PoolUnavailable,
     ProcessShardPool,
     WorkerDied,
+    frame_bytes,
+    read_frame,
 )
 from repro.types import AddressDomain, FlowUpdate
+
+DOMAIN = AddressDomain(2 ** 16)
+
+
+def frame(updates):
+    """The ``(codes, deltas)`` frame a router would send for ``updates``."""
+    return encode_batch(DOMAIN, list(updates))
+
+
+ONE = frame([FlowUpdate(1, 2, 1)])
 
 
 def random_stream(count, seed=0, dests=9):
@@ -26,7 +39,7 @@ def random_stream(count, seed=0, dests=9):
 
 
 def make_pool(shards=2):
-    params = SketchParams(AddressDomain(2 ** 16))
+    params = SketchParams(DOMAIN)
     try:
         return ProcessShardPool(params, 7, shards)
     except PoolUnavailable:
@@ -41,7 +54,7 @@ class TestLifecycle:
         assert not pool.is_alive(0)
         assert pool.pid(0) is None
         with pytest.raises(PoolUnavailable):
-            pool.ingest(0, [(1, 2, 1)])
+            pool.ingest(0, *ONE)
         with pytest.raises(PoolUnavailable):
             pool.snapshot(0)
         with pytest.raises(PoolUnavailable):
@@ -56,7 +69,7 @@ class TestLifecycle:
             os.kill(pool.pid(0), signal.SIGKILL)
             with pytest.raises(WorkerDied) as excinfo:
                 for _ in range(2048):  # fill the pipe until it breaks
-                    pool.ingest(0, [(1, 2, 1)])
+                    pool.ingest(0, *ONE)
                 pool.snapshot(0)
             assert excinfo.value.shard == 0
         finally:
@@ -69,7 +82,7 @@ class TestLifecycle:
         pool = make_pool()
         try:
             stream = random_stream(100, seed=1)
-            pool.ingest(0, [u.as_tuple() for u in stream])
+            pool.ingest(0, *frame(stream))
             payload = pool.snapshot(0)
             os.kill(pool.pid(0), signal.SIGKILL)
             old_pid = pool.pid(0)
@@ -88,11 +101,47 @@ class TestLifecycle:
     def test_respawn_without_payload_starts_empty(self):
         pool = make_pool()
         try:
-            pool.ingest(1, [(1, 2, 1)])
+            pool.ingest(1, *ONE)
             pool.snapshot(1)  # drain so the ingest definitely applied
             pool.respawn(1)
             fresh = serialize.loads(pool.snapshot(1))
             assert fresh.updates_processed == 0
+        finally:
+            pool.close()
+
+
+class TestFrames:
+    def test_frame_bytes_round_trip(self):
+        codes, deltas = frame(random_stream(50, seed=3) + [
+            FlowUpdate(7, 8, -1)
+        ])
+        payload = frame_bytes(codes, deltas)
+        assert isinstance(payload, bytes)
+        assert len(payload) == 16 * len(codes)
+        got_codes, got_deltas = read_frame(payload)
+        assert got_codes.dtype.name == "uint64"
+        assert got_deltas.dtype.name == "int64"
+        assert got_codes.tolist() == codes.tolist()
+        assert got_deltas.tolist() == deltas.tolist()
+
+    def test_partial_frame_is_rejected(self):
+        payload = frame_bytes(*ONE)
+        with pytest.raises(ValueError):
+            read_frame(payload[:-8])
+
+    def test_ingested_frames_match_one_sketch(self):
+        pool = make_pool()
+        try:
+            stream = random_stream(300, seed=8)
+            pool.ingest(0, *frame(stream[:120]))
+            pool.ingest(0, *frame(stream[120:]))
+            merged = serialize.loads(pool.snapshot(0))
+            reference = TrackingDistinctCountSketch(
+                DOMAIN, seed=7, backend="reference"
+            )
+            reference.update_batch(stream)
+            assert merged.structurally_equal(reference)
+            assert merged.updates_processed == 300
         finally:
             pool.close()
 

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from repro.exceptions import ParameterError
+from repro.exceptions import DomainError, ParameterError
 from repro.sketch import ShardedSketch, TrackingDistinctCountSketch
 from repro.types import AddressDomain, FlowUpdate
+
+POLICIES = ["round-robin", "by-destination"]
 
 
 @pytest.fixture
@@ -174,6 +176,140 @@ class TestBatchedIngestion:
         single.process_stream(stream)
         assert sharded.shard(0).backend == "packed"
         assert sharded.combined().structurally_equal(single)
+
+
+def bank_or_skip(domain, backend, **kwargs):
+    sharded = ShardedSketch(domain, backend=backend, **kwargs)
+    if sharded.backend != backend:
+        sharded.close()
+        pytest.skip("multiprocessing unavailable on this platform")
+    return sharded
+
+
+class TestRouter:
+    """The whole-batch router against per-update ``process()``."""
+
+    @pytest.mark.parametrize("size", [0, 1, 250, 1025])
+    @pytest.mark.parametrize("backend", ["sync", "process"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_batches_route_like_per_update(
+        self, domain, policy, backend, size
+    ):
+        head = random_stream(2 * size + 1, seed=size)
+        # Three consecutive batches (the third deletes the first), then
+        # one more update, so the round-robin cursor must carry across
+        # every batch boundary.
+        batches = [
+            head[:size],
+            head[size:2 * size],
+            [update.inverted() for update in head[:size]],
+        ]
+        tail = head[-1]
+        loop = ShardedSketch(domain, shards=3, policy=policy, seed=9)
+        with bank_or_skip(
+            domain, backend, shards=3, policy=policy, seed=9
+        ) as sharded:
+            for batch in batches:
+                assert sharded.update_batch(batch) == len(batch)
+                for update in batch:
+                    loop.process(update)
+                assert sharded.shard_update_counts() == (
+                    loop.shard_update_counts()
+                )
+            sharded.process(tail)
+            loop.process(tail)
+            assert sharded.shard_update_counts() == loop.shard_update_counts()
+            for index in range(3):
+                assert sharded.shard(index).structurally_equal(
+                    loop.shard(index)
+                )
+            reference = TrackingDistinctCountSketch(
+                domain, seed=9, backend="reference"
+            )
+            reference.update_batch(
+                [update for batch in batches for update in batch] + [tail]
+            )
+            assert sharded.combined().structurally_equal(reference)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_pair_codes_wider_than_64_bits(self, policy):
+        wide = AddressDomain(2 ** 33)
+        rng = random.Random(4)
+        stream = [
+            FlowUpdate(rng.randrange(2 ** 33), rng.randrange(40), +1)
+            for _ in range(300)
+        ]
+        sharded = ShardedSketch(wide, shards=3, policy=policy, seed=4)
+        loop = ShardedSketch(wide, shards=3, policy=policy, seed=4)
+        sharded.update_batch(stream[:250])
+        sharded.update_batch(stream[250:])
+        for update in stream:
+            loop.process(update)
+        assert sharded.shard_update_counts() == loop.shard_update_counts()
+        for index in range(3):
+            assert sharded.shard(index).structurally_equal(loop.shard(index))
+        reference = TrackingDistinctCountSketch(
+            wide, seed=4, backend="reference"
+        )
+        reference.update_batch(stream)
+        assert sharded.combined().structurally_equal(reference)
+
+
+class TestMalformedBatches:
+    """A malformed update raises what ``DistinctCountSketch.update_batch``
+    raises before any shard, tally or worker moves."""
+
+    @staticmethod
+    def bad_update(domain, kind):
+        """A malformed update that ``by-destination`` routes to the last
+        of two shards, behind good updates for the first."""
+        router = ShardedSketch(domain, shards=2, seed=9)
+        for dest in range(64):
+            if kind == "out-of-domain":
+                bad = FlowUpdate(5, domain.m + dest, 1)
+            else:
+                bad = FlowUpdate(5.5, dest, 1)
+            if router.shard_for(bad) == 1:
+                return bad
+        raise AssertionError("no destination routes to shard 1")
+
+    @pytest.mark.parametrize(
+        "kind,error",
+        [("out-of-domain", DomainError), ("float", TypeError)],
+    )
+    @pytest.mark.parametrize("backend", ["sync", "process"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bad_batch_moves_nothing(
+        self, domain, policy, backend, kind, error
+    ):
+        batch = [FlowUpdate(1, dest, 1) for dest in range(8)]
+        batch.append(self.bad_update(domain, kind))
+        with pytest.raises(error):
+            TrackingDistinctCountSketch(domain, seed=9).update_batch(batch)
+        warmup = random_stream(40, seed=3)
+        loop = ShardedSketch(domain, shards=2, policy=policy, seed=9)
+        with bank_or_skip(
+            domain, backend, shards=2, policy=policy, seed=9
+        ) as sharded:
+            sharded.update_batch(warmup)
+            before = sharded.combined().copy()
+            counts = sharded.shard_update_counts()
+            with pytest.raises(error):
+                sharded.update_batch(batch)
+            with pytest.raises(error):
+                sharded.ingest_shard(0, batch)
+            assert sharded.shard_update_counts() == counts
+            assert sharded.worker_alive(0) and sharded.worker_alive(1)
+            after = sharded.combined()
+            assert after.structurally_equal(before)
+            assert after.updates_processed == before.updates_processed
+            # The bank keeps routing exactly as if the batch never came.
+            good = FlowUpdate(1, 2, 1)
+            sharded.process(good)
+            for update in warmup + [good]:
+                loop.process(update)
+            assert sharded.shard_update_counts() == loop.shard_update_counts()
+            assert sharded.combined().structurally_equal(loop.combined())
 
 
 class TestProcessBackend:
