@@ -16,9 +16,9 @@ The comparison is fair by construction:
   subepoch_length`` equals the rotator's ``(window_epochs - 1) *
   epoch_length`` (8 000 updates each), so both engines answer "who was
   hot over at least the last 8 000 updates";
-* equal per-update cost — the window feeds two sketches per update
-  (open sub-epoch + running sum), the rotator feeds its two live epoch
-  sketches;
+* no extra per-update cost for the window — it feeds one sketch per
+  update (its running sum; closed sub-epochs are delta runs drained
+  from it), the rotator feeds its two live epoch sketches;
 * identical threshold, poll cadence, and crossing semantics.
 
 Up-crossing (flag) latency is near-identical: both engines see every

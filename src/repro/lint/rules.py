@@ -188,14 +188,20 @@ class FloatInCounterPathRule(Rule):
         "repro.sketch.dcs": frozenset(
             {"update", "insert", "delete", "process", "process_stream",
              "update_batch", "encode_batch", "update_encoded",
-             "_update_pair", "_apply_pair", "_fold_pass", "_key_runs",
-             "_sum_runs", "_fold", "apply_bucket_deltas", "merge",
-             "subtract", "_add_counters", "_export_rows"}
+             "hash_encoded", "apply_hashed", "_update_pair",
+             "_apply_pair", "_apply_pairs", "_apply_at", "_hash_pass",
+             "_fold_blocks", "_key_runs", "_sum_runs", "_fold",
+             "_fold_signatures", "apply_bucket_deltas", "merge",
+             "subtract", "_add_counters", "_export_rows",
+             "drain_deltas"}
         ),
         "repro.sketch.sharded": frozenset({"route"}),
         "repro.sketch.tracking": frozenset(
-            {"_apply_pair", "_fold", "_add_singleton_occurrence",
+            {"_apply_at", "_fold", "_add_singleton_occurrence",
              "_remove_singleton_occurrence"}
+        ),
+        "repro.monitor.window": frozenset(
+            {"observe_hashed", "_tally", "_advance", "_expire"}
         ),
         "repro.hashing.universal": frozenset(
             {"__call__", "field_value", "hash_many",

@@ -30,7 +30,9 @@ from ..obs.catalog import (
     MONITOR_UPDATES,
 )
 from ..obs.registry import Registry, registry_or_null
+from ..obs.trace import span as trace_span
 from ..sketch import TrackingDistinctCountSketch
+from ..sketch.dcs import encode_batch
 from ..sketch.estimate import TopKResult
 from ..types import AddressDomain, FlowUpdate, cut_stream
 from .alarms import Alarm, AlarmSeverity, AlarmSink
@@ -100,7 +102,8 @@ class DDoSMonitor:
             follow the last ``window_subepochs`` sub-epochs of traffic
             and clear when an attack ages out (``docs/windowing.md``).
             The all-time tracking sketch keeps running for baselines
-            and forensics.
+            and forensics; batches are encoded and hashed once for both
+            (:meth:`observe_batch`).
 
     Example:
         >>> from repro.types import AddressDomain
@@ -171,19 +174,48 @@ class DDoSMonitor:
         :meth:`~repro.sketch.dcs.DistinctCountSketch.update_batch`, so
         both the packed counter scatter and each check's query run
         vectorized.  The batch is cut at check-interval boundaries so
-        no detection pass is skipped or displaced.
+        no detection pass is skipped or displaced; with a window
+        attached, also at the window's sub-epoch boundaries, and each
+        piece is encoded and hashed once for both sketches
+        (:meth:`_ingest_windowed`).
         """
         raised: List[Alarm] = []
         interval = self.config.check_interval
         for chunk in cut_stream(updates, interval, self._updates_seen):
-            applied = self.sketch.update_batch(chunk)
-            if self.window is not None:
-                self.window.observe_batch(chunk)
+            if self.window is None:
+                applied = self.sketch.update_batch(chunk)
+            else:
+                applied = self._ingest_windowed(chunk)
             self._updates_seen += applied
             self._obs_updates.inc(applied)
             if self._updates_seen % interval == 0:
                 raised.extend(self.check_now())
         return raised
+
+    def _ingest_windowed(self, chunk: List[FlowUpdate]) -> int:
+        """One encode and one hash per piece, folded into both sketches.
+
+        The chunk is cut at the window's sub-epoch boundaries, so each
+        piece's hashed blocks lie inside one sub-epoch; the all-time
+        sketch folds them, then the window sum folds the same blocks
+        (:meth:`SlidingWindowSketch.observe_hashed`), or hashes for
+        itself when its shape or seed differs.  The ``sketch.
+        update_batch`` span covers the encode, as on the one-sketch
+        path.  Returns the number of updates applied.
+        """
+        window = self.window
+        assert window is not None
+        sketch = self.sketch
+        applied = 0
+        for piece in cut_stream(
+            chunk, window.subepoch_length, window.open_updates
+        ):
+            with trace_span("sketch.update_batch"):
+                codes, deltas = encode_batch(sketch.domain, piece)
+                batch = sketch.hash_encoded(codes, deltas)
+                applied += sketch.apply_hashed(batch)
+            window.observe_hashed(piece, batch)
+        return applied
 
     # -- detection ---------------------------------------------------------------
 

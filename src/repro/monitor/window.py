@@ -13,19 +13,22 @@ remaining state is bit-for-bit the sketch of the surviving updates.
 :class:`SlidingWindowSketch` exploits that.  It slices the stream into
 *sub-epochs* of ``subepoch_length`` updates and keeps
 
-* a ring of the most recent closed sub-epoch sketches, and
-* one running **window sum** fed every update directly;
+* one running, tracked **window sum**, the only sketch updates feed, and
+* a ring of the most recent closed sub-epochs, each held as one **delta
+  run**: the ``(keys, rows)`` counter rows the sum gained during that
+  sub-epoch (:meth:`~repro.sketch.DistinctCountSketch.drain_deltas`).
 
-crossing a sub-epoch boundary closes the open sketch into the ring and,
-once a sketch ages past ``window_subepochs``, subtracts it from the sum
-(:meth:`~repro.sketch.DistinctCountSketch.subtract`).  The sum is at
-every instant exactly the sketch of the last ``window_subepochs``
-sub-epochs (the open one included) — not an approximation of it — so
-every paper guarantee applies verbatim to the windowed estimates.  See
-``docs/windowing.md`` for the model end to end.
+Crossing a sub-epoch boundary drains the sum's deltas into the ring
+and, once a run ages past ``window_subepochs``, folds the negated run
+into the sum (:meth:`~repro.sketch.DistinctCountSketch.
+apply_bucket_deltas`).  The sum is at every instant exactly the sketch
+of the last ``window_subepochs`` sub-epochs (the open one included) —
+not an approximation of it — so every paper guarantee applies verbatim
+to the windowed estimates.  See ``docs/windowing.md`` for the model end
+to end.
 
-All ring sketches and the sum share one seed: subtraction, like merging,
-is only exact between sketches drawn from the same hash functions.
+Runs and the sum share one seed and shape: expiry, like merging, is
+only exact between contributions drawn from the same hash functions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import shutil
 from collections import deque
 from pathlib import Path
-from typing import Deque, Iterable, List, Optional, Union
+from typing import Any, Deque, Iterable, List, NamedTuple, Optional, Union
 
 from ..exceptions import ParameterError
 from ..obs.catalog import (
@@ -45,12 +48,24 @@ from ..obs.catalog import (
 from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import span as trace_span
 from ..resilience.durable import DurableSketch
-from ..sketch import DistinctCountSketch
+from ..sketch import HashedBatch, TrackingDistinctCountSketch
 from ..sketch.estimate import TopKResult
 from ..types import AddressDomain, FlowUpdate, cut_stream
 from .threshold import CrossingWatch
 
 _SLOT_PREFIX = "slot-"
+
+#: Model bytes per counter of a ring run (the sketch's own default).
+_COUNTER_BYTES = 4
+
+
+class _Run(NamedTuple):
+    """One closed sub-epoch: its counter delta rows and update counts."""
+
+    keys: Any
+    rows: Any
+    updates: int
+    net: int
 
 
 class SlidingWindowSketch:
@@ -61,29 +76,29 @@ class SlidingWindowSketch:
     ``window_subepochs - 1`` most recent closed ones, i.e. between
     ``(window_subepochs - 1) * subepoch_length`` and
     ``window_subepochs * subepoch_length`` trailing updates depending
-    on the position within the open sub-epoch.  Queries decode the
-    running sum (slab-decoded on the packed backend), so estimates
-    react to new traffic immediately and shed expired traffic within
-    one sub-epoch — the detection-latency contract ``docs/windowing.md``
-    derives.
+    on the position within the open sub-epoch.  Queries read the
+    running sum's tracked state (``track_topk`` / ``track_threshold``),
+    so estimates react to new traffic immediately and shed expired
+    traffic within one sub-epoch — the detection-latency contract
+    ``docs/windowing.md`` derives.
 
     Args:
         domain: address domain.
         subepoch_length: updates per sub-epoch (the window granularity).
         window_subepochs: sub-epochs the window spans, open one included.
-        seed: hash seed shared by *all* ring sketches and the running
-            sum — subtraction is only exact between same-seed sketches.
+        seed: hash seed of the running sum (and of every run drained
+            from it).
         r, s: sketch shape.
-        backend: sketch storage backend (``packed`` buys the slab-decode
-            query path and the vectorized subtract kernel).
+        backend: storage backend of the running sum (``packed`` buys
+            the vectorized fold and the slab's dirty-key drain).
         obs: optional :class:`~repro.obs.Registry` for the window
             instruments (advances, expirations, live sub-epochs,
             advance-duration histogram).
         durable_dir: optional directory; when set, the open sub-epoch
-            ingests through a :class:`~repro.resilience.DurableSketch`
-            (WAL + checkpoint) slot under ``slot-<subepoch index>``, and
-            a fresh open of the same directory rebuilds the ring and the
-            running sum from the surviving slots.
+            is also logged through a :class:`~repro.resilience.
+            DurableSketch` (WAL + checkpoint) slot under ``slot-<subepoch
+            index>``, and a fresh open of the same directory rebuilds
+            the ring and the running sum from the surviving slots.
 
     Example:
         >>> from repro.types import AddressDomain, FlowUpdate
@@ -133,7 +148,7 @@ class SlidingWindowSketch:
         self._subepoch_index = 0
         self._updates_in_subepoch = 0
         self._updates_seen = 0
-        self._ring: Deque[DistinctCountSketch] = deque()
+        self._ring: Deque[_Run] = deque()
         self._durable: Optional[DurableSketch] = None
         self.obs: Registry = registry_or_null(obs)
         self._obs_advances = self.obs.counter_from(MONITOR_WINDOW_ADVANCES)
@@ -146,22 +161,17 @@ class SlidingWindowSketch:
         # Registered eagerly so the family exports before the first
         # sampled advance span observes into it.
         self.obs.histogram_from(MONITOR_WINDOW_ADVANCE_DURATION)
-        # The running window sum; per-sub-epoch sketches use the same
-        # params/seed so expiry subtraction stays compatible.
-        self._sum = self._new_sketch()
-        if self.durable_dir is not None and self._recover():
-            return
-        self._current = self._open_subepoch(self._subepoch_index)
-
-    def _new_sketch(self) -> DistinctCountSketch:
-        """A blank sketch with the window's shared params and seed."""
-        return DistinctCountSketch(
-            self.domain,
-            r=self.r,
-            s=self.s,
-            seed=self.seed,
-            backend=self.backend,
+        # The running window sum; the open sub-epoch is its delta since
+        # the last boundary, so it records deltas from the start.
+        self._sum = TrackingDistinctCountSketch(
+            domain, r=r, s=s, seed=seed, backend=backend
         )
+        self._sum.track_deltas()
+        #: The sum's (updates_processed, net_total) when the open
+        #: sub-epoch began.
+        self._opened_at = (0, 0)
+        if self.durable_dir is not None and not self._recover():
+            self._durable = self._open_slot(self._subepoch_index)
 
     # -- durable slots -------------------------------------------------------
 
@@ -180,13 +190,6 @@ class SlidingWindowSketch:
             s=self.s,
             backend=self.backend,
         )
-
-    def _open_subepoch(self, index: int) -> DistinctCountSketch:
-        """Start sub-epoch ``index``; returns its (fresh) sketch."""
-        if self.durable_dir is None:
-            return self._new_sketch()
-        self._durable = self._open_slot(index)
-        return self._durable.sketch
 
     def _slot_indices(self) -> List[int]:
         """Sub-epoch indices with a slot directory on disk, sorted."""
@@ -209,15 +212,17 @@ class SlidingWindowSketch:
         The newest slot on disk becomes the open sub-epoch (its
         :class:`~repro.resilience.DurableSketch` replays the WAL tail,
         so no acknowledged update is lost); older surviving slots within
-        the window rejoin the ring, and the running sum is recomputed by
-        merging them — linearity makes the rebuilt sum identical to the
-        one that was lost.  Returns False on a fresh directory.
+        the window are merged into the running sum one by one, each
+        drained straight back out as its ring run — linearity makes the
+        rebuilt sum and ring identical to the ones that were lost.
+        Returns False on a fresh directory.
         """
         indices = self._slot_indices()
         if not indices:
             return False
         current_index = indices[-1]
         horizon = current_index - self.window_subepochs + 1
+        total = self._sum
         for index in indices:
             if index < horizon:
                 # Aged out while we were down; drop the stale slot.
@@ -227,14 +232,22 @@ class SlidingWindowSketch:
                 continue
             closed = self._open_slot(index)
             closed.close()
-            self._ring.append(closed.sketch)
-            self._sum.merge(closed.sketch)
+            total.merge(closed.sketch)
+            keys, rows = total.drain_deltas()
+            self._ring.append(
+                _Run(
+                    keys,
+                    rows,
+                    closed.sketch.updates_processed,
+                    closed.sketch.net_total,
+                )
+            )
         self._subepoch_index = current_index
+        self._opened_at = (total.updates_processed, total.net_total)
         self._durable = self._open_slot(current_index)
-        self._current = self._durable.sketch
-        self._sum.merge(self._current)
-        self._updates_in_subepoch = self._current.updates_processed
-        self._updates_seen = self._sum.updates_processed
+        total.merge(self._durable.sketch)
+        self._updates_in_subepoch = self._durable.sketch.updates_processed
+        self._updates_seen = total.updates_processed
         self.recovered = True
         if self._updates_in_subepoch >= self.subepoch_length:
             # Crashed on the boundary itself: finish the advance now.
@@ -245,23 +258,17 @@ class SlidingWindowSketch:
     # -- ingestion -----------------------------------------------------------
 
     def observe(self, update: FlowUpdate) -> None:
-        """Feed one update to the open sub-epoch and the running sum."""
+        """Feed one update to the running sum."""
         if self._durable is not None:
             self._durable.process(update)
-        else:
-            self._current.process(update)
         self._sum.process(update)
-        self._updates_seen += 1
-        self._updates_in_subepoch += 1
-        if self._updates_in_subepoch >= self.subepoch_length:
-            self._updates_in_subepoch = 0
-            self._advance()
+        self._tally(1)
 
     def observe_batch(self, updates: Iterable[FlowUpdate]) -> int:
         """Feed a batch, cutting it at sub-epoch boundaries.
 
-        Each chunk rides the batched ingestion path of both the open
-        sketch and the running sum.  Returns the update count.
+        Each chunk rides the running sum's batched ingestion path.
+        Returns the update count.
         """
         total = 0
         for chunk in cut_stream(
@@ -269,15 +276,8 @@ class SlidingWindowSketch:
         ):
             if self._durable is not None:
                 self._durable.update_batch(chunk)
-            else:
-                self._current.update_batch(chunk)
-            self._sum.update_batch(chunk)
-            total += len(chunk)
-            self._updates_seen += len(chunk)
-            self._updates_in_subepoch += len(chunk)
-            if self._updates_in_subepoch >= self.subepoch_length:
-                self._updates_in_subepoch = 0
-                self._advance()
+            total += self._sum.update_batch(chunk)
+            self._tally(len(chunk))
         return total
 
     def observe_stream(self, updates: Iterable[FlowUpdate]) -> int:
@@ -285,7 +285,56 @@ class SlidingWindowSketch:
         the update count."""
         return self.observe_batch(updates)
 
-    def _advance(self) -> None:
+    # linear: the open run grows by exact integer addition (RL013)
+    def observe_hashed(
+        self, updates: List[FlowUpdate], batch: HashedBatch
+    ) -> int:
+        """Feed a chunk that another sketch already encoded and hashed.
+
+        ``batch`` is ``updates`` as :meth:`~repro.sketch.
+        DistinctCountSketch.hash_encoded` returned it; the running sum
+        folds its blocks as they are when the hashing sketch shares the
+        sum's shape and seed, and hashes for itself otherwise
+        (:meth:`~repro.sketch.DistinctCountSketch.apply_hashed`).  Pair
+        codes of another address domain name other pairs, so then the
+        sum encodes ``updates`` itself.  The chunk must fit in the open
+        sub-epoch (:attr:`open_updates` tells where it ends): a block
+        cannot be split at a boundary.  Returns the update count.
+
+        Raises:
+            ParameterError: when ``batch`` does not hold ``updates``, or
+                the chunk crosses a sub-epoch boundary.
+        """
+        count = len(updates)
+        if len(batch.codes) != count:
+            raise ParameterError(
+                f"hashed batch of {len(batch.codes)} updates does not "
+                f"match a chunk of {count}"
+            )
+        if self._updates_in_subepoch + count > self.subepoch_length:
+            raise ParameterError(
+                f"a chunk of {count} updates crosses the sub-epoch "
+                f"boundary {self.subepoch_length - self._updates_in_subepoch}"
+                " updates ahead"
+            )
+        if self._durable is not None:
+            self._durable.update_batch(updates)
+        if batch.params.domain == self.domain:
+            self._sum.apply_hashed(batch)
+        else:
+            self._sum.update_batch(updates)
+        self._tally(count)
+        return count
+
+    def _tally(self, count: int) -> None:
+        """Count ``count`` ingested updates; advance on a boundary."""
+        self._updates_seen += count
+        self._updates_in_subepoch += count
+        if self._updates_in_subepoch >= self.subepoch_length:
+            self._updates_in_subepoch = 0
+            self._advance()
+
+    def _advance(self) -> None:  # hot-path
         """Close the open sub-epoch; expire anything past the horizon."""
         with trace_span(
             "monitor.window_advance", metric=MONITOR_WINDOW_ADVANCE_DURATION
@@ -294,12 +343,19 @@ class SlidingWindowSketch:
                 self._durable.checkpoint()
                 self._durable.close()
                 self._durable = None
-            self._ring.append(self._current)
+            total = self._sum
+            keys, rows = total.drain_deltas()
+            updates, net = self._opened_at
+            self._ring.append(
+                _Run(
+                    keys,
+                    rows,
+                    total.updates_processed - updates,
+                    total.net_total - net,
+                )
+            )
             while len(self._ring) > self.window_subepochs - 1:
-                expired = self._ring.popleft()
-                # The −1-multiplicity merge: the sum becomes the exact
-                # sketch of the surviving in-window updates.
-                self._sum.subtract(expired)
+                self._expire(self._ring.popleft())
                 self._obs_expirations.inc()
                 if self.durable_dir is not None:
                     expired_index = (
@@ -308,24 +364,47 @@ class SlidingWindowSketch:
                     expired_dir = self._slot_dir(expired_index)
                     if expired_dir.is_dir():
                         shutil.rmtree(expired_dir)
+            # The expiry folds belong to no sub-epoch: the next run
+            # counts from here.
+            total.reset_deltas()
+            self._opened_at = (total.updates_processed, total.net_total)
             self._subepoch_index += 1
-            self._current = self._open_subepoch(self._subepoch_index)
+            if self.durable_dir is not None:
+                self._durable = self._open_slot(self._subepoch_index)
             self._obs_advances.inc()
+
+    # linear: expiry is the exact −1-multiplicity fold (RL013)
+    def _expire(self, run: _Run) -> None:  # hot-path
+        """Fold an expired run out of the sum: the sum becomes the exact
+        sketch of the surviving in-window updates."""
+        total = self._sum
+        rows = run.rows
+        # The run leaves the ring here: negate its rows in place.
+        rows *= -1
+        total.apply_bucket_deltas(run.keys, rows)
+        total.updates_processed -= run.updates
+        total.net_total -= run.net
 
     # -- queries -------------------------------------------------------------
 
     @property
-    def window_sum(self) -> DistinctCountSketch:
+    def window_sum(self) -> TrackingDistinctCountSketch:
         """The running sum: exactly the sketch of the in-window updates."""
         return self._sum
 
     def top_k(self, k: int) -> TopKResult:
-        """Top-k destinations over the current window (BaseTopk)."""
-        return self._sum.base_topk(k)
+        """Top-k destinations over the current window (TrackTopk).
+
+        The same answer ``window_sum.base_topk(k)`` decodes.
+        """
+        return self._sum.track_topk(k)
 
     def threshold(self, tau: int) -> TopKResult:
-        """All destinations with windowed estimate ``>= tau``."""
-        return self._sum.threshold_query(tau)
+        """All destinations with windowed estimate ``>= tau``.
+
+        The same answer ``window_sum.threshold_query(tau)`` decodes.
+        """
+        return self._sum.track_threshold(tau)
 
     @property
     def updates_seen(self) -> int:
@@ -338,6 +417,11 @@ class SlidingWindowSketch:
         return self._sum.updates_processed
 
     @property
+    def open_updates(self) -> int:
+        """Updates fed to the open sub-epoch so far."""
+        return self._updates_in_subepoch
+
+    @property
     def subepoch_index(self) -> int:
         """Index of the open sub-epoch (0-based)."""
         return self._subepoch_index
@@ -348,10 +432,11 @@ class SlidingWindowSketch:
         return len(self._ring) + 1
 
     def space_bytes(self) -> int:
-        """Combined model space: ring + open sub-epoch + running sum."""
-        total = self._sum.space_bytes() + self._current.space_bytes()
-        for sketch in self._ring:
-            total += sketch.space_bytes()
+        """Combined model space: the running sum plus the ring's runs
+        (4 bytes per run counter, the sketch's own accounting)."""
+        total = self._sum.space_bytes()
+        for run in self._ring:
+            total += _COUNTER_BYTES * run.rows.size
         return total
 
     # -- lifecycle -----------------------------------------------------------

@@ -263,36 +263,38 @@ MONITOR_WINDOW_ADVANCES = MetricSpec(
     name="repro_monitor_window_advances_total",
     kind="counter",
     help="Sub-epoch boundaries crossed by the sliding-window engine "
-         "(each closes the current sub-epoch sketch into the ring).",
-    paper_ref="§3 linearity: the window sum is a merge of sub-epoch "
-              "synopses",
+         "(each drains the running sum's deltas into the ring as one "
+         "run).",
+    paper_ref="§3 linearity: the window sum is a sum of sub-epoch "
+              "delta runs",
 )
 
 MONITOR_WINDOW_ADVANCE_DURATION = MetricSpec(
     name="repro_monitor_window_advance_duration_us",
     kind="histogram",
     help="Wall time spent advancing the window one sub-epoch, in "
-         "microseconds (expiry subtract + ring bookkeeping).",
+         "microseconds (delta drain + expiry fold + ring bookkeeping).",
     buckets=(100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000),
-    paper_ref="§3 linearity: expiry is one O(sketch size) subtract, "
+    paper_ref="§3 linearity: expiry is one O(run size) fold, "
               "not a rebuild",
 )
 
 MONITOR_WINDOW_EXPIRATIONS = MetricSpec(
     name="repro_monitor_window_expirations_total",
     kind="counter",
-    help="Sub-epoch sketches subtracted out of the running window sum "
-         "after aging past the window horizon.",
-    paper_ref="§3 linearity: subtracting a sub-stream's sketch is exact",
+    help="Sub-epoch runs folded out of the running window sum "
+         "(negated) after aging past the window horizon.",
+    paper_ref="§3 linearity: subtracting a sub-stream's counters is "
+              "exact",
 )
 
 MONITOR_WINDOW_LIVE_SUBEPOCHS = MetricSpec(
     name="repro_monitor_window_live_subepochs",
     kind="gauge",
-    help="Sub-epoch sketches currently held in the window ring, "
-         "including the open one (pull gauge).",
-    paper_ref="window of W updates at sub-epoch granularity g: "
-              "ceil(W/g) concurrent synopses",
+    help="Sub-epochs currently in the window: the ring's runs plus "
+         "the open one (pull gauge).",
+    paper_ref="window of W updates at sub-epoch granularity g: one "
+              "synopsis plus ceil(W/g) - 1 delta runs",
 )
 
 # -- crash safety (repro.resilience) ------------------------------------------

@@ -15,7 +15,7 @@ Three layers live here:
 """
 
 from .arena import SignatureArena, pack_codes, singleton_mask
-from .dcs import DistinctCountSketch
+from .dcs import DistinctCountSketch, HashedBatch
 from .estimate import TopKEntry, TopKResult, rank_frequencies
 from .heap import IndexedMaxHeap
 from .params import SketchParams
@@ -27,6 +27,7 @@ from . import debug, serialize
 __all__ = [
     "CountSignature",
     "DistinctCountSketch",
+    "HashedBatch",
     "IndexedMaxHeap",
     "ShardedSketch",
     "SignatureArena",

@@ -27,12 +27,14 @@ unbiased choice: a pair lands at level ``>= b`` with probability exactly
 
 from __future__ import annotations
 
+from operator import index
 from typing import (
     Any,
     Dict,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -73,6 +75,9 @@ BACKENDS = ("reference", "packed")
 #: counter is provably below this bound (each update's delta is +/-1,
 #: so ``|counter| <= updates_processed``); wider states use int64.
 _INT32_SAFE = 2 ** 31
+
+#: The one address/delta type :func:`encode_batch` encodes with numpy.
+_PLAIN_INT = frozenset({int})
 
 #: Most updates the batch engine folds in one pass (the default
 #: ``process_stream`` cut): bounds the pass's temporaries, whatever
@@ -122,36 +127,75 @@ def encode_batch(
     """Pair codes and deltas of a whole batch, before any counter moves.
 
     The one validating encoder of every batch path (sketches and shard
-    routers alike).  A clean batch — integer addresses inside the
-    domain, pair codes of at most 64 bits — is encoded with numpy:
-    sources and destinations are gathered, range-checked, then shifted
-    and or-ed into uint64 codes, with int64 deltas.  Any other batch
-    goes through the scalar :meth:`~repro.types.AddressDomain.
-    encode_pair`, which raises the :class:`~repro.exceptions.
-    DomainError` or ``TypeError`` per-update processing raises; what
-    it accepts comes back as two lists (codes and deltas).
+    routers alike).  A batch of plain ``int`` addresses and deltas
+    (``type(x) is int``: floats, bools, numpy integers and other int
+    subclasses do not qualify) inside a domain of at most 64-bit pair
+    codes is encoded with numpy and no dtype discovery: the address and
+    delta columns are gathered as lists and converted by
+    ``np.fromiter``, the addresses range-checked, then shifted and
+    or-ed into uint64 codes, with int64 deltas.  Any other batch, and
+    one whose addresses do not fit int64 or the domain, goes update by
+    update through the scalar :meth:`~repro.types.AddressDomain.
+    encode_pair` and ``operator.index`` of the delta — what per-update
+    processing runs — so it raises the :class:`~repro.exceptions.
+    DomainError` or ``TypeError`` that per-update processing raises, at
+    the same update.  What the scalar path accepts comes back as the
+    same two arrays, or as two lists when pair codes are wider than 64
+    bits.
     """
-    try:
-        # No dtype: numpy must not coerce a float address to int.
-        columns = _np.array([(u.source, u.dest, u.delta) for u in batch])
-    except ValueError:
-        columns = None
-    if (
-        columns is not None
-        and columns.ndim == 2
-        and columns.dtype.kind in "iu"
-        and domain.pair_bits <= 64
-    ):
-        addresses = columns[:, :2]
-        if addresses.min() >= 0 and addresses.max() < domain.m:
-            addresses = addresses.astype(_np.uint64)
-            codes = (
-                addresses[:, 0] << _np.uint64(domain.address_bits)
-            ) | addresses[:, 1]
-            return codes, columns[:, 2].astype(_np.int64)
+    count = len(batch)
+    addresses = [u.source for u in batch]
+    addresses += [u.dest for u in batch]
+    deltas = [u.delta for u in batch]
+    bits = domain.address_bits
+    plain = {*map(type, addresses), *map(type, deltas)} == _PLAIN_INT
+    if plain and domain.pair_bits <= 64:
+        try:
+            columns = _np.fromiter(addresses, _np.int64, 2 * count)
+        except OverflowError:
+            columns = None
+        # A negative or too-large address has bits at or above `bits`.
+        if columns is not None and not (columns >> bits).any():
+            columns = columns.astype(_np.uint64)
+            codes = (columns[:count] << _np.uint64(bits)) | columns[count:]
+            return codes, _np.fromiter(deltas, _np.int64, count)
     encode = domain.encode_pair
-    pairs = [encode(u.source, u.dest) for u in batch]
-    return pairs, [u.delta for u in batch]
+    pairs = []
+    signs = []
+    for update in batch:
+        pairs.append(encode(update.source, update.dest))
+        signs.append(index(update.delta))
+    if domain.pair_bits <= 64:
+        return (
+            _np.array(pairs, dtype=_np.uint64),
+            _np.array(signs, dtype=_np.int64),
+        )
+    return pairs, signs
+
+
+class HashedBatch(NamedTuple):
+    """An encoded batch, hashed once for every sketch of one shape and seed.
+
+    :meth:`DistinctCountSketch.hash_encoded` builds it and
+    :meth:`DistinctCountSketch.apply_hashed` applies it; one batch can
+    feed several sketches (the monitor's all-time sketch and its
+    window sum), which then share one encode and one hash.
+    """
+
+    #: Shape of the sketch that hashed the batch.
+    params: SketchParams
+    #: Seed of the sketch that hashed the batch.
+    seed: int
+    #: Pair codes, as :func:`encode_batch` returns them.
+    codes: Any
+    #: Deltas, as :func:`encode_batch` returns them.
+    deltas: Any
+    #: One ``(distinct keys, summed counter rows)`` block per fold pass
+    #: of at most :data:`FOLD_PASS` updates (see
+    #: :meth:`DistinctCountSketch._hash_pass`); ``None`` when the
+    #: hashing sketch takes the per-pair path (the reference store, or
+    #: pair codes wider than 64 bits).
+    blocks: Optional[List[Tuple[Any, Any]]]
 
 
 class DistinctCountSketch:
@@ -233,6 +277,9 @@ class DistinctCountSketch:
                 [{} for _ in range(params.r)]
                 for _ in range(params.num_levels)
             ]
+        #: Reference store only: counter rows as of the last delta
+        #: drain (see :meth:`track_deltas`).
+        self._delta_base: Optional[Tuple[Any, Any]] = None
         #: Number of stream updates processed (the paper's ``n``).
         self.updates_processed = 0
         #: Net sum of deltas across all updates.
@@ -360,35 +407,68 @@ class DistinctCountSketch:
         The half of :meth:`update_batch` that runs after encoding — what
         shard workers run on the frames their router sends.  ``codes``
         and ``deltas`` are a uint64 and an int64 ndarray, or two lists
-        (the scalar encoder's output); the pair codes must lie inside
-        the domain.  On the packed backend ndarray batches are folded
-        into the slab in passes of at most :data:`FOLD_PASS` updates
-        (:meth:`_fold_pass`); the insert/delete observability counters
-        receive one aggregated ``inc(n)`` each.  Returns the number of
-        updates applied.
+        (pair codes wider than 64 bits); the pair codes must lie inside
+        the domain.  Hashes the batch (:meth:`hash_encoded`) and folds
+        it (:meth:`apply_hashed`).  Returns the number of updates
+        applied.
         """
+        return self.apply_hashed(self.hash_encoded(codes, deltas))
+
+    def hash_encoded(self, codes: Any, deltas: Any) -> HashedBatch:  # hot-path
+        """The hash half of ingestion: hash an encoded batch once.
+
+        On the packed backend an ndarray batch is cut into passes of at
+        most :data:`FOLD_PASS` updates, each hashed to one block of
+        distinct slab keys and summed counter rows
+        (:meth:`_hash_pass`); elsewhere the batch is left for the
+        per-pair path of :meth:`apply_hashed`.  No counter moves.
+        """
+        blocks: Optional[List[Tuple[Any, Any]]] = None
+        if self._slab is not None and not isinstance(codes, list):
+            blocks = []
+            for lo in range(0, len(codes), FOLD_PASS):
+                hi = lo + FOLD_PASS
+                blocks.append(self._hash_pass(codes[lo:hi], deltas[lo:hi]))
+        return HashedBatch(self.params, self.seed, codes, deltas, blocks)
+
+    def apply_hashed(self, batch: HashedBatch) -> int:  # hot-path
+        """The fold half of ingestion: apply a :class:`HashedBatch`.
+
+        The blocks are folded as they are when the batch was hashed by
+        a packed sketch of this sketch's shape and seed — which lets one
+        hashed chunk feed several sketches — and re-hashed here
+        otherwise, so any batch encoded for this sketch's address
+        domain applies exactly.  The reference store and pair codes
+        wider than 64 bits take the per-pair path
+        (:meth:`_apply_pairs`).  The insert/delete observability
+        counters receive one aggregated ``inc(n)`` each.  Returns the
+        number of updates applied.
+
+        Raises:
+            ParameterError: for a batch encoded for another address
+                domain (its pair codes name other pairs).
+        """
+        if batch.params.domain != self.domain:
+            raise ParameterError(
+                f"batch encoded for {batch.params.domain}, not "
+                f"{self.domain}"
+            )
+        codes = batch.codes
         count = len(codes)
         if not count:
             return 0
+        deltas = batch.deltas
         if self._slab is not None and not isinstance(codes, list):
-            for lo in range(0, count, FOLD_PASS):
-                hi = lo + FOLD_PASS
-                self._fold_pass(codes[lo:hi], deltas[lo:hi])
+            blocks = batch.blocks
+            if blocks is None or not (
+                batch.seed == self.seed and batch.params == self.params
+            ):
+                blocks = self.hash_encoded(codes, deltas).blocks
+                assert blocks is not None
+            self._fold_blocks(blocks)
             inserts = int(_np.count_nonzero(deltas > 0))
         else:
-            # Per-pair path: the reference store, pair domains wider
-            # than 64 bits, and batches only the scalar encoder
-            # accepts.
-            if not isinstance(codes, list):
-                codes = codes.tolist()
-                deltas = deltas.tolist()
-            apply_pair = self._apply_pair
-            inserts = 0
-            for index in range(count):
-                delta = deltas[index]
-                apply_pair(codes[index], delta)
-                if delta > 0:
-                    inserts += 1
+            inserts = self._apply_pairs(codes, deltas)
         self.updates_processed += count
         deletes = count - inserts
         self.net_total += inserts - deletes
@@ -399,7 +479,12 @@ class DistinctCountSketch:
         return count
 
     def _update_pair(self, pair: int, delta: int) -> None:
-        """Apply one update for an encoded pair: the sketch hot path."""
+        """Apply one update for an encoded pair: the sketch hot path.
+
+        A delta that is not an integer raises ``TypeError`` before any
+        counter moves.
+        """
+        delta = index(delta)
         self._apply_pair(pair, delta)
         self.updates_processed += 1
         self.net_total += delta
@@ -410,19 +495,54 @@ class DistinctCountSketch:
 
     def _apply_pair(self, pair: int, delta: int) -> None:
         """Counter-state maintenance for one update (no bookkeeping)."""
-        level = self._level_hash(pair)
+        self._apply_at(
+            pair,
+            self._level_hash(pair),
+            [inner_hash(pair) for inner_hash in self._inner_hashes],
+            delta,
+        )
+
+    def _apply_pairs(self, codes: Any, deltas: Any) -> int:  # hot-path
+        """The per-pair path of a batch; returns its insert count.
+
+        Hashes the whole batch in bulk (``levels_many`` and one
+        ``hash_many`` per inner table, vectorized for codes below
+        ``2^64``), then applies the pairs in stream order through the
+        same kernel as per-update processing (:meth:`_apply_at`).
+        """
+        levels = self._level_hash.levels_many(codes)
+        buckets = [inner.hash_many(codes) for inner in self._inner_hashes]
+        if not isinstance(codes, list):
+            codes = codes.tolist()
+            deltas = deltas.tolist()
+            levels = levels.tolist()
+            buckets = [table.tolist() for table in buckets]
+        apply_at = self._apply_at
+        inserts = 0
+        for pair, level, pair_buckets, delta in zip(
+            codes, levels, zip(*buckets), deltas
+        ):
+            apply_at(pair, level, pair_buckets, delta)
+            if delta > 0:
+                inserts += 1
+        return inserts
+
+    def _apply_at(
+        self, pair: int, level: int, buckets: Any, delta: int
+    ) -> None:
+        """The per-pair kernel: one update whose level and per-table
+        buckets are already hashed (no bookkeeping)."""
         slab = self._slab
         if slab is not None:
             s = self.params.s
             key = level * self.params.r * s
-            for inner_hash in self._inner_hashes:
-                slab.update(key + inner_hash(pair), pair, delta)
+            for bucket in buckets:
+                slab.update(key + bucket, pair, delta)
                 key += s
             return
         tables = self._tables[level]
         pair_bits = self.params.pair_bits
-        for j, inner_hash in enumerate(self._inner_hashes):
-            bucket = inner_hash(pair)
+        for j, bucket in enumerate(buckets):
             table = tables[j]
             signature = table.get(bucket)
             if signature is None:
@@ -435,15 +555,16 @@ class DistinctCountSketch:
                 # saw a deleted pair.
                 del table[bucket]
 
-    # linear: the batch fold is exact integer addition (RL013)
-    def _fold_pass(self, codes: Any, deltas: Any) -> None:  # hot-path
-        """Fold one pass of encoded updates into the slab.
+    # linear: a block is exact integer sums of update rows (RL013)
+    def _hash_pass(self, codes: Any, deltas: Any) -> Tuple[Any, Any]:  # hot-path
+        """Hash one pass of encoded updates to one foldable block.
 
         Hashes the pass to flat keys — one per inner table of each
-        update's level — then sorts the keys once, sums every distinct
-        key's contribution rows ``[delta, bit_0 * delta, ...]`` with one
-        ``np.add.reduceat``, and hands the block to :meth:`_fold` (one
-        gather, add and write-back of the touched rows).
+        update's level — then sorts the keys once and sums every
+        distinct key's contribution rows ``[delta, bit_0 * delta, ...]``
+        with one ``np.add.reduceat``.  Returns ``(distinct keys, summed
+        rows)``, which :meth:`_fold` applies with one gather, add and
+        write-back of the touched rows.
         """
         params = self.params
         count = len(codes)
@@ -466,21 +587,52 @@ class DistinctCountSketch:
             )
             # Entry i of the flattened (r, count) key matrix belongs to
             # update i % count.
-            self._fold(distinct, _sum_runs(rows, order % count, starts))
+            return distinct, _sum_runs(rows, order % count, starts)
+
+    # linear: the block fan-out folds by exact integer addition (RL013)
+    def _fold_blocks(self, blocks: List[Tuple[Any, Any]]) -> None:  # hot-path
+        """Fold the blocks of a hashed batch into the slab."""
+        with trace_span("sketch.scatter"):
+            for keys, rows in blocks:
+                self._fold(keys, rows)
 
     # linear: folding is exact integer addition (RL013)
     def _fold(self, keys: Any, rows: Any) -> Any:  # hot-path
-        """Add counter rows into the slab at distinct ``keys``.
+        """Add counter rows at distinct ``keys``.
 
-        The one mutation point of packed state outside per-update
-        calls: update passes, merges, subtracts, delta syncs and loads
-        all end here.  Returns the slab's before/after images of the
-        block (:meth:`~repro.sketch.arena.SignatureArena.fold`), which
-        the tracking sketch diffs.
+        The one mutation point of counter state outside per-pair
+        updates: batch passes, merges, subtracts, delta syncs and
+        window expiry all end here.  On the packed backend returns the
+        slab's before/after images of the block
+        (:meth:`~repro.sketch.arena.SignatureArena.fold`), which the
+        tracking sketch diffs; the reference store adds each row into
+        its bucket's signature (:meth:`_fold_signatures`) and returns
+        ``None``.
         """
         slab = self._slab
-        assert slab is not None
+        if slab is None:
+            self._fold_signatures(keys, rows)
+            return None
         return slab.fold(keys, rows)
+
+    # linear: signature folding is exact integer addition (RL013)
+    def _fold_signatures(self, keys: Any, rows: Any) -> None:
+        """Reference-store fold: add ``rows[i]`` into bucket ``keys[i]``,
+        creating buckets on miss and pruning those that net to zero."""
+        r = self.params.r
+        s = self.params.s
+        pair_bits = self.params.pair_bits
+        for key, row in zip(keys.tolist(), rows.tolist()):
+            table_index, bucket = divmod(key, s)
+            level, j = divmod(table_index, r)
+            table = self._tables[level][j]
+            signature = table.get(bucket)
+            if signature is None:
+                signature = CountSignature(pair_bits)
+                table[bucket] = signature
+            signature.add_counters(row)
+            if signature.is_zero:
+                del table[bucket]
 
     # -- structural accessors -----------------------------------------------
 
@@ -834,16 +986,13 @@ class DistinctCountSketch:
         transform of the update stream, subtracting the sketch of a
         sub-stream leaves exactly the sketch of the remaining updates,
         bit-for-bit — as if the subtracted updates had never been seen.
-        This is the expiry kernel behind
-        :class:`repro.monitor.SlidingWindowSketch`: a closed sub-epoch
-        sketch is merged out of the running window sum when it ages
-        past the window horizon.
+        :class:`repro.monitor.SlidingWindowSketch` expires a sub-epoch
+        the same way, from its delta run (:meth:`apply_bucket_deltas`).
 
-        On the packed backend ``other``'s counter rows are negated and
-        folded into the slab in one pass; the reference store subtracts
-        signature by signature.  Both prune buckets that net to zero,
-        so the result is structurally equal to a from-scratch sketch of
-        the remaining stream.
+        ``other``'s counter rows are negated and folded in one pass
+        (:meth:`_fold`), on either backend.  Buckets that net to zero
+        are pruned, so the result is structurally equal to a
+        from-scratch sketch of the remaining stream.
         """
         if not self.compatible_with(other):
             raise MergeError(
@@ -857,26 +1006,11 @@ class DistinctCountSketch:
     # linear: counter addition with multiplicity +/-1 (RL013)
     def _add_counters(self, other: "DistinctCountSketch", sign: int) -> None:
         """Add ``sign`` (+1 or -1) times ``other``'s counters in place."""
-        if self._slab is not None:
-            keys, rows = other._export_rows()
-            if len(keys):
-                # The exported rows are a fresh copy: scale in place.
-                _np.multiply(rows, sign, out=rows)
-                self._fold(keys, rows)
-            return
-        pair_bits = self.params.pair_bits
-        for level, j, bucket, signature in other._iter_signatures():
-            table = self._tables[level][j]
-            existing = table.get(bucket)
-            if existing is None:
-                existing = CountSignature(pair_bits)
-                table[bucket] = existing
-            if sign == 1:
-                existing.merge(signature)
-            else:
-                existing.subtract(signature)
-            if existing.is_zero:
-                del table[bucket]
+        keys, rows = other._export_rows()
+        if len(keys):
+            # The exported rows are a fresh copy: scale in place.
+            _np.multiply(rows, sign, out=rows)
+            self._fold(keys, rows)
 
     def _export_rows(self) -> Tuple[Any, Any]:
         """Every occupied bucket: ascending slab keys, ``(n, stride)`` rows.
@@ -902,36 +1036,31 @@ class DistinctCountSketch:
 
     # linear: delta folding must stay an exact integer addition (RL013)
     def apply_bucket_deltas(self, keys: Any, rows: Any) -> None:
-        """Fold signed counter-delta rows into the slab.
+        """Fold signed counter-delta rows into the sketch.
 
         ``keys`` is an int64 ndarray of flat bucket keys ``(level * r +
         j) * s + bucket`` and ``rows`` the matching ``(len(keys),
-        pair_bits + 1)`` int64 delta matrix
-        (``SignatureArena.drain_deltas``/``export_rows`` output
-        reshaped); repeated keys are summed.  Because the sketch is
-        linear, adding another sketch's per-bucket counter deltas is
-        exactly equivalent to having processed its updates here — the
-        incremental-merge primitive behind the process-backed
-        ``ShardedSketch`` sync.  Buckets whose rows net to zero are
-        pruned, and the tracking subclass maintains its sample state
-        through the same fold the batch engine uses.  Does **not**
-        adjust ``updates_processed``/``net_total`` (callers account for
-        those from the shard workers' cumulative totals).
+        pair_bits + 1)`` int64 delta matrix (:meth:`drain_deltas` or
+        ``SignatureArena.export_rows`` output reshaped); repeated keys
+        are summed.  Because the sketch is linear, adding another
+        sketch's per-bucket counter deltas is exactly equivalent to
+        having processed its updates here — the incremental-merge
+        primitive behind the process-backed ``ShardedSketch`` sync, and
+        (negated) the expiry of a sliding window's sub-epoch.  Buckets
+        whose rows net to zero are pruned, and the tracking subclass
+        maintains its sample state through the same fold the batch
+        engine uses.  Does **not** adjust
+        ``updates_processed``/``net_total`` (callers account for those).
 
         Raises:
-            ParameterError: on the reference backend (process-backed
-                shard banks require packed storage too), for rows of the
-                wrong shape, or for keys outside the slab.
+            ParameterError: for rows of the wrong shape, or for keys
+                outside the sketch.
         """
-        slab = self._slab
-        if slab is None:
-            raise ParameterError(
-                "apply_bucket_deltas requires backend='packed'"
-            )
-        if rows.shape != (len(keys), slab.stride):
+        stride = self.params.pair_bits + 1
+        if rows.shape != (len(keys), stride):
             raise ParameterError(
                 f"delta rows of shape {rows.shape} do not match "
-                f"{len(keys)} keys of {slab.stride} counters"
+                f"{len(keys)} keys of {stride} counters"
             )
         if len(keys) == 0:
             return
@@ -940,14 +1069,73 @@ class DistinctCountSketch:
         self._fold(distinct, _sum_runs(rows, order, starts))
 
     def _check_keys(self, keys: Any) -> None:
-        """Reject ascending slab ``keys`` that fall outside the slab."""
-        slab = self._slab
-        assert slab is not None
-        if keys[0] < 0 or keys[-1] >= slab.range_size:
+        """Reject ascending slab ``keys`` that fall outside the sketch."""
+        params = self.params
+        size = params.num_levels * params.r * params.s
+        if keys[0] < 0 or keys[-1] >= size:
             raise ParameterError(
-                f"bucket keys must lie in [0, {slab.range_size}), got "
+                f"bucket keys must lie in [0, {size}), got "
                 f"{keys[0]}..{keys[-1]}"
             )
+
+    # -- delta tracking ------------------------------------------------------
+
+    def track_deltas(self) -> None:
+        """Start recording counter deltas for :meth:`drain_deltas`.
+
+        Packed storage switches on the slab's dirty-key index (the one
+        shard workers ship deltas from); the reference store keeps a
+        copy of its counter rows and diffs against it.
+        """
+        slab = self._slab
+        if slab is not None:
+            slab.track_deltas(True)
+        else:
+            self._delta_base = self._export_rows()
+
+    # linear: deltas are exact counter differences (RL013)
+    def drain_deltas(self) -> Tuple[Any, Any]:  # hot-path
+        """The signed counter rows this sketch gained since the last drain.
+
+        Returns ``(keys, rows)``: distinct int64 flat bucket keys and
+        their ``(len(keys), pair_bits + 1)`` int64 delta rows, keys
+        whose rows net to zero left out; the record then restarts.
+        Counted from :meth:`track_deltas`, the previous drain or
+        :meth:`reset_deltas`, whichever came last.  By linearity,
+        folding the rows into a copy of the sketch as it stood then
+        (:meth:`apply_bucket_deltas`) reproduces the sketch.
+
+        Raises:
+            ParameterError: on the reference store before
+                :meth:`track_deltas`.
+        """
+        slab = self._slab
+        if slab is not None:
+            keys, rows = slab.drain_deltas()
+            return keys, rows.reshape(len(keys), slab.stride)
+        base = self._delta_base
+        if base is None:
+            raise ParameterError("drain_deltas needs track_deltas() first")
+        keys, rows = self._export_rows()
+        self._delta_base = (keys, rows)
+        stride = self.params.pair_bits + 1
+        both = _np.concatenate((keys, base[0]))
+        if not len(both):
+            return both, _np.empty((0, stride), dtype=_np.int64)
+        order, distinct, starts = _key_runs(both)
+        sums = _sum_runs(
+            _np.concatenate((rows, _np.negative(base[1]))), order, starts
+        )
+        moved = sums.any(axis=1)
+        return distinct[moved], sums[moved]
+
+    def reset_deltas(self) -> None:
+        """Restart the :meth:`drain_deltas` record from the current state."""
+        slab = self._slab
+        if slab is not None:
+            slab.reset_deltas()
+        else:
+            self._delta_base = self._export_rows()
 
     def copy(self) -> "DistinctCountSketch":
         """Return a deep, independent copy of this sketch.

@@ -11,7 +11,7 @@ addition into the exact sketch a single-process run would have
 produced (linearity, Section 3).
 
 Shard state reaches the parent by delta only: every worker slab keeps
-a dirty-key index (:meth:`~repro.sketch.arena.SignatureArena.
+a dirty-key index (:meth:`~repro.sketch.DistinctCountSketch.
 track_deltas`), and a ``delta`` request drains it as one ``(keys,
 signed counter delta rows)`` run of raw int64 bytes.  Every reply is epoch-tagged:
 the parent detects a missed or stale sync and asks for absolute rows
@@ -85,13 +85,6 @@ def read_frame(payload: bytes) -> Tuple[Any, Any]:  # hot-path
     return words[:count].view(_np.uint64), words[count:]
 
 
-def _track_slab_deltas(sketch: Any) -> None:
-    """Enable dirty-key tracking on a packed sketch's slab."""
-    slab = sketch._slab
-    assert slab is not None, "delta sync requires packed storage"
-    slab.track_deltas(True)
-
-
 def _worker_main(
     conn: Any,
     params: SketchParams,
@@ -121,7 +114,7 @@ def _worker_main(
 
     registry, updates_total = fresh_registry()
     sketch = TrackingDistinctCountSketch(params, seed=seed, backend="packed")
-    _track_slab_deltas(sketch)
+    sketch.track_deltas()
     #: Monotonic sync counter: one tick per delta reply, so the parent
     #: can prove no other drain slipped in between its own syncs.
     epoch = 0
@@ -140,13 +133,11 @@ def _worker_main(
                 conn.send(serialize.dumps(sketch))
             elif command == "delta":
                 epoch += 1
-                slab = sketch._slab
-                assert slab is not None
                 if payload:  # full resync: absolute rows
-                    slab.reset_deltas()
-                    keys, rows = slab.export_rows()
+                    sketch.reset_deltas()
+                    keys, rows = sketch._export_rows()
                 else:
-                    keys, rows = slab.drain_deltas()
+                    keys, rows = sketch.drain_deltas()
                 conn.send(
                     {
                         "epoch": epoch,
@@ -164,7 +155,7 @@ def _worker_main(
                 sketch = loaded
                 # Fresh dirty indexes: the parent invalidated its
                 # running sum on restore and will full-resync.
-                _track_slab_deltas(sketch)
+                sketch.track_deltas()
                 # Rebuild the observability state from the restored
                 # sketch: ``updates_processed`` travels in the wire
                 # format, so the counter restarts exactly where the

@@ -127,6 +127,23 @@ class CountSignature:
         for index, count in enumerate(other.bit_counts):
             mine[index] -= count
 
+    # linear: adding a counter row is exact integer addition (RL013)
+    def add_counters(self, values: List[int]) -> None:
+        """Add a ``[total, bit_0, ..., bit_{pair_bits-1}]`` row in place.
+
+        The row layout of :meth:`counter_values`; how a folded delta row
+        (a whole sub-stream's contribution to this bucket) lands.
+        """
+        if len(values) != self.pair_bits + 1:
+            raise MergeError(
+                f"cannot add {len(values)} counters to a signature of "
+                f"width {self.pair_bits}"
+            )
+        self.total += values[0]
+        mine = self.bit_counts
+        for index in range(self.pair_bits):
+            mine[index] += values[index + 1]
+
     def copy(self) -> "CountSignature":
         """Return an independent copy of this signature."""
         clone = CountSignature(self.pair_bits)

@@ -154,15 +154,20 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
 
     # -- maintenance (Figure 6) ------------------------------------------------
 
-    def _apply_pair(self, pair: int, delta: int) -> None:
-        """UpdateTracking: signature update plus sample-state maintenance."""
-        level = self._level_hash(pair)
+    def _apply_at(
+        self, pair: int, level: int, buckets: Any, delta: int
+    ) -> None:
+        """UpdateTracking: signature update plus sample-state maintenance.
+
+        The tracking form of the per-pair kernel, for per-update calls
+        and the per-pair batch path alike.
+        """
         slab = self._slab
         if slab is not None:
             s = self.params.s
             key = level * self.params.r * s
-            for inner_hash in self._inner_hashes:
-                bucket_key = key + inner_hash(pair)
+            for bucket in buckets:
+                bucket_key = key + bucket
                 key += s
                 before = slab.singleton_at(bucket_key)
                 slab.update(bucket_key, pair, delta)
@@ -176,8 +181,7 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             return
         tables = self._tables[level]
         pair_bits = self.params.pair_bits
-        for j, inner_hash in enumerate(self._inner_hashes):
-            bucket = inner_hash(pair)
+        for j, bucket in enumerate(buckets):
             table = tables[j]
             signature = table.get(bucket)
             before = (
@@ -213,14 +217,15 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         comparison, and Python touches only the rows whose occupant
         changed, at level ``key // (r * s)``.  Removals and adds may run
         in any order: every removal is a before-image occupant, so
-        ``decr_count`` cannot underflow.
+        ``decr_count`` cannot underflow.  The reference store (no
+        images) and pair codes wider than 64 bits (``pack_codes`` holds
+        at most 64) recount from scratch instead.
         """
         images = super()._fold(keys, rows)
         count = len(keys)
         if not count:
             return images
-        if self.params.pair_bits > 64:
-            # pack_codes holds at most 64 bits: recount from scratch.
+        if images is None or self.params.pair_bits > 64:
             self._rebuild_tracking_state()
             return images
         ok, ne = singleton_mask(images.reshape(2 * count, images.shape[2]))
@@ -402,32 +407,7 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
                 )
             self._dest_heaps[level].check_invariants()
 
-    # -- merging ------------------------------------------------------------------
-
-    # linear: merge must stay an exact integer addition (RL013)
-    def merge(self, other: DistinctCountSketch) -> None:
-        """Merge another sketch's stream into this one.
-
-        Singleton-ness is not additive (two singletons can merge into a
-        collision), so the tracked state is re-derived: the packed fold
-        diffs every touched row (:meth:`_fold`), and the reference
-        store rebuilds from its signatures.
-        """
-        super().merge(other)
-        if self._slab is None:
-            self._rebuild_tracking_state()
-
-    # linear: subtract must stay an exact integer subtraction (RL013)
-    def subtract(self, other: DistinctCountSketch) -> None:
-        """Remove another sketch's stream from this one.
-
-        Singleton-ness is not subtractive (removing one stream from a
-        collision can leave a singleton behind), so the tracked state
-        is re-derived exactly as in :meth:`merge`.
-        """
-        super().subtract(other)
-        if self._slab is None:
-            self._rebuild_tracking_state()
+    # -- rebuilding ---------------------------------------------------------------
 
     def _rebuild_tracking_state(self) -> None:
         """Recompute singletons/counters/heaps from the raw signatures.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import index
 from typing import Iterable, Iterator, List, Tuple, TypeVar
 
 from .exceptions import DomainError, ParameterError, StreamError
@@ -70,10 +71,13 @@ class AddressDomain:
 
         The source occupies the high bits and the destination the low
         bits, mirroring the paper's "concatenating the two addresses".
+        The code is a plain ``int`` whatever integer type the addresses
+        have (``bool``, ``IntEnum`` and numpy integers encode as their
+        value); a non-integer address raises ``TypeError``.
         """
         self.validate_address(source)
         self.validate_address(dest)
-        return (source << self.address_bits) | dest
+        return (index(source) << self.address_bits) | index(dest)
 
     def decode_pair(self, pair: int) -> Tuple[int, int]:
         """Invert :meth:`encode_pair`, returning ``(source, dest)``."""

@@ -13,9 +13,11 @@ clock, no ordering dependence beyond the stream itself.
 
 from __future__ import annotations
 
+import enum
 import random
 from typing import List, Tuple
 
+import numpy as np
 import pytest
 
 from repro.exceptions import DomainError
@@ -28,6 +30,23 @@ from repro.sketch import (
 from repro.types import AddressDomain, FlowUpdate
 
 DOMAIN = AddressDomain(2 ** 16)
+
+
+class Port(enum.IntEnum):
+    HTTP = 80
+
+
+#: Updates the vectorized encoder must not take, and what per-update
+#: ``process`` does with each: raise (the exception type) or accept
+#: (``None``, as the integer value).
+ODD_UPDATES = {
+    "float-address": (FlowUpdate(1.5, 3, 1), TypeError),
+    "float-delta": (FlowUpdate(4, 3, 1.0), TypeError),
+    "address-2**63": (FlowUpdate(2 ** 63, 3, 1), DomainError),
+    "bool-address": (FlowUpdate(True, 3, 1), None),
+    "numpy-address": (FlowUpdate(np.int64(4), 3, 1), None),
+    "intenum-address": (FlowUpdate(Port.HTTP, 3, 1), None),
+}
 
 
 def make_stream(
@@ -265,6 +284,36 @@ class TestSlabEngineDifferential:
         assert sketch.updates_processed == 0
         assert sketch.is_empty
         sketch.check_invariants()
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    @pytest.mark.parametrize("kind", sorted(ODD_UPDATES))
+    def test_odd_batch_does_what_process_does(self, backend, kind):
+        """A batch holding a non-``int`` or int64-overflowing value
+        raises what per-update ``process`` raises with the sketch
+        untouched, or ends in the state per-update feeding reaches."""
+        odd, error = ODD_UPDATES[kind]
+        batch = make_stream(74, 300)
+        batch.insert(150, odd)
+        sketch = TrackingDistinctCountSketch(DOMAIN, seed=3, backend=backend)
+        looped = TrackingDistinctCountSketch(DOMAIN, seed=3, backend=backend)
+        if error is not None:
+            with pytest.raises(error):
+                looped.process(odd)
+            assert looped.is_empty
+            with pytest.raises(error):
+                sketch.update_batch(batch)
+            assert sketch.updates_processed == 0
+            assert sketch.is_empty
+            sketch.check_invariants()
+            return
+        for update in batch:
+            looped.process(update)
+        assert sketch.update_batch(batch) == len(batch)
+        assert sketch.structurally_equal(looped)
+        assert sketch.updates_processed == looped.updates_processed
+        assert sketch.net_total == looped.net_total
+        sketch.check_invariants()
+        assert sketch.track_topk(10) == looped.track_topk(10)
 
     @pytest.mark.parametrize(
         "shape",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import enum
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import DomainError, ParameterError
@@ -259,23 +261,41 @@ class TestMalformedBatches:
     """A malformed update raises what ``DistinctCountSketch.update_batch``
     raises before any shard, tally or worker moves."""
 
-    @staticmethod
-    def bad_update(domain, kind):
+    class Five(enum.IntEnum):
+        FIVE = 5
+
+    #: Odd updates toward ``dest``, by kind.
+    ODD = {
+        "out-of-domain": lambda m, dest: FlowUpdate(5, m + dest, 1),
+        "float": lambda m, dest: FlowUpdate(5.5, dest, 1),
+        "float-delta": lambda m, dest: FlowUpdate(5, dest, 1.0),
+        "address-2**63": lambda m, dest: FlowUpdate(2 ** 63, dest, 1),
+        "bool": lambda m, dest: FlowUpdate(True, dest, 1),
+        "numpy": lambda m, dest: FlowUpdate(np.int64(5), dest, 1),
+        "intenum": lambda m, dest: FlowUpdate(
+            TestMalformedBatches.Five.FIVE, dest, 1
+        ),
+    }
+
+    @classmethod
+    def bad_update(cls, domain, kind):
         """A malformed update that ``by-destination`` routes to the last
         of two shards, behind good updates for the first."""
         router = ShardedSketch(domain, shards=2, seed=9)
         for dest in range(64):
-            if kind == "out-of-domain":
-                bad = FlowUpdate(5, domain.m + dest, 1)
-            else:
-                bad = FlowUpdate(5.5, dest, 1)
+            bad = cls.ODD[kind](domain.m, dest)
             if router.shard_for(bad) == 1:
                 return bad
         raise AssertionError("no destination routes to shard 1")
 
     @pytest.mark.parametrize(
         "kind,error",
-        [("out-of-domain", DomainError), ("float", TypeError)],
+        [
+            ("out-of-domain", DomainError),
+            ("float", TypeError),
+            ("float-delta", TypeError),
+            ("address-2**63", DomainError),
+        ],
     )
     @pytest.mark.parametrize("backend", ["sync", "process"])
     @pytest.mark.parametrize("policy", POLICIES)
@@ -309,6 +329,29 @@ class TestMalformedBatches:
             for update in warmup + [good]:
                 loop.process(update)
             assert sharded.shard_update_counts() == loop.shard_update_counts()
+            assert sharded.combined().structurally_equal(loop.combined())
+
+    @pytest.mark.parametrize("kind", ["bool", "numpy", "intenum"])
+    @pytest.mark.parametrize("backend", ["sync", "process"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_integer_like_addresses_route_like_per_update(
+        self, domain, policy, backend, kind
+    ):
+        """Addresses that are integers but not plain ``int`` take the
+        scalar encoder and land where per-update ``process`` puts them."""
+        batch = [FlowUpdate(1, dest, 1) for dest in range(8)]
+        batch.append(self.bad_update(domain, kind))
+        single = TrackingDistinctCountSketch(domain, seed=9)
+        loop = ShardedSketch(domain, shards=2, policy=policy, seed=9)
+        for update in batch:
+            single.process(update)
+            loop.process(update)
+        with bank_or_skip(
+            domain, backend, shards=2, policy=policy, seed=9
+        ) as sharded:
+            assert sharded.update_batch(batch) == len(batch)
+            assert sharded.shard_update_counts() == loop.shard_update_counts()
+            assert sharded.combined().structurally_equal(single)
             assert sharded.combined().structurally_equal(loop.combined())
 
 

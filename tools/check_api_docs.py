@@ -68,6 +68,9 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     # ingest surface
     ("repro.sketch", "DistinctCountSketch.update_batch"),
     ("repro.sketch", "DistinctCountSketch.process_stream"),
+    ("repro.sketch", "DistinctCountSketch.update_encoded"),
+    ("repro.sketch", "DistinctCountSketch.hash_encoded"),
+    ("repro.sketch", "DistinctCountSketch.apply_hashed"),
     ("repro.sketch", "ShardedSketch.update_batch"),
     ("repro.monitor", "DDoSMonitor.observe_batch"),
     # query surface (scalar + slab decode)
@@ -78,6 +81,7 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     ("repro.sketch", "DistinctCountSketch.dsample_sweep"),
     ("repro.sketch", "DistinctCountSketch.decoded_slab"),
     ("repro.sketch", "TrackingDistinctCountSketch.track_topk"),
+    ("repro.sketch", "TrackingDistinctCountSketch.track_threshold"),
     ("repro.sketch", "ShardedSketch.base_topk"),
     ("repro.sketch", "ShardedSketch.track_topk"),
     ("repro.sketch", "ShardedSketch.combined"),
@@ -86,10 +90,16 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     # packed fold surface (batch engine, merges, delta sync)
     ("repro.sketch", "SignatureArena.fold"),
     ("repro.sketch", "DistinctCountSketch.apply_bucket_deltas"),
+    ("repro.sketch", "DistinctCountSketch.track_deltas"),
+    ("repro.sketch", "DistinctCountSketch.drain_deltas"),
+    ("repro.sketch", "DistinctCountSketch.reset_deltas"),
     # sliding-window surface (subtract-merge kernel + engine + watch)
     ("repro.sketch", "DistinctCountSketch.subtract"),
     ("repro.monitor", "SlidingWindowSketch.observe"),
     ("repro.monitor", "SlidingWindowSketch.observe_batch"),
+    ("repro.monitor", "SlidingWindowSketch.observe_hashed"),
+    ("repro.monitor", "SlidingWindowSketch.open_updates"),
+    ("repro.monitor", "SlidingWindowSketch.window_sum"),
     ("repro.monitor", "SlidingWindowSketch.top_k"),
     ("repro.monitor", "SlidingWindowSketch.threshold"),
     ("repro.monitor", "WindowedThresholdWatch.poll"),
