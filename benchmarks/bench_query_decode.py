@@ -9,8 +9,8 @@ sketch) on the same Zipf stream and seed:
   ``recover_singleton`` over the reference dict store, one level at a
   time;
 - ``packed-scalar``: the same scalar predicate evaluated in place over
-  the packed slab (``decode_occupied``), isolating what packed
-  storage alone buys;
+  the packed slab (``singleton_at`` over ``occupied_keys()``),
+  isolating what packed storage alone buys;
 - ``packed-slab``: the vectorized engine —
   :meth:`~repro.sketch.dcs.DistinctCountSketch.dsample_sweep` decodes
   the sketch's whole slab with one application of the
@@ -63,13 +63,13 @@ def _best_seconds(run, inner: int, repeats: int = 5) -> float:
 
 def _scalar_arena_sweep(sketch: DistinctCountSketch) -> Dict[int, Set[int]]:
     """Scalar singleton decode over the packed slab, row by row."""
-    slab = sketch._slab
-    assert slab is not None
+    slab = sketch._store
     per_level = sketch.params.r * sketch.params.s
     sweep: Dict[int, Set[int]] = {
         level: set() for level in range(sketch.params.num_levels)
     }
-    for key, code in slab.decode_occupied():
+    for key in slab.occupied_keys().tolist():
+        code = slab.singleton_at(key)
         if code is not None:
             sweep[key // per_level].add(code)
     return sweep

@@ -17,8 +17,8 @@ Three layers, each usable on its own:
 
 3. :class:`ValueState` / :func:`analyse_values` — the abstract
    interpretation the RL009-RL013 rules consume: every local name is
-   tagged with a :class:`Kind` (lock, open handle, live RNG, shared
-   memory, raw-bytes-from-disk, CRC-verified bytes, ...) and every
+   tagged with a :class:`Kind` (lock, open handle, live RNG,
+   raw-bytes-from-disk, CRC-verified bytes, ...) and every
    acquired resource with a lifecycle state (open / closed / escaped),
    joined across paths.  The rules then ask questions like "does any
    name of kind ``LOCK`` flow into this ``send()``?" or "is this
@@ -417,7 +417,6 @@ class Kind(enum.Enum):
     LOCK = "lock"
     FILE = "file"
     RNG = "rng"
-    SHARED_MEMORY = "shared-memory"
     CONNECTION = "connection"
     DISK_BYTES = "disk-bytes"
     CRC_CHECKED = "crc-checked-bytes"
@@ -425,12 +424,12 @@ class Kind(enum.Enum):
 
 #: Kinds that must never cross a process boundary (RL009).
 UNPICKLABLE_KINDS: FrozenSet[Kind] = frozenset(
-    {Kind.LOCK, Kind.FILE, Kind.RNG, Kind.SHARED_MEMORY}
+    {Kind.LOCK, Kind.FILE, Kind.RNG}
 )
 
 #: Kinds whose values own an OS resource that must be released (RL010).
 RESOURCE_KINDS: FrozenSet[Kind] = frozenset(
-    {Kind.FILE, Kind.SHARED_MEMORY, Kind.CONNECTION}
+    {Kind.FILE, Kind.CONNECTION}
 )
 
 
@@ -457,7 +456,6 @@ _LOCK_CONSTRUCTORS = frozenset(
      "Event", "Barrier"}
 )
 _RNG_CONSTRUCTORS = frozenset({"Random", "default_rng", "Generator"})
-_SHM_CONSTRUCTORS = frozenset({"SharedMemory", "ShareableList"})
 _READ_METHODS = frozenset({"read_bytes", "read", "recv_bytes"})
 _CLOSE_METHODS = frozenset({"close", "unlink", "shutdown", "release"})
 
@@ -478,8 +476,6 @@ def classify_call(node: ast.Call) -> Kind:
         return Kind.LOCK
     if last in _RNG_CONSTRUCTORS:
         return Kind.RNG
-    if last in _SHM_CONSTRUCTORS:
-        return Kind.SHARED_MEMORY
     if last == "open":
         return Kind.FILE
     if last == "socket":

@@ -1,4 +1,4 @@
-"""Whole-program rules RL009-RL014: process, resource, durability.
+"""Whole-program rules RL009-RL013: process, resource, durability.
 
 These rules consume the :mod:`repro.lint.project` symbol table / call
 graph and the :mod:`repro.lint.dataflow` abstract interpretation.  Each
@@ -11,9 +11,7 @@ protects an invariant that PR 3 (multiprocess sharding) and PR 4
 * **RL011** — atomic writes follow write→flush→fsync→rename→dirsync,
   and disk bytes are CRC-verified before deserialization;
 * **RL012** — supervision-critical exceptions are never swallowed;
-* **RL013** — ``# linear``-marked functions stay exactly linear;
-* **RL014** — ``SharedMemory(create=True)`` segments reach
-  ``unlink()`` (``close()`` alone leaves them in ``/dev/shm``).
+* **RL013** — ``# linear``-marked functions stay exactly linear.
 """
 
 from __future__ import annotations
@@ -253,14 +251,12 @@ class ResourceLifecycleRule(ProgramRule):
     """RL010: acquired resources must be released on every path.
 
     Invariant (PR 3/PR 4 operational correctness): a leaked pipe end
-    keeps a dead worker's buffers alive, a leaked ``SharedMemory``
-    segment survives the process (``/dev/shm`` fills until reboot), a
-    leaked WAL segment handle defeats ``os.replace`` durability on
-    Windows.  Every ``open()`` / ``Pipe()`` / ``SharedMemory()``
-    acquisition bound to a local must reach ``close()`` / ``unlink()``
-    or a ``with`` block on **all** explicit paths — including the
-    ``raise`` inside an except handler that converts the error, the
-    classic spot where cleanup is forgotten.  Escaping values (returned,
+    keeps a dead worker's buffers alive, a leaked WAL segment handle
+    defeats ``os.replace`` durability on Windows.  Every ``open()`` /
+    ``Pipe()`` acquisition bound to a local must reach ``close()`` /
+    ``unlink()`` or a ``with`` block on **all** explicit paths —
+    including the ``raise`` inside an except handler that converts the
+    error, the classic spot where cleanup is forgotten.  Escaping values (returned,
     stored on ``self``, passed to a callee) transfer ownership and are
     not flagged.
     """
@@ -860,154 +856,3 @@ class LinearityGuardRule(ProgramRule):
         if info is None:
             return None
         return info.source.splitlines()
-
-
-@register
-class SharedMemoryOwnershipRule(ProgramRule):
-    """RL014: created shared-memory segments must reach ``unlink()``.
-
-    Invariant (PR 9 shm transport): a POSIX shared-memory segment is a
-    *named* kernel object — unlike pipes and file handles, ``close()``
-    only unmaps it; the backing ``/dev/shm`` file survives the process
-    until someone calls ``unlink()``.  RL010's lifecycle analysis
-    treats ``close`` as a release, which is right for every other
-    resource kind but too weak here.  This rule checks the creation
-    sites: every ``SharedMemory(..., create=True)`` result must either
-    reach a textual ``.unlink()`` in the same function or be handed
-    off (returned, stored on ``self``/a container, or passed to a
-    callee — the pool's sweep helpers take ownership that way).  An
-    unbound creation is always a leak: nothing can ever unlink it.
-    """
-
-    rule_id = "RL014"
-    title = "SharedMemory(create=True) reaches unlink() or is handed off"
-    invariant = "no /dev/shm segment outlives its owning component"
-
-    def check(self, context: LintContext) -> Iterator[Violation]:
-        """Flag segment creations whose unlink is unreachable."""
-        if context.in_module("repro.lint"):
-            return
-        for function in _iter_functions(context.tree):
-            yield from self._check_function(context, function)
-
-    def _check_function(
-        self, context: LintContext, function: FunctionNode
-    ) -> Iterator[Violation]:
-        bound: Dict[str, ast.Call] = {}
-        for node in ast.walk(function):
-            call = self._create_call(node)
-            if call is None:
-                continue
-            name = self._binding_name(function, call)
-            if name is None:
-                if not self._escapes_unbound(function, call):
-                    yield self.violation(
-                        context, call,
-                        "SharedMemory(create=True) result is never "
-                        "bound: its unlink() is unreachable and the "
-                        "segment outlives the process",
-                    )
-                continue
-            bound[name] = call
-        for name, call in bound.items():
-            if self._released_or_escaped(function, name, call):
-                continue
-            yield self.violation(
-                context, call,
-                f"shared-memory segment {name!r} (created at line "
-                f"{call.lineno}) never reaches unlink() and never "
-                f"escapes {function.name}(); close() alone leaves the "
-                "segment in /dev/shm",
-            )
-
-    @staticmethod
-    def _create_call(node: ast.AST) -> Optional[ast.Call]:
-        """The node as a ``SharedMemory(..., create=True)`` call."""
-        if not isinstance(node, ast.Call):
-            return None
-        if classify_call(node) is not Kind.SHARED_MEMORY:
-            return None
-        for keyword in node.keywords:
-            if keyword.arg == "create" and (
-                isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return node
-        return None
-
-    @staticmethod
-    def _binding_name(
-        function: FunctionNode, call: ast.Call
-    ) -> Optional[str]:
-        """The local name the creation is assigned to, if any."""
-        for node in ast.walk(function):
-            if isinstance(node, ast.Assign) and node.value is call:
-                if len(node.targets) == 1 and isinstance(
-                    node.targets[0], ast.Name
-                ):
-                    return node.targets[0].id
-                return None
-            if isinstance(node, ast.withitem) and (
-                node.context_expr is call
-            ):
-                if isinstance(node.optional_vars, ast.Name):
-                    return node.optional_vars.id
-        return None
-
-    @staticmethod
-    def _escapes_unbound(function: FunctionNode, call: ast.Call) -> bool:
-        """True when the unbound creation itself transfers ownership."""
-        for node in ast.walk(function):
-            if isinstance(node, ast.Return) and node.value is call:
-                return True
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = getattr(node, "value", None)
-                if value is call:
-                    # Assigned somewhere non-Name (self.x / d[k] = ...):
-                    # ownership moves to that container.
-                    return True
-            if isinstance(node, ast.Call) and node is not call:
-                if call in node.args or any(
-                    keyword.value is call for keyword in node.keywords
-                ):
-                    return True
-        return False
-
-    @staticmethod
-    def _released_or_escaped(
-        function: FunctionNode, name: str, call: ast.Call
-    ) -> bool:
-        """True when ``name`` reaches unlink() or leaves the function."""
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "unlink"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == name
-                ):
-                    return True
-                for argument in list(node.args) + [
-                    keyword.value for keyword in node.keywords
-                ]:
-                    root: ast.AST = argument
-                    while isinstance(root, ast.Attribute):
-                        root = root.value
-                    if isinstance(root, ast.Name) and root.id == name:
-                        return True
-            elif isinstance(node, ast.Return):
-                root = node.value
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if isinstance(root, ast.Name) and root.id == name:
-                    return True
-            elif isinstance(node, ast.Assign) and node.value is not call:
-                value = node.value
-                if isinstance(value, ast.Name) and value.id == name:
-                    for target in node.targets:
-                        if isinstance(
-                            target, (ast.Attribute, ast.Subscript)
-                        ):
-                            return True
-        return False

@@ -191,9 +191,8 @@ class FloatInCounterPathRule(Rule):
              "hash_encoded", "apply_hashed", "_update_pair",
              "_apply_pair", "_apply_pairs", "_apply_at", "_hash_pass",
              "_fold_blocks", "_key_runs", "_sum_runs", "_fold",
-             "_fold_signatures", "apply_bucket_deltas", "merge",
-             "subtract", "_add_counters", "_export_rows",
-             "drain_deltas"}
+             "apply_bucket_deltas", "merge", "subtract", "_add_counters",
+             "_export_rows", "drain_deltas"}
         ),
         "repro.sketch.sharded": frozenset({"route"}),
         "repro.sketch.tracking": frozenset(

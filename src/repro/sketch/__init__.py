@@ -5,7 +5,9 @@ Three layers live here:
 * :class:`CountSignature` — the per-bucket counter array (one total
   count plus one counter per bit of the pair encoding) that makes the
   sketch delete-resistant and lets singleton buckets be decoded
-  (Section 3).
+  (Section 3); a whole sketch's counters live in one store, the
+  packed :class:`SignatureArena` or the reference
+  :class:`SignatureTable`.
 * :class:`DistinctCountSketch` — the basic two-level synopsis with the
   ``BaseTopk`` estimator (Sections 3-4).
 * :class:`TrackingDistinctCountSketch` — the tracking variant that
@@ -20,7 +22,7 @@ from .estimate import TopKEntry, TopKResult, rank_frequencies
 from .heap import IndexedMaxHeap
 from .params import SketchParams
 from .sharded import ShardedSketch
-from .signature import CountSignature
+from .signature import CountSignature, SignatureTable
 from .tracking import TrackingDistinctCountSketch
 from . import debug, serialize
 
@@ -31,6 +33,7 @@ __all__ = [
     "IndexedMaxHeap",
     "ShardedSketch",
     "SignatureArena",
+    "SignatureTable",
     "SketchParams",
     "TopKEntry",
     "TopKResult",

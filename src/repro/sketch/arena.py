@@ -26,8 +26,13 @@ sketch can diff singleton state without re-reading the buffer.  Query
 decode views the buffer as one ``(slots, stride)`` int64 matrix
 (:meth:`decode_slab`).
 
-:class:`CountSignature` remains the interchange type: every mapping
-accessor returns an independent copy, never a view into the buffer.
+The arena's surface is the one the sketch runs against either store
+(the reference store is
+:class:`~repro.sketch.signature.SignatureTable`): per-key ``update`` /
+``get`` / ``singleton_at``, per-range ``singletons_in``, ``fold``,
+``export_rows``, ``occupied_keys``, ``copy`` and the delta record.
+:class:`CountSignature` remains the interchange type: :meth:`get`
+returns an independent copy, never a view into the buffer.
 
 Counters are 64-bit here versus unbounded ints in the reference store;
 they saturate only beyond ``2^63 - 1`` net occurrences of one bucket,
@@ -37,7 +42,7 @@ far past any feasible stream.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .._accel import np as _np
 from ..exceptions import MergeError, ParameterError
@@ -360,31 +365,20 @@ class SignatureArena:
                 return None
         return code
 
-    def decode_occupied(self) -> Iterator[Tuple[int, Optional[int]]]:
-        """``(key, singleton code or None)`` per occupied key, in place.
+    def singletons_in(self, lo: int, hi: int) -> Tuple[List[int], int]:
+        """Decode every occupied key in ``[lo, hi)``, row by row.
 
-        The scalar per-row decode, in slot-map order — the arena
-        analogue of decoding every stored signature, without
-        materializing any :class:`CountSignature`.
+        Returns ``(singleton pair codes, collision count)`` through the
+        scalar :meth:`singleton_at`: the per-table view of the scalar
+        query fallback (pair codes wider than 64 bits).  The vectorized
+        path decodes the whole arena at once (:meth:`decode_slab`).
         """
-        buf = self._buf
-        stride = self.stride
-        for key, slot in self._slots.items():
-            base = slot * stride
-            total = buf[base]
-            if total <= 0:
-                yield key, None
-                continue
-            code = 0
-            singleton = True
-            for index in range(1, stride):
-                count = buf[base + index]
-                if count == total:
-                    code |= 1 << (index - 1)
-                elif count != 0:
-                    singleton = False
-                    break
-            yield key, (code if singleton else None)
+        keys = self.occupied_keys()
+        first, last = _np.searchsorted(keys, [lo, hi]).tolist()
+        singleton_at = self.singleton_at
+        decoded = [singleton_at(key) for key in keys[first:last].tolist()]
+        codes = [code for code in decoded if code is not None]
+        return codes, len(decoded) - len(codes)
 
     # -- batch engine surface -------------------------------------------------
 
@@ -505,19 +499,6 @@ class SignatureArena:
             index = _np.flatnonzero(ok)
             return self.slot_keys()[index], pack_codes(~ne[index, 1:])
 
-    def _row(self, slot: int) -> List[int]:
-        """The raw counter row of ``slot`` as a list of ints."""
-        base = slot * self.stride
-        return self._buf[base:base + self.stride].tolist()
-
-    def _signature_for(self, slot: int) -> CountSignature:
-        """An independent :class:`CountSignature` copy of ``slot``."""
-        row = self._row(slot)
-        signature = CountSignature(self.pair_bits)
-        signature.total = row[0]
-        signature.bit_counts = row[1:]
-        return signature
-
     def copy(self) -> "SignatureArena":
         """Deep, independent copy of this arena (same slot layout)."""
         clone = SignatureArena(self.pair_bits, self.range_size)
@@ -529,57 +510,19 @@ class SignatureArena:
             clone._dense = self._dense.copy()
         return clone
 
-    # -- mapping surface -----------------------------------------------------
+    # -- container surface ----------------------------------------------------
 
-    def get(
-        self, key: int, default: Optional[CountSignature] = None
-    ) -> Optional[CountSignature]:
-        """The key's signature (a copy), or ``default`` if empty."""
+    def get(self, key: int) -> Optional[CountSignature]:
+        """The key's signature (a copy), or ``None`` if empty."""
         slot = self._slots.get(key)
         if slot is None:
-            return default
-        return self._signature_for(slot)
-
-    def __getitem__(self, key: int) -> CountSignature:
-        slot = self._slots.get(key)
-        if slot is None:
-            raise KeyError(key)
-        return self._signature_for(slot)
-
-    def __setitem__(self, key: int, signature: CountSignature) -> None:
-        if signature.pair_bits != self.pair_bits:
-            raise ParameterError(
-                f"signature width {signature.pair_bits} does not match "
-                f"arena width {self.pair_bits}"
-            )
-        if self._marked is not None:
-            self._note_key(key)
-        if signature.is_zero:
-            # Keep the store invariant: absent always means empty.
-            if key in self._slots:
-                del self[key]
-            return
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._allocate(key)
-        buf = self._buf
+            return None
         base = slot * self.stride
-        buf[base] = signature.total
-        counts = signature.bit_counts
-        for index in range(self.pair_bits):
-            buf[base + 1 + index] = counts[index]
-
-    def __delitem__(self, key: int) -> None:
-        slot = self._slots.get(key)
-        if slot is None:
-            raise KeyError(key)
-        if self._marked is not None:
-            self._note_key(key)
-        buf = self._buf
-        base = slot * self.stride
-        for offset in range(base, base + self.stride):
-            buf[offset] = 0
-        self._release(key, slot)
+        row = self._buf[base:base + self.stride].tolist()
+        signature = CountSignature(self.pair_bits)
+        signature.total = row[0]
+        signature.bit_counts = row[1:]
+        return signature
 
     def __contains__(self, key: object) -> bool:
         return key in self._slots
@@ -589,23 +532,6 @@ class SignatureArena:
 
     def __bool__(self) -> bool:
         return bool(self._slots)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._slots)
-
-    def keys(self) -> Iterator[int]:
-        """Occupied keys."""
-        return iter(self._slots)
-
-    def values(self) -> Iterator[CountSignature]:
-        """Signature copies of every occupied key."""
-        for slot in self._slots.values():
-            yield self._signature_for(slot)
-
-    def items(self) -> Iterator[Tuple[int, CountSignature]]:
-        """``(key, signature copy)`` pairs for every occupied key."""
-        for key, slot in self._slots.items():
-            yield key, self._signature_for(slot)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignatureArena):

@@ -63,7 +63,7 @@ from ..types import AddressDomain, FlowUpdate, cut_stream
 from .arena import SignatureArena
 from .estimate import TopKResult, build_result, rank_frequencies
 from .params import SketchParams
-from .signature import CountSignature
+from .signature import CountSignature, SignatureTable
 
 #: Default relative-error parameter used when a query does not supply one.
 DEFAULT_EPSILON = 0.25
@@ -76,7 +76,10 @@ BACKENDS = ("reference", "packed")
 #: so ``|counter| <= updates_processed``); wider states use int64.
 _INT32_SAFE = 2 ** 31
 
-#: The one address/delta type :func:`encode_batch` encodes with numpy.
+#: Either store of Figure 2's counter array, keyed by flat bucket id.
+_Store = Union[SignatureArena, SignatureTable]
+
+#: The one address type :func:`encode_batch` encodes with numpy.
 _PLAIN_INT = frozenset({int})
 
 #: Most updates the batch engine folds in one pass (the default
@@ -98,6 +101,19 @@ def _key_runs(keys: Any) -> Tuple[Any, Any, Any]:  # hot-path
         _np.concatenate(([True], ordered[1:] != ordered[:-1]))
     )
     return order, ordered[starts], starts
+
+
+def _unit_delta(delta: Any) -> int:
+    """``operator.index(delta)``, which must be +1 or -1.
+
+    The stream model (Section 2) and the proof behind
+    :data:`_INT32_SAFE` rest on unit deltas: a non-integer raises
+    ``TypeError``, any other integer ``ParameterError``.
+    """
+    delta = index(delta)
+    if delta != 1 and delta != -1:
+        raise ParameterError(f"delta must be +1 or -1, got {delta}")
+    return delta
 
 
 # linear: per-key sums are exact integer addition (RL013)
@@ -127,44 +143,54 @@ def encode_batch(
     """Pair codes and deltas of a whole batch, before any counter moves.
 
     The one validating encoder of every batch path (sketches and shard
-    routers alike).  A batch of plain ``int`` addresses and deltas
-    (``type(x) is int``: floats, bools, numpy integers and other int
-    subclasses do not qualify) inside a domain of at most 64-bit pair
-    codes is encoded with numpy and no dtype discovery: the address and
-    delta columns are gathered as lists and converted by
-    ``np.fromiter``, the addresses range-checked, then shifted and
-    or-ed into uint64 codes, with int64 deltas.  Any other batch, and
-    one whose addresses do not fit int64 or the domain, goes update by
-    update through the scalar :meth:`~repro.types.AddressDomain.
-    encode_pair` and ``operator.index`` of the delta — what per-update
-    processing runs — so it raises the :class:`~repro.exceptions.
-    DomainError` or ``TypeError`` that per-update processing raises, at
-    the same update.  What the scalar path accepts comes back as the
-    same two arrays, or as two lists when pair codes are wider than 64
-    bits.
+    routers alike).  A batch of plain ``int`` addresses (``type(x) is
+    int``: floats, bools, numpy integers and other int subclasses do
+    not qualify) and integer deltas of +1 or -1, inside a domain of at
+    most 64-bit pair codes, is encoded with numpy and no dtype
+    discovery: the address and delta columns are gathered as lists and
+    converted by ``np.fromiter``, the addresses range-checked, then
+    shifted and or-ed into uint64 codes, with int64 deltas.  Any other
+    batch, and one whose addresses do not fit int64 or the domain, goes
+    update by update through the scalar
+    :meth:`~repro.types.AddressDomain.encode_pair` and the unit-delta
+    check of per-update processing, so it raises the
+    :class:`~repro.exceptions.DomainError`, ``TypeError`` or
+    :class:`~repro.exceptions.ParameterError` that per-update
+    processing raises, at the same update.  What the scalar path
+    accepts comes back as the same two arrays, or as two lists when
+    pair codes are wider than 64 bits.
     """
     count = len(batch)
     addresses = [u.source for u in batch]
     addresses += [u.dest for u in batch]
     deltas = [u.delta for u in batch]
     bits = domain.address_bits
-    plain = {*map(type, addresses), *map(type, deltas)} == _PLAIN_INT
-    if plain and domain.pair_bits <= 64:
+    plain = {*map(type, addresses)} == _PLAIN_INT
+    # Every delta equals +1 or -1, and none is a float (or other
+    # non-integer) equal to one: that would make the sum a non-int.
+    if (
+        plain
+        and domain.pair_bits <= 64
+        and deltas.count(1) + deltas.count(-1) == count
+        and type(sum(deltas)) is int
+    ):
         try:
             columns = _np.fromiter(addresses, _np.int64, 2 * count)
         except OverflowError:
             columns = None
-        # A negative or too-large address has bits at or above `bits`.
+        # A negative or too-large address has bits at or above `bits`,
+        # so the addresses that pass read the same as uint64.
         if columns is not None and not (columns >> bits).any():
-            columns = columns.astype(_np.uint64)
-            codes = (columns[:count] << _np.uint64(bits)) | columns[count:]
+            columns = columns.view(_np.uint64)
+            codes = columns[:count] << _np.uint64(bits)
+            codes |= columns[count:]
             return codes, _np.fromiter(deltas, _np.int64, count)
     encode = domain.encode_pair
     pairs = []
     signs = []
     for update in batch:
         pairs.append(encode(update.source, update.dest))
-        signs.append(index(update.delta))
+        signs.append(_unit_delta(update.delta))
     if domain.pair_bits <= 64:
         return (
             _np.array(pairs, dtype=_np.uint64),
@@ -214,11 +240,14 @@ class DistinctCountSketch:
         backend: ``"packed"`` (the default: every counter in one
             :class:`~repro.sketch.arena.SignatureArena` slab feeding
             the vectorized :meth:`update_batch` engine) or
-            ``"reference"`` (per-bucket ``CountSignature`` objects, the
-            paper-faithful store — the test oracle, and the store the
-            per-update timing reproductions measure).  Both backends
-            are bit-identical: same seeds imply
-            :meth:`structurally_equal` states after the same stream.
+            ``"reference"`` (a
+            :class:`~repro.sketch.signature.SignatureTable` of
+            per-bucket ``CountSignature`` objects, the paper-faithful
+            store — the test oracle, and the store the per-update
+            timing reproductions measure).  The sketch picks its store
+            here and runs one body against either; both are
+            bit-identical: same seeds imply :meth:`structurally_equal`
+            states after the same stream.
 
     Example:
         >>> from repro.types import AddressDomain
@@ -262,24 +291,19 @@ class DistinctCountSketch:
             )
             for j in range(params.r)
         ]
-        #: Reference store: per level and inner table, a sparse
-        #: bucket -> signature map (empty on the packed backend).
-        self._tables: List[List[Dict[int, CountSignature]]] = []
-        #: Packed store: Figure 2's whole counter array as one slab,
-        #: keyed by flat bucket id (see :meth:`_key`).
-        self._slab: Optional[SignatureArena] = None
-        if backend == "packed":
-            self._slab = SignatureArena(
-                params.pair_bits, params.num_levels * params.r * params.s
-            )
-        else:
-            self._tables = [
-                [{} for _ in range(params.r)]
-                for _ in range(params.num_levels)
-            ]
-        #: Reference store only: counter rows as of the last delta
-        #: drain (see :meth:`track_deltas`).
-        self._delta_base: Optional[Tuple[Any, Any]] = None
+        tables = params.num_levels * params.r
+        #: Figure 2's whole counter array, keyed by flat bucket id (see
+        #: :meth:`_key`): the packed slab, or the reference store's
+        #: per-table signature dicts.
+        self._store: _Store = (
+            SignatureArena(params.pair_bits, tables * params.s)
+            if backend == "packed"
+            else SignatureTable(params.pair_bits, tables, params.s)
+        )
+        #: The vectorized engine: batches fold as hashed blocks and
+        #: queries decode the whole slab.  Needs packed storage and
+        #: pair codes of at most 64 bits (``pack_codes``' limit).
+        self._slab_engine = backend == "packed" and params.pair_bits <= 64
         #: Number of stream updates processed (the paper's ``n``).
         self.updates_processed = 0
         #: Net sum of deltas across all updates.
@@ -349,9 +373,11 @@ class DistinctCountSketch:
     # -- maintenance (Section 3) --------------------------------------------
 
     def update(self, source: int, dest: int, delta: int) -> None:
-        """Process one flow update ``(source, dest, delta)``."""
-        if delta not in (1, -1):
-            raise ParameterError(f"delta must be +1 or -1, got {delta}")
+        """Process one flow update ``(source, dest, delta)``.
+
+        Raises:
+            ParameterError: for a delta other than +1 or -1.
+        """
         self._update_pair(self.domain.encode_pair(source, dest), delta)
 
     def insert(self, source: int, dest: int) -> None:
@@ -417,14 +443,15 @@ class DistinctCountSketch:
     def hash_encoded(self, codes: Any, deltas: Any) -> HashedBatch:  # hot-path
         """The hash half of ingestion: hash an encoded batch once.
 
-        On the packed backend an ndarray batch is cut into passes of at
-        most :data:`FOLD_PASS` updates, each hashed to one block of
-        distinct slab keys and summed counter rows
-        (:meth:`_hash_pass`); elsewhere the batch is left for the
-        per-pair path of :meth:`apply_hashed`.  No counter moves.
+        On the vectorized engine (packed storage, pair codes of at
+        most 64 bits) the batch is cut into passes of at most
+        :data:`FOLD_PASS` updates, each hashed to one block of distinct
+        slab keys and summed counter rows (:meth:`_hash_pass`);
+        elsewhere the batch is left for the per-pair path of
+        :meth:`apply_hashed`.  No counter moves.
         """
         blocks: Optional[List[Tuple[Any, Any]]] = None
-        if self._slab is not None and not isinstance(codes, list):
+        if self._slab_engine:
             blocks = []
             for lo in range(0, len(codes), FOLD_PASS):
                 hi = lo + FOLD_PASS
@@ -458,7 +485,7 @@ class DistinctCountSketch:
         if not count:
             return 0
         deltas = batch.deltas
-        if self._slab is not None and not isinstance(codes, list):
+        if self._slab_engine:
             blocks = batch.blocks
             if blocks is None or not (
                 batch.seed == self.seed and batch.params == self.params
@@ -481,10 +508,11 @@ class DistinctCountSketch:
     def _update_pair(self, pair: int, delta: int) -> None:
         """Apply one update for an encoded pair: the sketch hot path.
 
-        A delta that is not an integer raises ``TypeError`` before any
-        counter moves.
+        A delta that is not an integer raises ``TypeError``, and one
+        other than +1 or -1 ``ParameterError``, before any counter
+        moves.
         """
-        delta = index(delta)
+        delta = _unit_delta(delta)
         self._apply_pair(pair, delta)
         self.updates_processed += 1
         self.net_total += delta
@@ -532,28 +560,12 @@ class DistinctCountSketch:
     ) -> None:
         """The per-pair kernel: one update whose level and per-table
         buckets are already hashed (no bookkeeping)."""
-        slab = self._slab
-        if slab is not None:
-            s = self.params.s
-            key = level * self.params.r * s
-            for bucket in buckets:
-                slab.update(key + bucket, pair, delta)
-                key += s
-            return
-        tables = self._tables[level]
-        pair_bits = self.params.pair_bits
-        for j, bucket in enumerate(buckets):
-            table = tables[j]
-            signature = table.get(bucket)
-            if signature is None:
-                signature = CountSignature(pair_bits)
-                table[bucket] = signature
-            signature.update(pair, delta)
-            if signature.is_zero:
-                # Prune emptied buckets so "absent" always means "empty";
-                # this also keeps the sketch identical to one that never
-                # saw a deleted pair.
-                del table[bucket]
+        update = self._store.update
+        s = self.params.s
+        key = level * self.params.r * s
+        for bucket in buckets:
+            update(key + bucket, pair, delta)
+            key += s
 
     # linear: a block is exact integer sums of update rows (RL013)
     def _hash_pass(self, codes: Any, deltas: Any) -> Tuple[Any, Any]:  # hot-path
@@ -602,37 +614,12 @@ class DistinctCountSketch:
 
         The one mutation point of counter state outside per-pair
         updates: batch passes, merges, subtracts, delta syncs and
-        window expiry all end here.  On the packed backend returns the
-        slab's before/after images of the block
+        window expiry all end here.  Returns what the store's fold
+        returns: the packed slab's before/after images of the block
         (:meth:`~repro.sketch.arena.SignatureArena.fold`), which the
-        tracking sketch diffs; the reference store adds each row into
-        its bucket's signature (:meth:`_fold_signatures`) and returns
-        ``None``.
+        tracking sketch diffs, or ``None`` from the reference store.
         """
-        slab = self._slab
-        if slab is None:
-            self._fold_signatures(keys, rows)
-            return None
-        return slab.fold(keys, rows)
-
-    # linear: signature folding is exact integer addition (RL013)
-    def _fold_signatures(self, keys: Any, rows: Any) -> None:
-        """Reference-store fold: add ``rows[i]`` into bucket ``keys[i]``,
-        creating buckets on miss and pruning those that net to zero."""
-        r = self.params.r
-        s = self.params.s
-        pair_bits = self.params.pair_bits
-        for key, row in zip(keys.tolist(), rows.tolist()):
-            table_index, bucket = divmod(key, s)
-            level, j = divmod(table_index, r)
-            table = self._tables[level][j]
-            signature = table.get(bucket)
-            if signature is None:
-                signature = CountSignature(pair_bits)
-                table[bucket] = signature
-            signature.add_counters(row)
-            if signature.is_zero:
-                del table[bucket]
+        return self._store.fold(keys, rows)
 
     # -- structural accessors -----------------------------------------------
 
@@ -647,61 +634,36 @@ class DistinctCountSketch:
     def signature_at(
         self, level: int, j: int, bucket: int
     ) -> Optional[CountSignature]:
-        """The signature at ``(level, j, bucket)``, or ``None`` if empty."""
-        slab = self._slab
-        if slab is not None:
-            return slab.get(self._key(level, j, bucket))
-        return self._tables[level][j].get(bucket)
+        """The signature at ``(level, j, bucket)``, or ``None`` if empty.
+
+        The reference store returns its stored object, the packed slab
+        a copy.
+        """
+        return self._store.get(self._key(level, j, bucket))
 
     def return_singleton(self, level: int, j: int, bucket: int) -> Optional[int]:
         """The paper's ``ReturnSingleton``: decode bucket if a singleton.
 
         Returns the encoded pair, or ``None`` for empty/collision buckets.
         """
-        slab = self._slab
-        if slab is not None:
-            return slab.singleton_at(self._key(level, j, bucket))
-        signature = self._tables[level][j].get(bucket)
-        if signature is None:
-            return None
-        return signature.recover_singleton()
+        return self._store.singleton_at(self._key(level, j, bucket))
 
     def decoded_slab(self, level: int, j: int) -> Tuple[List[int], int]:
         """Decode the occupied buckets of one ``(level, table)``.
 
         Returns ``(singleton pair codes, collision count)`` through the
-        scalar per-bucket decode on either backend: the per-table view
-        the scalar query fallback walks.  The vectorized query path
+        scalar per-bucket decode on either backend: one table of the
+        scalar query fallback's per-level walk.  The vectorized query path
         decodes the whole packed slab at once instead
         (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`).  Does
         not touch observability counters (callers aggregate per scan).
         """
-        slab = self._slab
-        if slab is not None:
-            lo = self._key(level, j, 0)
-            keys = slab.occupied_keys()
-            first, last = _np.searchsorted(
-                keys, [lo, lo + self.params.s]
-            ).tolist()
-            decoded = [
-                slab.singleton_at(key) for key in keys[first:last].tolist()
-            ]
-            codes = [code for code in decoded if code is not None]
-            return codes, len(decoded) - len(codes)
-        codes = []
-        append = codes.append
-        collisions = 0
-        for signature in self._tables[level][j].values():
-            pair = signature.recover_singleton()
-            if pair is None:
-                collisions += 1
-            else:
-                append(pair)
-        return codes, collisions
+        lo = self._key(level, j, 0)
+        return self._store.singletons_in(lo, lo + self.params.s)
 
     def _slab_decode_ready(self) -> bool:
         """True when whole-slab decode can serve queries on this sketch."""
-        return self._slab is not None and self.params.pair_bits <= 64
+        return self._slab_engine
 
     def _decode_levels(
         self, levels: List[int]
@@ -718,8 +680,8 @@ class DistinctCountSketch:
         matching the scalar walk).  Callers must check
         :meth:`_slab_decode_ready` first.
         """
-        slab = self._slab
-        assert slab is not None
+        slab = self._store
+        assert isinstance(slab, SignatureArena)
         if not slab:
             return [(set(), 0, 0) for _ in levels]
         num_levels = self.params.num_levels
@@ -769,17 +731,15 @@ class DistinctCountSketch:
         if self._slab_decode_ready():
             sample, recovered, collisions = self._decode_levels([level])[0]
         else:
-            # Scalar fallback: one per-signature decode per inner table
-            # (reference backend or pair_bits > 64).
+            # Scalar fallback: one per-signature decode of the level's
+            # r inner tables (reference backend or pair_bits > 64).
             self._obs_scalar_fallbacks.inc(self.params.r)
-            sample = set()
-            recovered = 0
-            collisions = 0
-            for j in range(self.params.r):
-                codes, slab_collisions = self.decoded_slab(level, j)
-                sample.update(codes)
-                recovered += len(codes)
-                collisions += slab_collisions
+            lo = self._key(level, 0, 0)
+            codes, collisions = self._store.singletons_in(
+                lo, lo + self.params.r * self.params.s
+            )
+            sample = set(codes)
+            recovered = len(codes)
         self._record_dsample_obs(level, recovered, collisions)
         return sample
 
@@ -823,21 +783,13 @@ class DistinctCountSketch:
 
     def active_levels(self) -> int:
         """Number of first-level buckets currently holding any state."""
-        slab = self._slab
-        if slab is not None:
-            keys = slab.slot_keys()
-            per_level = self.params.r * self.params.s
-            return len(_np.unique(keys[keys >= 0] // per_level))
-        return sum(1 for level_tables in self._tables if any(level_tables))
+        per_level = self.params.r * self.params.s
+        return len(_np.unique(self._store.occupied_keys() // per_level))
 
     @property
     def is_empty(self) -> bool:
         """True when the sketch holds no state at all."""
-        if self._slab is not None:
-            return not self._slab
-        return all(
-            not table for level in self._tables for table in level
-        )
+        return not self._store
 
     # -- estimation (Section 4) ----------------------------------------------
 
@@ -1017,22 +969,8 @@ class DistinctCountSketch:
 
         The counter rows are int64, on either backend.
         """
-        stride = self.params.pair_bits + 1
-        slab = self._slab
-        if slab is not None:
-            keys, rows = slab.export_rows()
-            return keys, rows.reshape(len(keys), stride)
-        r = self.params.r
-        s = self.params.s
-        key_list: List[int] = []
-        row_list: List[List[int]] = []
-        for level, j, bucket, signature in self._iter_signatures():
-            key_list.append((level * r + j) * s + bucket)
-            row_list.append(signature.counter_values())
-        return (
-            _np.array(key_list, dtype=_np.int64),
-            _np.array(row_list, dtype=_np.int64).reshape(len(key_list), stride),
-        )
+        keys, rows = self._store.export_rows()
+        return keys, rows.reshape(len(keys), self.params.pair_bits + 1)
 
     # linear: delta folding must stay an exact integer addition (RL013)
     def apply_bucket_deltas(self, keys: Any, rows: Any) -> None:
@@ -1087,11 +1025,7 @@ class DistinctCountSketch:
         shard workers ship deltas from); the reference store keeps a
         copy of its counter rows and diffs against it.
         """
-        slab = self._slab
-        if slab is not None:
-            slab.track_deltas(True)
-        else:
-            self._delta_base = self._export_rows()
+        self._store.track_deltas(True)
 
     # linear: deltas are exact counter differences (RL013)
     def drain_deltas(self) -> Tuple[Any, Any]:  # hot-path
@@ -1109,33 +1043,12 @@ class DistinctCountSketch:
             ParameterError: on the reference store before
                 :meth:`track_deltas`.
         """
-        slab = self._slab
-        if slab is not None:
-            keys, rows = slab.drain_deltas()
-            return keys, rows.reshape(len(keys), slab.stride)
-        base = self._delta_base
-        if base is None:
-            raise ParameterError("drain_deltas needs track_deltas() first")
-        keys, rows = self._export_rows()
-        self._delta_base = (keys, rows)
-        stride = self.params.pair_bits + 1
-        both = _np.concatenate((keys, base[0]))
-        if not len(both):
-            return both, _np.empty((0, stride), dtype=_np.int64)
-        order, distinct, starts = _key_runs(both)
-        sums = _sum_runs(
-            _np.concatenate((rows, _np.negative(base[1]))), order, starts
-        )
-        moved = sums.any(axis=1)
-        return distinct[moved], sums[moved]
+        keys, rows = self._store.drain_deltas()
+        return keys, rows.reshape(len(keys), self.params.pair_bits + 1)
 
     def reset_deltas(self) -> None:
         """Restart the :meth:`drain_deltas` record from the current state."""
-        slab = self._slab
-        if slab is not None:
-            slab.reset_deltas()
-        else:
-            self._delta_base = self._export_rows()
+        self._store.reset_deltas()
 
     def copy(self) -> "DistinctCountSketch":
         """Return a deep, independent copy of this sketch.
@@ -1145,16 +1058,7 @@ class DistinctCountSketch:
         explicitly if needed.
         """
         clone = type(self)(self.params, seed=self.seed, backend=self.backend)
-        if self._slab is not None:
-            clone._slab = self._slab.copy()
-        else:
-            clone._tables = [
-                [
-                    {bucket: signature.copy() for bucket, signature in table.items()}
-                    for table in level_tables
-                ]
-                for level_tables in self._tables
-            ]
+        clone._store = self._store.copy()
         clone.updates_processed = self.updates_processed
         clone.net_total = self.net_total
         return clone
@@ -1164,14 +1068,17 @@ class DistinctCountSketch:
 
         This is the delete-resilience test surface: a sketch that saw
         matched insert/delete pairs must be structurally equal to one
-        that never saw them.  Backends compare against each other
-        through :meth:`_iter_signatures`.
+        that never saw them.  Either store compares against either
+        through its exported counter rows.
         """
         if not self.compatible_with(other):
             return False
-        if self._slab is not None and other._slab is not None:
-            return self._slab == other._slab
-        return list(self._iter_signatures()) == list(other._iter_signatures())
+        mine_keys, mine_rows = self._store.export_rows()
+        their_keys, their_rows = other._store.export_rows()
+        return bool(
+            _np.array_equal(mine_keys, their_keys)
+            and _np.array_equal(mine_rows, their_rows)
+        )
 
     # -- space accounting (Section 6.1) ----------------------------------------
 
@@ -1193,11 +1100,7 @@ class DistinctCountSketch:
 
     def occupied_buckets(self) -> int:
         """Number of second-level buckets currently holding state."""
-        if self._slab is not None:
-            return len(self._slab)
-        return sum(
-            len(table) for level in self._tables for table in level
-        )
+        return len(self._store)
 
     def __repr__(self) -> str:
         return (
@@ -1212,21 +1115,15 @@ class DistinctCountSketch:
         """Yield ``(level, j, bucket, signature)`` for all occupied buckets.
 
         In ascending ``(level, j, bucket)`` order on both backends, so
-        the serialized payload and cross-backend comparisons do not
-        depend on storage layout.  Packed signatures are copies.
+        the serialized payload does not depend on storage layout.
+        Packed signatures are copies; reference ones the stored objects.
         """
-        slab = self._slab
-        if slab is not None:
-            r = self.params.r
-            s = self.params.s
-            for key in slab.occupied_keys().tolist():
-                table, bucket = divmod(key, s)
-                level, j = divmod(table, r)
-                signature = slab.get(key)
-                assert signature is not None
-                yield level, j, bucket, signature
-            return
-        for level, level_tables in enumerate(self._tables):
-            for j, table in enumerate(level_tables):
-                for bucket in sorted(table):
-                    yield level, j, bucket, table[bucket]
+        store = self._store
+        r = self.params.r
+        s = self.params.s
+        for key in store.occupied_keys().tolist():
+            table, bucket = divmod(key, s)
+            level, j = divmod(table, r)
+            signature = store.get(key)
+            assert signature is not None
+            yield level, j, bucket, signature

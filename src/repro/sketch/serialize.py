@@ -18,14 +18,13 @@ shipping it — the raw signatures fully determine it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Set, Tuple, Union
 
 from .._accel import np as _np
-from ..exceptions import ParameterError
+from ..exceptions import DomainError, ParameterError
 from ..types import AddressDomain
 from .dcs import DistinctCountSketch
 from .params import SketchParams
-from .signature import CountSignature
 from .tracking import TrackingDistinctCountSketch
 
 #: Format version written into every payload.
@@ -63,8 +62,33 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value: Any) -> bool:
+    """True for an integer or a float (``bool`` is neither here)."""
+    return _is_int(value) or isinstance(value, float)
+
+
+def _field(
+    payload: Dict[str, Any], name: str, valid: Callable[[Any], bool],
+    kind: str,
+) -> Any:
+    """The header field ``name``, checked by ``valid``.
+
+    Raises:
+        ParameterError: naming the field, when it is missing or is not
+            ``kind``.
+    """
+    if name not in payload:
+        raise ParameterError(f"sketch payload has no {name!r} field")
+    value = payload[name]
+    if not valid(value):
+        raise ParameterError(
+            f"sketch payload field {name!r} must be {kind}, got {value!r}"
+        )
+    return value
+
+
 def _bucket_rows(
-    entries: Any, params: SketchParams
+    entries: List[Any], params: SketchParams
 ) -> Tuple[List[Tuple[int, int, int]], List[List[int]]]:
     """Validated ``(level, j, bucket)`` coordinates and counter rows.
 
@@ -74,8 +98,6 @@ def _bucket_rows(
             packed slab), a non-integer coordinate or counter, a
             counter row of the wrong width, or a repeated bucket.
     """
-    if not isinstance(entries, list):
-        raise ParameterError("sketch payload buckets must be a list")
     bounds = (
         ("level", params.num_levels), ("table", params.r), ("bucket", params.s)
     )
@@ -117,7 +139,8 @@ def sketch_from_dict(
     backends serialize to the same payload and load into either).
 
     Raises:
-        ParameterError: for an unsupported version or kind, or any
+        ParameterError: for an unsupported version or kind, a missing
+            or mistyped header field (named in the message), or any
             malformed bucket (see :func:`_bucket_rows`).
     """
     version = payload.get("format_version")
@@ -128,43 +151,52 @@ def sketch_from_dict(
     kind = payload.get("kind")
     if kind not in ("basic", "tracking"):
         raise ParameterError(f"unknown sketch kind: {kind!r}")
+    header = {
+        name: _field(payload, name, _is_int, "an integer")
+        for name in (
+            "m", "r", "s", "num_levels", "seed", "updates_processed",
+            "net_total",
+        )
+    }
+    try:
+        domain = AddressDomain(header["m"])
+    except DomainError as error:
+        raise ParameterError(f"sketch payload field 'm': {error}") from error
     params = SketchParams(
-        domain=AddressDomain(payload["m"]),
-        r=payload["r"],
-        s=payload["s"],
-        num_levels=payload["num_levels"],
-        sample_target_factor=payload["sample_target_factor"],
+        domain=domain,
+        r=header["r"],
+        s=header["s"],
+        num_levels=header["num_levels"],
+        sample_target_factor=_field(
+            payload, "sample_target_factor", _is_number, "a number"
+        ),
     )
     cls = (
         TrackingDistinctCountSketch if kind == "tracking"
         else DistinctCountSketch
     )
-    sketch = cls(params, seed=payload["seed"], backend=backend)
-    coordinates, rows = _bucket_rows(payload["buckets"], params)
-    if backend == "packed":
-        # The fold also maintains a tracking sketch's sample state.
-        keys = [sketch._key(*where) for where in coordinates]
-        try:
-            matrix = _np.array(rows, dtype=_np.int64)
-        except OverflowError as error:
-            raise ParameterError(
-                f"counter outside the 64-bit packed range: {error}"
-            ) from error
-        sketch.apply_bucket_deltas(
-            _np.array(keys, dtype=_np.int64),
-            matrix.reshape(len(keys), params.pair_bits + 1),
-        )
-    else:
-        for (level, j, bucket), counters in zip(coordinates, rows):
-            signature = CountSignature(params.pair_bits)
-            signature.total = counters[0]
-            signature.bit_counts = list(counters[1:])
-            if not signature.is_zero:
-                sketch._tables[level][j][bucket] = signature
-        if isinstance(sketch, TrackingDistinctCountSketch):
-            sketch._rebuild_tracking_state()
-    sketch.updates_processed = payload["updates_processed"]
-    sketch.net_total = payload["net_total"]
+    sketch = cls(params, seed=header["seed"], backend=backend)
+    coordinates, rows = _bucket_rows(
+        _field(payload, "buckets", lambda value: isinstance(value, list),
+               "a list"),
+        params,
+    )
+    keys = [sketch._key(*where) for where in coordinates]
+    # Packed counters are 64-bit; the reference store's are unbounded.
+    dtype = _np.int64 if backend == "packed" else object
+    try:
+        matrix = _np.array(rows, dtype=dtype)
+    except OverflowError as error:
+        raise ParameterError(
+            f"counter outside the 64-bit packed range: {error}"
+        ) from error
+    # The fold also maintains a tracking sketch's sample state.
+    sketch.apply_bucket_deltas(
+        _np.array(keys, dtype=_np.int64),
+        matrix.reshape(len(keys), params.pair_bits + 1),
+    )
+    sketch.updates_processed = header["updates_processed"]
+    sketch.net_total = header["net_total"]
     return sketch
 
 

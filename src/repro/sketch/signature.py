@@ -15,12 +15,20 @@ delete-resistant.  A bucket holding exactly one *distinct* pair (with any
 positive multiplicity) can be recognized and decoded: every bit count is
 either 0 (bit is 0) or equal to the total (bit is 1); any intermediate
 value witnesses a collision.
+
+:class:`SignatureTable` is the paper-faithful store of a whole sketch's
+signatures (``backend="reference"``, the test oracle): one sparse
+``bucket -> CountSignature`` dict per second-level table, behind the
+same flat-key surface as the packed
+:class:`~repro.sketch.arena.SignatureArena`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import chain
+from typing import Any, Dict, List, Optional, Tuple
 
+from .._accel import np as _np
 from ..exceptions import MergeError, ParameterError
 
 
@@ -167,4 +175,199 @@ class CountSignature:
     def __repr__(self) -> str:
         return (
             f"CountSignature(pair_bits={self.pair_bits}, total={self.total})"
+        )
+
+
+class SignatureTable:
+    """Reference counter store: a sparse signature dict per table.
+
+    Args:
+        pair_bits: width of the pair encoding (``2 log2 m``).
+        tables: number of second-level tables (``num_levels * r`` for
+            a sketch).
+        width: buckets per table (the sketch's ``s``).
+
+    Figure 2's ``X[level, table, bucket, ·]`` as the paper draws it:
+    each second-level table keeps one :class:`CountSignature` object
+    per occupied bucket, with unbounded integer counters.  The surface
+    is the packed :class:`~repro.sketch.arena.SignatureArena`'s: a
+    bucket is addressed by its flat key ``table * width + bucket``
+    (``(level * r + j) * s + bucket`` in a sketch), so the sketch runs
+    one body against either store.  Absent always means empty: a
+    signature that nets to zero is pruned.
+    """
+
+    __slots__ = ("pair_bits", "stride", "width", "_tables", "_delta_base")
+
+    def __init__(self, pair_bits: int, tables: int, width: int) -> None:
+        if pair_bits < 1:
+            raise ParameterError(f"pair_bits must be >= 1, got {pair_bits}")
+        if tables < 1 or width < 1:
+            raise ParameterError(
+                f"a store needs >= 1 table of >= 1 bucket, got "
+                f"{tables} x {width}"
+            )
+        self.pair_bits = pair_bits
+        #: Counters per signature: the total plus one per pair bit.
+        self.stride = pair_bits + 1
+        self.width = width
+        #: Per table, flat key -> signature of every occupied bucket.
+        self._tables: List[Dict[int, CountSignature]] = [
+            {} for _ in range(tables)
+        ]
+        #: Counter rows as of the last delta drain (None = tracking off).
+        self._delta_base: Optional[Tuple[Any, Any]] = None
+
+    def update(self, key: int, pair_code: int, delta: int) -> None:
+        """Apply one stream update to ``key``'s signature.
+
+        Creates the signature on a miss and prunes it when it nets to
+        zero, which also keeps the store identical to one that never
+        saw a deleted pair.
+        """
+        table = self._tables[key // self.width]
+        signature = table.get(key)
+        if signature is None:
+            signature = table[key] = CountSignature(self.pair_bits)
+        signature.update(pair_code, delta)
+        if signature.is_zero:
+            del table[key]
+
+    def get(self, key: int) -> Optional[CountSignature]:
+        """The key's stored signature (not a copy), or ``None``."""
+        return self._tables[key // self.width].get(key)
+
+    def singleton_at(self, key: int) -> Optional[int]:
+        """Decode the key's unique pair code, or ``None``."""
+        signature = self._tables[key // self.width].get(key)
+        return None if signature is None else signature.recover_singleton()
+
+    def singletons_in(self, lo: int, hi: int) -> Tuple[List[int], int]:
+        """Decode every occupied key of the whole tables in ``[lo, hi)``.
+
+        Returns ``(singleton pair codes, collision count)``, visiting
+        only those tables' signatures.
+
+        Raises:
+            ParameterError: when ``lo`` or ``hi`` is not a table bound.
+        """
+        width = self.width
+        if lo % width or hi % width:
+            raise ParameterError(
+                f"[{lo}, {hi}) does not cover whole tables of {width}"
+            )
+        codes: List[int] = []
+        append = codes.append
+        collisions = 0
+        for table in self._tables[lo // width:hi // width]:
+            for signature in table.values():
+                pair = signature.recover_singleton()
+                if pair is None:
+                    collisions += 1
+                else:
+                    append(pair)
+        return codes, collisions
+
+    # linear: signature folding is exact integer addition (RL013)
+    def fold(self, keys: Any, rows: Any) -> None:
+        """Add ``rows[i]`` into the signature of ``keys[i]``.
+
+        ``keys`` are distinct and ``rows`` holds one ``[total, bit_0,
+        ...]`` row per key (int64, or Python ints for counters beyond
+        64 bits).  Creates signatures on a miss and prunes those that
+        net to zero.  Returns no before/after images: a tracking
+        sketch recounts its sample state instead.
+        """
+        tables = self._tables
+        width = self.width
+        pair_bits = self.pair_bits
+        for key, row in zip(keys.tolist(), rows.tolist()):
+            table = tables[divmod(key, width)[0]]
+            signature = table.get(key)
+            if signature is None:
+                signature = table[key] = CountSignature(pair_bits)
+            signature.add_counters(row)
+            if signature.is_zero:
+                del table[key]
+
+    def occupied_keys(self) -> Any:
+        """Every occupied key, ascending (int64 ndarray)."""
+        keys = _np.fromiter(chain.from_iterable(self._tables), _np.int64)
+        keys.sort()
+        return keys
+
+    def export_rows(self) -> Tuple[Any, Any]:
+        """Every occupied key's counter row, as flat int64 ndarrays.
+
+        Keys ascend; ``rows`` holds ``stride`` counters per key.
+        """
+        keys: List[int] = []
+        rows: List[int] = []
+        for table in self._tables:
+            for key in sorted(table):
+                signature = table[key]
+                keys.append(key)
+                rows.append(signature.total)
+                rows += signature.bit_counts
+        return _np.array(keys, dtype=_np.int64), _np.array(rows, _np.int64)
+
+    # -- delta propagation ---------------------------------------------------
+
+    def track_deltas(self, enabled: bool = True) -> None:
+        """Switch delta recording on (from the current state) or off."""
+        if not enabled:
+            self._delta_base = None
+        elif self._delta_base is None:
+            self._delta_base = self.export_rows()
+
+    def reset_deltas(self) -> None:
+        """Restart the record from the current state (if tracking)."""
+        if self._delta_base is not None:
+            self._delta_base = self.export_rows()
+
+    # linear: deltas are exact counter differences (RL013)
+    def drain_deltas(self) -> Tuple[Any, Any]:
+        """The signed counter deltas since the last drain, then restart.
+
+        Returns ``(keys, rows)`` as flat int64 ndarrays, keys ascending
+        and keys whose deltas net to zero left out: the current rows
+        diffed against a copy taken at the last drain.
+
+        Raises:
+            ParameterError: before :meth:`track_deltas`.
+        """
+        base = self._delta_base
+        if base is None:
+            raise ParameterError("drain_deltas needs track_deltas() first")
+        keys, rows = self._delta_base = self.export_rows()
+        stride = self.stride
+        union = _np.union1d(keys, base[0])
+        deltas = _np.zeros((len(union), stride), dtype=_np.int64)
+        deltas[_np.searchsorted(union, keys)] += rows.reshape(-1, stride)
+        deltas[_np.searchsorted(union, base[0])] -= base[1].reshape(
+            -1, stride
+        )
+        moved = deltas.any(axis=1)
+        return union[moved], deltas[moved].reshape(-1)
+
+    def copy(self) -> "SignatureTable":
+        """Deep, independent copy (delta tracking off)."""
+        clone = SignatureTable(self.pair_bits, len(self._tables), self.width)
+        clone._tables = [
+            {key: signature.copy() for key, signature in table.items()}
+            for table in self._tables
+        ]
+        return clone
+
+    def __len__(self) -> int:
+        return sum(map(len, self._tables))
+
+    def __bool__(self) -> bool:
+        return any(self._tables)
+
+    def __repr__(self) -> str:
+        return (
+            f"SignatureTable(pair_bits={self.pair_bits}, "
+            f"tables={len(self._tables)}, width={self.width}, "
+            f"occupied={len(self)})"
         )

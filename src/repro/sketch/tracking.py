@@ -40,12 +40,11 @@ from ..obs.catalog import (
 )
 from ..obs.registry import Registry
 from ..types import AddressDomain
-from .arena import pack_codes, singleton_mask
+from .arena import SignatureArena, pack_codes, singleton_mask
 from .dcs import DEFAULT_EPSILON, DistinctCountSketch
 from .estimate import TopKResult, build_result
 from .heap import IndexedMaxHeap
 from .params import SketchParams
-from .signature import CountSignature
 
 
 class SingletonSet:
@@ -162,40 +161,15 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         The tracking form of the per-pair kernel, for per-update calls
         and the per-pair batch path alike.
         """
-        slab = self._slab
-        if slab is not None:
-            s = self.params.s
-            key = level * self.params.r * s
-            for bucket in buckets:
-                bucket_key = key + bucket
-                key += s
-                before = slab.singleton_at(bucket_key)
-                slab.update(bucket_key, pair, delta)
-                after = slab.singleton_at(bucket_key)
-                if before == after:
-                    continue
-                if before is not None:
-                    self._remove_singleton_occurrence(level, before)
-                if after is not None:
-                    self._add_singleton_occurrence(level, after)
-            return
-        tables = self._tables[level]
-        pair_bits = self.params.pair_bits
-        for j, bucket in enumerate(buckets):
-            table = tables[j]
-            signature = table.get(bucket)
-            before = (
-                None if signature is None else signature.recover_singleton()
-            )
-            if signature is None:
-                signature = CountSignature(pair_bits)
-                table[bucket] = signature
-            signature.update(pair, delta)
-            if signature.is_zero:
-                del table[bucket]
-                after = None
-            else:
-                after = signature.recover_singleton()
+        store = self._store
+        s = self.params.s
+        key = level * self.params.r * s
+        for bucket in buckets:
+            bucket_key = key + bucket
+            key += s
+            before = store.singleton_at(bucket_key)
+            store.update(bucket_key, pair, delta)
+            after = store.singleton_at(bucket_key)
             if before == after:
                 continue
             # The bucket's singleton occupant changed: emit sample events.
@@ -412,11 +386,11 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
     def _rebuild_tracking_state(self) -> None:
         """Recompute singletons/counters/heaps from the raw signatures.
 
-        Packed sketches decode the whole slab in one kernel pass
+        The vectorized engine decodes the whole slab in one kernel pass
         (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`); the
-        reference store and pair domains wider than 64 bits decode
-        signature by signature.  The resulting state is a pure function
-        of the counter state, so decode order is immaterial.
+        reference store and pair domains wider than 64 bits decode key
+        by key.  The resulting state is a pure function of the counter
+        state, so decode order is immaterial.
         """
         levels = self.params.num_levels
         self._singletons = [SingletonSet() for _ in range(levels)]
@@ -425,19 +399,20 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             IndexedMaxHeap() for _ in range(levels)
         ]
         add = self._add_singleton_occurrence
-        slab = self._slab
-        if slab is not None and self._slab_decode_ready():
-            keys, codes = slab.decode_slab()
-            per_level = self.params.r * self.params.s
+        per_level = self.params.r * self.params.s
+        store = self._store
+        if self._slab_decode_ready():
+            assert isinstance(store, SignatureArena)
+            keys, codes = store.decode_slab()
             for level, pair in zip(
                 (keys // per_level).tolist(), codes.tolist()
             ):
                 add(level, pair)
             return
-        for level, _, _, signature in self._iter_signatures():
-            pair = signature.recover_singleton()
+        for key in store.occupied_keys().tolist():
+            pair = store.singleton_at(key)
             if pair is not None:
-                add(level, pair)
+                add(key // per_level, pair)
 
     def copy(self) -> "TrackingDistinctCountSketch":
         """Deep copy, including tracked state (rebuilt from signatures)."""

@@ -474,89 +474,3 @@ class TestRL013LinearityGuard:
             """,
         ))
         assert violations == []
-
-
-class TestRL014SharedMemoryOwnership:
-    def test_fails_on_close_without_unlink(self):
-        violations = run_rule("RL014", (
-            "src/repro/sketch/demo.py",
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def publish(size):
-                segment = SharedMemory(name="seg", create=True, size=size)
-                segment.buf[:4] = b"data"
-                segment.close()
-            """,
-        ))
-        assert [v.rule_id for v in violations] == ["RL014"]
-        assert "unlink" in violations[0].message
-
-    def test_fails_on_unbound_creation(self):
-        violations = run_rule("RL014", (
-            "src/repro/sketch/demo.py",
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def touch():
-                SharedMemory(name="seg", create=True, size=64)
-            """,
-        ))
-        assert [v.rule_id for v in violations] == ["RL014"]
-        assert "never bound" in violations[0].message
-
-    def test_passes_on_unlink_after_use(self):
-        violations = run_rule("RL014", (
-            "src/repro/sketch/demo.py",
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def roundtrip(size):
-                segment = SharedMemory(name="seg", create=True, size=size)
-                try:
-                    segment.buf[:4] = b"data"
-                finally:
-                    segment.close()
-                    segment.unlink()
-            """,
-        ))
-        assert violations == []
-
-    def test_passes_on_ownership_handoff(self):
-        violations = run_rule("RL014", (
-            "src/repro/sketch/demo.py",
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            class Publisher:
-                def grow(self, size):
-                    segment = SharedMemory(
-                        name="seg", create=True, size=size
-                    )
-                    self._segment = segment
-                    return segment
-
-            def make(size):
-                return SharedMemory(name="seg", create=True, size=size)
-
-            def sweep(unlinker, size):
-                segment = SharedMemory(name="seg", create=True, size=size)
-                unlinker(segment.name)
-            """,
-        ))
-        assert violations == []
-
-    def test_attach_without_create_is_not_checked(self):
-        violations = run_rule("RL014", (
-            "src/repro/sketch/demo.py",
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def attach(name):
-                segment = SharedMemory(name=name)
-                data = bytes(segment.buf[:4])
-                segment.close()
-                return data
-            """,
-        ))
-        assert violations == []

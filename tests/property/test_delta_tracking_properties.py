@@ -1,16 +1,21 @@
-"""Property tests for the arena's block dirty tracking (hypothesis).
+"""Property tests for the two counter stores' delta tracking (hypothesis).
 
 A shard worker's slab records, per key, the counter row it held before
 its first touch since the last drain; ``drain_deltas`` ships current
-minus baseline for every key that moved.  The claims under test, for
-any interleaving of block folds, per-update writes, signature
-assignment and deletion, drains and resets:
+minus baseline for every key that moved.  The reference store
+(:class:`~repro.sketch.signature.SignatureTable`) answers the same
+surface by diffing against a row copy.  The claims under test, for any
+interleaving of block folds, per-update writes, drains and resets:
 
 1. **Exact replay**: folding each drained run into a copy of the arena
    taken at the previous drain (or reset) reproduces the arena.
 2. **Net-zero keys ship nothing**: the drained keys are exactly the
    keys whose rows differ from that copy — a key touched and reverted
    since the last drain never ships, and no shipped row is all zero.
+3. **One surface, two stores**: a ``SignatureTable`` fed the same
+   operations over the same keys holds the same rows, the same number
+   of keys, the same per-key and per-table singleton decode, and
+   drains the same runs.
 """
 
 from __future__ import annotations
@@ -21,12 +26,15 @@ from hypothesis import strategies as st
 
 from repro._accel import np
 from repro.sketch.arena import MAX_DENSE_RANGE, SignatureArena
-from repro.sketch.signature import CountSignature
+from repro.sketch.signature import SignatureTable
 
 PAIR_BITS = 5
 STRIDE = PAIR_BITS + 1
-#: A small key range, so operations keep landing on the same keys.
-KEYS = 12
+#: A small key range, so operations keep landing on the same keys:
+#: TABLES second-level tables of WIDTH buckets each.
+TABLES = 3
+WIDTH = 4
+KEYS = TABLES * WIDTH
 
 keys = st.integers(min_value=0, max_value=KEYS - 1)
 rows = st.lists(
@@ -43,23 +51,37 @@ operations = st.one_of(
         st.integers(min_value=0, max_value=2 ** PAIR_BITS - 1),
         st.sampled_from([1, -1]),
     ),
-    st.tuples(st.just("set"), keys, rows),
-    st.tuples(st.just("delete"), keys),
     st.tuples(st.just("drain")),
     st.tuples(st.just("reset")),
 )
 
 
-def row_map(arena):
-    """``{key: counter row}`` of every occupied key."""
-    found, flat = arena.export_rows()
+def row_map(found, flat):
+    """``{key: counter row}`` of exported or drained ``(keys, rows)``."""
     return dict(zip(found.tolist(), flat.reshape(-1, STRIDE).tolist()))
 
 
-def check_drain(arena, synced):
-    """Drain ``arena``, check the run, fold it into ``synced``."""
-    now = row_map(arena)
-    then = row_map(synced)
+def check_same(arena, table):
+    """Both stores answer every read of the surface alike."""
+    arena_keys, arena_rows = arena.export_rows()
+    table_keys, table_rows = table.export_rows()
+    assert arena_keys.tolist() == table_keys.tolist()
+    assert arena_rows.tolist() == table_rows.tolist()
+    assert len(arena) == len(table)
+    for key in range(KEYS):
+        assert arena.singleton_at(key) == table.singleton_at(key)
+    for lo in range(0, KEYS, WIDTH):
+        arena_codes, arena_collisions = arena.singletons_in(lo, lo + WIDTH)
+        table_codes, table_collisions = table.singletons_in(lo, lo + WIDTH)
+        assert sorted(arena_codes) == sorted(table_codes)
+        assert arena_collisions == table_collisions
+
+
+def check_drain(arena, table, synced):
+    """Drain both stores, check the runs, fold the arena's into
+    ``synced``."""
+    now = row_map(*arena.export_rows())
+    then = row_map(*synced.export_rows())
     moved = {
         key for key in now.keys() | then.keys()
         if now.get(key) != then.get(key)
@@ -69,6 +91,7 @@ def check_drain(arena, synced):
     assert len(set(drained.tolist())) == len(drained)
     assert bool(deltas.any(axis=1).all())
     assert set(drained.tolist()) == moved
+    assert row_map(drained, flat) == row_map(*table.drain_deltas())
     synced.fold(drained, deltas)
     assert synced == arena
 
@@ -80,31 +103,32 @@ def check_drain(arena, synced):
 def test_drained_runs_replay_the_arena(range_size, ops):
     arena = SignatureArena(PAIR_BITS, range_size)
     arena.track_deltas(True)
+    table = SignatureTable(PAIR_BITS, TABLES, WIDTH)
+    table.track_deltas(True)
     synced = SignatureArena(PAIR_BITS, range_size)
     for op in ops:
         kind = op[0]
         if kind == "fold":
             if op[1]:
-                arena.fold(
+                block = (
                     np.array([key for key, _ in op[1]], dtype=np.int64),
                     np.array([row for _, row in op[1]], dtype=np.int64),
                 )
+                arena.fold(*block)
+                table.fold(*block)
         elif kind == "update":
             arena.update(op[1], op[2], op[3])
-        elif kind == "set":
-            signature = CountSignature(PAIR_BITS)
-            signature.total = op[2][0]
-            signature.bit_counts = list(op[2][1:])
-            arena[op[1]] = signature
-        elif kind == "delete":
-            if op[1] in arena:
-                del arena[op[1]]
+            table.update(op[1], op[2], op[3])
         elif kind == "drain":
-            check_drain(arena, synced)
+            check_drain(arena, table, synced)
         else:
             arena.reset_deltas()
+            table.reset_deltas()
             synced = arena.copy()
-    check_drain(arena, synced)
+        check_same(arena, table)
+    check_drain(arena, table, synced)
     # Nothing moved since that drain: the next run is empty.
     drained, flat = arena.drain_deltas()
+    assert len(drained) == 0 and len(flat) == 0
+    drained, flat = table.drain_deltas()
     assert len(drained) == 0 and len(flat) == 0

@@ -27,7 +27,7 @@ class TestConstruction:
         arena = SignatureArena(8, 128)
         assert len(arena) == 0
         assert not arena
-        assert list(arena) == []
+        assert arena.occupied_keys().tolist() == []
 
 
 class TestUpdateAndDecode:
@@ -52,25 +52,30 @@ class TestUpdateAndDecode:
         # A second distinct pair makes the bucket a collision.
         arena.update(3, 0b0011, 1)
         assert arena.singleton_at(3) is None
-        assert arena[3] == make_signature(8, 0b1100, 0b0011)
+        assert arena.get(3) == make_signature(8, 0b1100, 0b0011)
 
     def test_singleton_at_empty_bucket(self):
         arena = SignatureArena(8, 128)
         assert arena.singleton_at(7) is None
 
-    def test_decode_occupied_matches_per_bucket_decode(self):
+    def test_singletons_in_matches_per_bucket_decode(self):
         arena = SignatureArena(8, 128)
         arena.update(1, 0b1, 1)
         arena.update(2, 0b10, 1)
         arena.update(2, 0b11, 1)
         arena.update(9, 0b101, -1)
-        decoded = list(arena.decode_occupied())
-        expected = [
-            (key, signature.recover_singleton())
-            for key, signature in arena.items()
-        ]
-        assert decoded == expected
-        assert sorted(x for _, x in decoded if x is not None) == [0b1]
+        arena.update(10, 0b110, 1)
+        for lo, hi in [(0, 128), (0, 10), (1, 2), (2, 11), (11, 128)]:
+            decoded = [
+                arena.get(key).recover_singleton()
+                for key in arena.occupied_keys().tolist()
+                if lo <= key < hi
+            ]
+            codes = [code for code in decoded if code is not None]
+            assert arena.singletons_in(lo, hi) == (
+                codes, len(decoded) - len(codes)
+            )
+        assert arena.singletons_in(0, 128) == ([0b1, 0b110], 2)
 
     def test_slot_reuse_after_prune(self):
         arena = SignatureArena(8, 128)
@@ -86,43 +91,11 @@ class TestMappingSurface:
     def test_get_returns_independent_copy(self):
         arena = SignatureArena(8, 128)
         arena.update(4, 0b111, 1)
-        signature = arena[4]
+        signature = arena.get(4)
         signature.update(0b111, 1)
         # Mutating the copy must not touch the arena.
-        assert arena[4] == make_signature(8, 0b111)
-
-    def test_setitem_roundtrip_and_zero_write_deletes(self):
-        arena = SignatureArena(8, 128)
-        arena[10] = make_signature(8, 0b101, 0b1)
-        assert arena[10] == make_signature(8, 0b101, 0b1)
-        arena[10] = CountSignature(8)
-        assert 10 not in arena
-
-    def test_setitem_rejects_width_mismatch(self):
-        arena = SignatureArena(8, 128)
-        with pytest.raises(ParameterError):
-            arena[0] = CountSignature(9)
-
-    def test_delitem(self):
-        arena = SignatureArena(8, 128)
-        arena.update(2, 0b1, 1)
-        del arena[2]
-        assert 2 not in arena
-        with pytest.raises(KeyError):
-            del arena[2]
-        with pytest.raises(KeyError):
-            arena[2]
-
-    def test_items_keys_values(self):
-        arena = SignatureArena(8, 128)
-        arena.update(1, 0b1, 1)
-        arena.update(2, 0b10, 1)
-        assert sorted(arena.keys()) == [1, 2]
-        assert {b: s for b, s in arena.items()} == {
-            1: make_signature(8, 0b1),
-            2: make_signature(8, 0b10),
-        }
-        assert len(list(arena.values())) == 2
+        assert arena.get(4) == make_signature(8, 0b111)
+        assert arena.get(5) is None
 
 
 class TestEquality:
@@ -153,7 +126,7 @@ class TestMergeSignature:
     def test_merge_into_empty_and_cancel(self):
         arena = SignatureArena(8, 128)
         fold_signature(arena, 5, make_signature(8, 0b1))
-        assert arena[5] == make_signature(8, 0b1)
+        assert arena.get(5) == make_signature(8, 0b1)
         negative = CountSignature(8)
         negative.update(0b1, -1)
         fold_signature(arena, 5, negative)
@@ -171,7 +144,7 @@ class TestCopy:
         arena.update(1, 0b1, 1)
         clone = arena.copy()
         clone.update(1, 0b1, 1)
-        assert arena[1] == make_signature(8, 0b1)
+        assert arena.get(1) == make_signature(8, 0b1)
         assert clone != arena
 
 
@@ -201,7 +174,7 @@ class TestBatchSurface:
         assert ok.tolist() == [True, False]
         # An empty block changes nothing.
         arena.fold(np.empty(0, dtype=np.int64), np.empty((0, 5), np.int64))
-        assert sorted(arena) == [7]
+        assert arena.occupied_keys().tolist() == [7]
 
     def test_sparse_resolve_path(self):
         # range_size above MAX_DENSE_RANGE forces the dict-based path.

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import namedtuple
 from typing import List, Tuple
 
 import numpy as np
 import pytest
 
-from repro.exceptions import DomainError
+from repro.exceptions import DomainError, ParameterError
 from repro.sketch import (
     DistinctCountSketch,
     SketchParams,
@@ -36,6 +37,10 @@ class Port(enum.IntEnum):
     HTTP = 80
 
 
+#: An update object that skips ``FlowUpdate``'s delta validation.
+RawUpdate = namedtuple("RawUpdate", "source dest delta")
+
+
 #: Updates the vectorized encoder must not take, and what per-update
 #: ``process`` does with each: raise (the exception type) or accept
 #: (``None``, as the integer value).
@@ -46,6 +51,9 @@ ODD_UPDATES = {
     "bool-address": (FlowUpdate(True, 3, 1), None),
     "numpy-address": (FlowUpdate(np.int64(4), 3, 1), None),
     "intenum-address": (FlowUpdate(Port.HTTP, 3, 1), None),
+    "delta-2": (RawUpdate(4, 3, 2), ParameterError),
+    "delta-minus-3": (RawUpdate(4, 3, -3), ParameterError),
+    "delta-2**32": (RawUpdate(4, 3, 2 ** 32), ParameterError),
 }
 
 

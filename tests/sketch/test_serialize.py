@@ -158,6 +158,45 @@ class TestValidation:
         with pytest.raises(ParameterError):
             serialize.sketch_from_dict(payload, backend="packed")
 
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("m", None),
+            ("r", None),
+            ("s", None),
+            ("num_levels", None),
+            ("sample_target_factor", None),
+            ("seed", None),
+            ("updates_processed", None),
+            ("net_total", None),
+            ("buckets", None),
+            ("m", "65536"),
+            ("m", 3),
+            ("r", True),
+            ("s", 128.0),
+            ("num_levels", [33]),
+            ("sample_target_factor", "0.0625"),
+            ("sample_target_factor", True),
+            ("seed", 3.0),
+            ("updates_processed", "200"),
+            ("net_total", 1.5),
+            ("buckets", {"0": []}),
+        ],
+    )
+    def test_rejects_malformed_header(self, domain, backend, field, value):
+        """A missing (``None`` here) or mistyped header field raises
+        ``ParameterError`` naming it, through ``loads`` as checkpoint
+        recovery calls it."""
+        payload = serialize.sketch_to_dict(loaded_sketch(domain))
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        data = json.dumps(payload).encode("ascii")
+        with pytest.raises(ParameterError, match=f"'{field}'"):
+            serialize.loads(data, backend=backend)
+
     def test_rejects_malformed_bytes(self):
         with pytest.raises(ParameterError):
             serialize.loads(b"not json at all {{{")

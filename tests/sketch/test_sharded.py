@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from repro.sketch import ShardedSketch, TrackingDistinctCountSketch
 from repro.types import AddressDomain, FlowUpdate
 
 POLICIES = ["round-robin", "by-destination"]
+
+#: An update object that skips ``FlowUpdate``'s delta validation.
+RawUpdate = namedtuple("RawUpdate", "source dest delta")
 
 
 @pytest.fixture
@@ -275,6 +279,9 @@ class TestMalformedBatches:
         "intenum": lambda m, dest: FlowUpdate(
             TestMalformedBatches.Five.FIVE, dest, 1
         ),
+        "delta-2": lambda m, dest: RawUpdate(5, dest, 2),
+        "delta-minus-3": lambda m, dest: RawUpdate(5, dest, -3),
+        "delta-2**32": lambda m, dest: RawUpdate(5, dest, 2 ** 32),
     }
 
     @classmethod
@@ -295,6 +302,9 @@ class TestMalformedBatches:
             ("float", TypeError),
             ("float-delta", TypeError),
             ("address-2**63", DomainError),
+            ("delta-2", ParameterError),
+            ("delta-minus-3", ParameterError),
+            ("delta-2**32", ParameterError),
         ],
     )
     @pytest.mark.parametrize("backend", ["sync", "process"])

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import MergeError, ParameterError
-from repro.sketch import CountSignature
+from repro.sketch import CountSignature, SignatureTable
 
 
 def build(pair_bits: int = 8) -> CountSignature:
@@ -186,3 +187,92 @@ class TestEquality:
 
     def test_not_equal_to_other_types(self):
         assert build() != "not a signature"
+
+
+class TestSignatureTable:
+    """The reference store behind ``backend="reference"``."""
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ParameterError):
+            SignatureTable(0, 2, 4)
+        with pytest.raises(ParameterError):
+            SignatureTable(8, 0, 4)
+        with pytest.raises(ParameterError):
+            SignatureTable(8, 2, 0)
+
+    def test_update_creates_and_prunes(self):
+        table = SignatureTable(8, 2, 4)
+        assert not table and len(table) == 0
+        table.update(5, 0b1010, 1)
+        assert table and len(table) == 1
+        assert table.singleton_at(5) == 0b1010
+        assert table.occupied_keys().tolist() == [5]
+        table.update(5, 0b1010, -1)
+        assert not table
+        assert table.get(5) is None
+        assert table.singleton_at(5) is None
+
+    def test_get_returns_the_stored_signature(self):
+        table = SignatureTable(8, 2, 4)
+        table.update(6, 0b11, 1)
+        assert table.get(6) is table.get(6)
+        table.get(6).update(0b11, 1)
+        assert table.get(6).total == 2
+
+    def test_singletons_in_whole_tables(self):
+        table = SignatureTable(8, 3, 4)
+        table.update(1, 0b1, 1)
+        table.update(2, 0b10, 1)
+        table.update(2, 0b11, 1)  # a collision
+        table.update(5, 0b100, 1)
+        table.update(11, 0b1000, 1)
+        assert table.singletons_in(0, 4) == ([0b1], 1)
+        assert table.singletons_in(4, 8) == ([0b100], 0)
+        assert sorted(table.singletons_in(0, 12)[0]) == [0b1, 0b100, 0b1000]
+        assert table.singletons_in(4, 4) == ([], 0)
+        with pytest.raises(ParameterError):
+            table.singletons_in(2, 6)
+
+    def test_fold_keeps_unbounded_counters(self):
+        table = SignatureTable(2, 1, 8)
+        rows = np.array([[2 ** 70, 2 ** 70, 0]], dtype=object)
+        table.fold(np.array([3], dtype=np.int64), rows)
+        assert table.get(3).total == 2 ** 70
+        assert table.singleton_at(3) == 0b01
+        table.fold(np.array([3], dtype=np.int64), -rows)
+        assert not table
+
+    def test_export_rows_ascend(self):
+        table = SignatureTable(2, 2, 4)
+        for key in (6, 1, 4):
+            table.update(key, 0b10, 1)
+        keys, rows = table.export_rows()
+        assert keys.tolist() == [1, 4, 6]
+        assert rows.tolist() == [1, 0, 1] * 3
+
+    def test_drain_needs_tracking(self):
+        table = SignatureTable(2, 1, 4)
+        with pytest.raises(ParameterError):
+            table.drain_deltas()
+        table.track_deltas()
+        table.update(1, 0b1, 1)
+        table.update(2, 0b1, 1)
+        table.update(2, 0b1, -1)
+        keys, rows = table.drain_deltas()
+        assert keys.tolist() == [1] and rows.tolist() == [1, 1, 0]
+        keys, rows = table.drain_deltas()
+        assert len(keys) == 0 and len(rows) == 0
+        table.track_deltas(False)
+        with pytest.raises(ParameterError):
+            table.drain_deltas()
+
+    def test_copy_is_deep_and_untracked(self):
+        table = SignatureTable(4, 2, 4)
+        table.track_deltas()
+        table.update(1, 0b1, 1)
+        clone = table.copy()
+        clone.update(1, 0b1, 1)
+        assert table.get(1).total == 1
+        assert clone.get(1).total == 2
+        with pytest.raises(ParameterError):
+            clone.drain_deltas()

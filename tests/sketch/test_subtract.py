@@ -103,7 +103,7 @@ class TestArenaSubtract:
         signature = CountSignature(8)
         signature.update(0b1, 2)
         fold_signature(arena, 7, signature, -1)
-        assert arena[7].total == -2
+        assert arena.get(7).total == -2
         fold_signature(arena, 7, signature, +1)
         assert len(arena) == 0
 

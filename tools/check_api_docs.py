@@ -87,6 +87,11 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     ("repro.sketch", "ShardedSketch.combined"),
     ("repro.sketch", "SignatureArena.decode_slab"),
     ("repro.sketch", "SignatureArena.view2d"),
+    # store surface (either store runs the sketch's one body)
+    ("repro.sketch", "SignatureArena.singletons_in"),
+    ("repro.sketch", "SignatureTable.fold"),
+    ("repro.sketch", "SignatureTable.drain_deltas"),
+    ("repro.sketch", "SignatureTable.singletons_in"),
     # packed fold surface (batch engine, merges, delta sync)
     ("repro.sketch", "SignatureArena.fold"),
     ("repro.sketch", "DistinctCountSketch.apply_bucket_deltas"),
