@@ -4,8 +4,9 @@ The paper's structures need two kinds of hash functions:
 
 * **Uniform second-level hashes** ``g_i : [m^2] -> [s]`` — implemented as
   Carter-Wegman polynomial hashes over a Mersenne-prime field
-  (:class:`CarterWegmanHash`) or, alternatively, tabulation hashing
-  (:class:`TabulationHash`).
+  (:class:`CarterWegmanHash`; a :class:`CarterWegmanBank` evaluates
+  all ``r`` of a sketch's in one broadcast) or, alternatively,
+  tabulation hashing (:class:`TabulationHash`).
 * **A geometric first-level hash** ``h : [m^2] -> {0..Theta(log m)}``
   with ``Pr[h(x) = l] = 2^-(l+1)`` — implemented per the paper's
   footnote 5 as a uniform randomizer composed with the
@@ -19,9 +20,15 @@ machines (or different routers) can be merged.
 from .geometric import GeometricLevelHash, lsb_index
 from .seeds import SeedStream, derive_seed
 from .tabulation import TabulationHash
-from .universal import MERSENNE_61, CarterWegmanHash, PairwiseHashFamily
+from .universal import (
+    MERSENNE_61,
+    CarterWegmanBank,
+    CarterWegmanHash,
+    PairwiseHashFamily,
+)
 
 __all__ = [
+    "CarterWegmanBank",
     "CarterWegmanHash",
     "GeometricLevelHash",
     "MERSENNE_61",

@@ -62,7 +62,7 @@ class GeometricLevelHash:
         seed: seed for the underlying uniform randomizer.
     """
 
-    __slots__ = ("max_level", "seed", "_randomizer")
+    __slots__ = ("max_level", "seed", "_randomizer", "_levels")
 
     def __init__(self, max_level: int, seed: int) -> None:
         if max_level < 0:
@@ -74,6 +74,8 @@ class GeometricLevelHash:
         self._randomizer = TabulationHash(
             range_size=1, seed=derive_seed(seed, "geometric-randomizer")
         )
+        # The trailing-zero table with the clamp to max_level folded in.
+        self._levels = _np.minimum(_TZ_TABLE, max_level)
 
     @property
     def num_levels(self) -> int:
@@ -89,10 +91,11 @@ class GeometricLevelHash:
         """Levels for a batch of values, bit-identical to ``self(v)``.
 
         Vectorized whenever every value is below ``2^64``: tabulated
-        words, then the isolated low bit ``w & -w`` mapped to its index
-        through the mod-67 perfect-hash table (integer-only — no float
-        log2, no version-gated popcount).  Returns a numpy ``int64``
-        array on that path, else a list of ints.
+        words, then the isolated low bit ``w & -w`` mapped to its
+        clamped index through the mod-67 perfect-hash table
+        (integer-only — no float log2, no version-gated popcount).
+        Returns a numpy ``int64`` array on that path, else a list of
+        ints.
         """
         words = self._randomizer.words_many(values)
         if isinstance(words, list):
@@ -106,9 +109,8 @@ class GeometricLevelHash:
                 level = (word & -word).bit_length() - 1
                 append(level if level < max_level else max_level)
             return out
-        low_bit = words & (~words + _np.uint64(1))
-        levels = _TZ_TABLE[(low_bit % _np.uint64(67)).astype(_np.int64)]
-        return _np.minimum(levels, self.max_level)
+        residues = (words & -words) % _np.uint64(67)
+        return self._levels.take(residues.view(_np.int64))
 
     def level_probability(self, level: int) -> float:
         """Exact probability that a uniformly random value maps to ``level``.

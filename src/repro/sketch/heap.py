@@ -14,7 +14,9 @@ priorities are integers (sample frequencies).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generic, List, Protocol, Tuple, TypeVar
+from heapq import heappop, heappush
+from itertools import islice
+from typing import Any, Dict, Generic, Iterator, List, Protocol, Tuple, TypeVar
 
 from ..exceptions import ReproError
 
@@ -145,15 +147,37 @@ class IndexedMaxHeap(Generic[K]):
     def top_k(self, k: int) -> List[Tuple[K, int]]:
         """Return the ``k`` largest entries without mutating the heap.
 
-        Implemented as k ``deleteMax`` operations followed by
-        re-insertion, matching the paper's TrackTopk usage while keeping
-        the synopsis intact for subsequent queries.
+        The first ``k`` entries of :meth:`ranked`: the order ``k``
+        ``deleteMax`` operations would pop them in (the paper's
+        TrackTopk usage), in ``O(k log k)``, with the heap array left
+        as it was.
         """
-        count = min(k, len(self._entries))
-        popped = [self.pop() for _ in range(count)]
-        for key, priority in popped:
-            self.insert(key, priority)
-        return popped
+        return list(islice(self.ranked(), max(k, 0)))
+
+    def ranked(self) -> Iterator[Tuple[K, int]]:
+        """Yield every ``(key, priority)`` in pop order, lazily.
+
+        Priority descending, then key ascending — the order repeated
+        :meth:`pop` calls would produce — by a best-first walk of the
+        heap array: a frontier of ``(-priority, key, position)`` starts
+        at the root, and each entry taken adds its two children.
+        Taking ``j`` entries costs ``O(j log j)`` and never touches the
+        heap, so the heap must not change while the walk runs.
+        """
+        entries = self._entries
+        size = len(entries)
+        if not size:
+            return
+        root = entries[0]
+        frontier: List[Tuple[int, K, int]] = [(-root.priority, root.key, 0)]
+        while frontier:
+            negated, key, position = heappop(frontier)
+            yield key, -negated
+            child = 2 * position + 1
+            for index in (child, child + 1):
+                if index < size:
+                    entry = entries[index]
+                    heappush(frontier, (-entry.priority, entry.key, index))
 
     def items(self) -> List[Tuple[K, int]]:
         """All ``(key, priority)`` pairs in arbitrary (heap) order."""

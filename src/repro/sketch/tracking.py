@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from .._accel import np as _np
 from ..exceptions import ParameterError
 from ..obs.catalog import (
     TRACKING_HEAP_OPS,
@@ -205,14 +204,14 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         ok, ne = singleton_mask(images.reshape(2 * count, images.shape[2]))
         was_ok = ok[:count]
         now_ok = ok[count:]
-        either = _np.flatnonzero(was_ok | now_ok)
+        either = (was_ok | now_ok).nonzero()[0]
         if not len(either):
             return images
         was = was_ok[either]
         now = now_ok[either]
         before = pack_codes(~ne[either, 1:])
         after = pack_codes(~ne[either + count, 1:])
-        changed = _np.flatnonzero((was != now) | (before != after))
+        changed = ((was != now) | (before != after)).nonzero()[0]
         if not len(changed):
             return images
         per_level = self.params.r * self.params.s
@@ -275,8 +274,10 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         """TrackTopk: the O(k log m) continuous-tracking query.
 
         Walks ``numSingletons`` counters top-down to locate the sample
-        inference level, then pops the level's destination heap ``k``
-        times (re-inserting afterwards, so the synopsis is unchanged).
+        inference level, then reads the ``k`` largest entries of the
+        level's destination heap in pop order without popping them
+        (:meth:`~repro.sketch.heap.IndexedMaxHeap.top_k`), so the
+        synopsis is unchanged.
         """
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
@@ -308,8 +309,10 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         """All destinations with tracked estimate ``>= tau``.
 
         The footnote-3 threshold variant, answered from tracked state:
-        repeatedly pops the stopping level's heap while estimates clear
-        the threshold. Cost ``O(a log m)`` for ``a`` reported answers.
+        walks the stopping level's heap in pop order
+        (:meth:`~repro.sketch.heap.IndexedMaxHeap.ranked`) while
+        estimates clear the threshold, leaving the heap untouched.
+        Cost ``O(a log a)`` for ``a`` reported answers.
         """
         if tau < 1:
             raise ParameterError(f"tau must be >= 1, got {tau}")
@@ -324,18 +327,13 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
                 break
         self._obs_sample_size.observe(sample_size)
         scale = 1 << stop_level
-        heap = self._dest_heaps[stop_level]
-        popped: List[Tuple[int, int]] = []
-        while heap:
-            dest, freq = heap.pop()
+        ranked: List[Tuple[int, int]] = []
+        for dest, freq in self._dest_heaps[stop_level].ranked():
             if scale * freq < tau:
-                heap.insert(dest, freq)
                 break
-            popped.append((dest, freq))
-        for dest, freq in popped:
-            heap.insert(dest, freq)
+            ranked.append((dest, freq))
         return build_result(
-            ranked=popped,
+            ranked=ranked,
             stop_level=stop_level,
             sample_size=sample_size,
             target_size=target,

@@ -1,20 +1,24 @@
 """Bit-identity of the bulk hash paths against their scalar originals.
 
-The batch update engine is only correct because ``hash_many`` /
-``words_many`` / ``levels_many`` return *exactly* what calling the
-scalar hash per value would — these tests pin that equivalence on
-adversarial inputs (field-boundary values, zero, values at and above
-``2^64`` that must take the scalar fallback).
+The batch update engine is only correct because ``hash_many`` (of one
+hash or of a :class:`CarterWegmanBank`) / ``words_many`` /
+``levels_many`` return *exactly* what calling the scalar hash per value
+would — these tests pin that equivalence on adversarial inputs
+(field-boundary values, zero, values at and above ``2^64`` that must
+take the scalar fallback).
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.exceptions import ParameterError
 from repro.hashing import (
     MERSENNE_61,
+    CarterWegmanBank,
     CarterWegmanHash,
     GeometricLevelHash,
     TabulationHash,
@@ -59,16 +63,53 @@ class TestCarterWegmanHashMany:
         assert list(h.hash_many([])) == []
 
     def test_vectorized_path_used_for_uint64_inputs(self):
-        import numpy as np
-
         h = CarterWegmanHash(range_size=128, seed=5)
         result = h.hash_many([1, 2, 3])
         assert isinstance(result, np.ndarray)
         assert result.dtype == np.int64
 
 
+class TestCarterWegmanBank:
+    @pytest.mark.parametrize("range_size", [1, 2, 128, 1009])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_rows_match_scalar(self, rows, range_size):
+        hashes = [
+            CarterWegmanHash(range_size=range_size, seed=40 + j)
+            for j in range(rows)
+        ]
+        values = EDGE_VALUES + random_values(rows, 500)
+        result = CarterWegmanBank(hashes).hash_many(values)
+        assert result.dtype == np.int64
+        assert result.shape == (rows, len(values))
+        for row, h in zip(result, hashes):
+            assert row.tolist() == [h(v) for v in values]
+
+    def test_rows_may_differ_in_range(self):
+        hashes = [
+            CarterWegmanHash(range_size=size, seed=size)
+            for size in (1, 2, 1009)
+        ]
+        values = EDGE_VALUES + random_values(8, 300)
+        result = CarterWegmanBank(hashes).hash_many(values)
+        assert result.tolist() == [[h(v) for v in values] for h in hashes]
+
+    def test_values_beyond_uint64_take_exact_fallback(self):
+        hashes = [CarterWegmanHash(range_size=128, seed=j) for j in range(3)]
+        values = [1 << 64, (1 << 64) + 12345, 1 << 100, 7]
+        result = CarterWegmanBank(hashes).hash_many(values)
+        assert result == [[h(v) for v in values] for h in hashes]
+
+    def test_empty_input(self):
+        hashes = [CarterWegmanHash(range_size=128, seed=j) for j in range(3)]
+        assert CarterWegmanBank(hashes).hash_many([]).shape == (3, 0)
+
+    def test_needs_a_hash(self):
+        with pytest.raises(ParameterError):
+            CarterWegmanBank([])
+
+
 class TestTabulationHashMany:
-    @pytest.mark.parametrize("key_bytes", [1, 2, 4, 8])
+    @pytest.mark.parametrize("key_bytes", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
     def test_words_match_scalar(self, key_bytes):
         h = TabulationHash(range_size=64, seed=3, key_bytes=key_bytes)
         values = random_values(key_bytes, 500) + EDGE_VALUES

@@ -137,6 +137,24 @@ class TestTopK:
         # Equal priorities pop in ascending key order.
         assert [key for key, _ in heap.top_k(4)] == [1, 3, 5, 9]
 
+    def test_top_k_leaves_heap_layout(self):
+        heap = IndexedMaxHeap()
+        for i in range(10):
+            heap.insert(i, i * 2)
+        layout = heap.items()
+        assert heap.top_k(5) == [(9, 18), (8, 16), (7, 14), (6, 12), (5, 10)]
+        # items() lists the heap array in order: not one slot moved.
+        assert heap.items() == layout
+
+    def test_ranked_is_pop_order(self):
+        rng = random.Random(3)
+        heap = IndexedMaxHeap()
+        for key in range(300):
+            heap.insert(key, rng.randrange(-5, 40))
+        ranked = list(heap.ranked())
+        assert ranked == [heap.pop() for _ in range(len(heap))]
+        assert list(IndexedMaxHeap().ranked()) == []
+
 
 class TestInvariantsUnderChurn:
     def test_random_operations_maintain_invariants(self):

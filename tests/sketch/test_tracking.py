@@ -203,6 +203,13 @@ class TestTrackThreshold:
         sketch.track_threshold(10)
         sketch.check_invariants()
 
+    def test_threshold_query_leaves_heap_layout(self, domain):
+        sketch = TrackingDistinctCountSketch(domain, seed=20)
+        sketch.process_stream(random_stream(600, seed=21, dests=10))
+        layouts = [heap.items() for heap in sketch._dest_heaps]
+        assert len(sketch.track_threshold(16)) > 1
+        assert [heap.items() for heap in sketch._dest_heaps] == layouts
+
     def test_rejects_bad_tau(self, sketch):
         with pytest.raises(ParameterError):
             sketch.track_threshold(0)

@@ -92,6 +92,13 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     ("repro.sketch", "SignatureTable.fold"),
     ("repro.sketch", "SignatureTable.drain_deltas"),
     ("repro.sketch", "SignatureTable.singletons_in"),
+    # bulk hashing (the hash half of every packed ingest path)
+    ("repro.hashing", "CarterWegmanBank.hash_many"),
+    ("repro.hashing", "TabulationHash.words_many"),
+    ("repro.hashing", "GeometricLevelHash.levels_many"),
+    # tracked-query walk
+    ("repro.sketch", "IndexedMaxHeap.top_k"),
+    ("repro.sketch", "IndexedMaxHeap.ranked"),
     # packed fold surface (batch engine, merges, delta sync)
     ("repro.sketch", "SignatureArena.fold"),
     ("repro.sketch", "DistinctCountSketch.apply_bucket_deltas"),
