@@ -189,10 +189,10 @@ class FloatInCounterPathRule(Rule):
             {"update", "insert", "delete", "process", "process_stream",
              "update_batch", "encode_batch", "update_encoded",
              "hash_encoded", "apply_hashed", "_update_pair",
-             "_apply_pair", "_apply_pairs", "_apply_at", "_hash_pass",
-             "_fold_blocks", "_key_runs", "_sum_runs", "_fold",
-             "apply_bucket_deltas", "merge", "subtract", "_add_counters",
-             "_export_rows", "drain_deltas"}
+             "_apply_pair", "_apply_pairs", "_apply_at", "_hash_passes",
+             "_hash_pass", "_fold_blocks", "_key_runs", "_sum_runs",
+             "_net_pairs", "_fold", "apply_bucket_deltas", "merge",
+             "subtract", "_add_counters", "_export_rows", "drain_deltas"}
         ),
         "repro.sketch.sharded": frozenset({"route"}),
         "repro.sketch.tracking": frozenset(

@@ -30,7 +30,8 @@ The arena's surface is the one the sketch runs against either store
 (the reference store is
 :class:`~repro.sketch.signature.SignatureTable`): per-key ``update`` /
 ``get`` / ``singleton_at``, per-range ``singletons_in``, ``fold``,
-``export_rows``, ``occupied_keys``, ``copy`` and the delta record.
+``export_rows``, ``occupied_keys``, ``occupied_per_table``, ``copy``
+and the delta record.
 :class:`CountSignature` remains the interchange type: :meth:`get`
 returns an independent copy, never a view into the buffer.
 
@@ -191,6 +192,19 @@ class SignatureArena:
         """Every occupied key, ascending (int64 ndarray)."""
         keys = self.slot_keys()
         return _np.sort(keys[keys >= 0])
+
+    def occupied_per_table(self, width: int) -> Any:
+        """Occupied keys in each table of ``width`` consecutive keys.
+
+        An int64 ndarray with one count per table of the key range
+        (``range_size // width`` tables; ``width`` must divide the
+        range), counted by one ``bincount`` of the slot keys, free
+        slots left out: no sort.
+        """
+        keys = self.slot_keys()
+        return _np.bincount(
+            keys[keys >= 0] // width, minlength=self.range_size // width
+        )
 
     # -- delta propagation (dirty-key tracking) -------------------------------
 

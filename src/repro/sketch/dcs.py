@@ -141,6 +141,27 @@ def _sum_runs(rows: Any, picks: Any, starts: Any) -> Any:  # hot-path
     return sums
 
 
+# linear: a pair's net delta is the exact integer sum of its deltas (RL013)
+def _net_pairs(codes: Any, deltas: Any) -> Tuple[Any, Any]:  # hot-path
+    """Net a pass by pair: the pairs whose deltas do not cancel.
+
+    The sketch is linear in the update multiset (Section 3), so a
+    pass folds to the same counters as its pairs' net deltas.  Sorts
+    the codes once (:func:`_key_runs`); a pass whose codes are all
+    distinct comes back unchanged, otherwise each pair's deltas are
+    summed by one 1-D ``np.add.reduceat`` and the pairs that net to
+    zero are dropped.  A net delta may be any integer (+2 for a pair
+    inserted twice), so the rows built from it stay exact int64.
+    ``codes`` must be non-empty.
+    """
+    order, distinct, starts = _key_runs(codes)
+    if len(starts) == len(codes):
+        return codes, deltas
+    sums = _np.add.reduceat(deltas[order], starts)
+    kept = sums.nonzero()[0]
+    return distinct[kept], sums[kept]
+
+
 def encode_batch(
     domain: AddressDomain, batch: List[FlowUpdate]
 ) -> Tuple[Any, Any]:  # hot-path
@@ -222,9 +243,12 @@ class HashedBatch(NamedTuple):
     deltas: Any
     #: One ``(distinct keys, summed counter rows)`` block per fold pass
     #: of at most :data:`FOLD_PASS` updates (see
-    #: :meth:`DistinctCountSketch._hash_pass`); ``None`` when the
-    #: hashing sketch takes the per-pair path (the reference store, or
-    #: pair codes wider than 64 bits).
+    #: :meth:`DistinctCountSketch._hash_pass`); a pass whose pairs all
+    #: cancel gives an empty block.  ``None`` when the batch is not
+    #: hashed: the hashing sketch takes the per-pair path (the
+    #: reference store, or pair codes wider than 64 bits), or the batch
+    #: came from :meth:`DistinctCountSketch.update_encoded`, whose
+    #: sketch hashes each pass as it folds it.
     blocks: Optional[List[Tuple[Any, Any]]]
 
 
@@ -442,11 +466,14 @@ class DistinctCountSketch:
         shard workers run on the frames their router sends.  ``codes``
         and ``deltas`` are a uint64 and an int64 ndarray, or two lists
         (pair codes wider than 64 bits); the pair codes must lie inside
-        the domain.  Hashes the batch (:meth:`hash_encoded`) and folds
-        it (:meth:`apply_hashed`).  Returns the number of updates
-        applied.
+        the domain.  Folds the batch through :meth:`apply_hashed`,
+        which hashes and folds it one pass at a time, so its
+        temporaries do not grow with the batch.  Returns the number of
+        updates applied.
         """
-        return self.apply_hashed(self.hash_encoded(codes, deltas))
+        return self.apply_hashed(
+            HashedBatch(self.params, self.seed, codes, deltas, None)
+        )
 
     def hash_encoded(self, codes: Any, deltas: Any) -> HashedBatch:  # hot-path
         """The hash half of ingestion: hash an encoded batch once.
@@ -460,10 +487,7 @@ class DistinctCountSketch:
         """
         blocks: Optional[List[Tuple[Any, Any]]] = None
         if self._slab_engine:
-            blocks = []
-            for lo in range(0, len(codes), FOLD_PASS):
-                hi = lo + FOLD_PASS
-                blocks.append(self._hash_pass(codes[lo:hi], deltas[lo:hi]))
+            blocks = list(self._hash_passes(codes, deltas))
         return HashedBatch(self.params, self.seed, codes, deltas, blocks)
 
     def apply_hashed(self, batch: HashedBatch) -> int:  # hot-path
@@ -472,7 +496,8 @@ class DistinctCountSketch:
         The blocks are folded as they are when the batch was hashed by
         a packed sketch of this sketch's shape and seed — which lets one
         hashed chunk feed several sketches — and re-hashed here
-        otherwise, so any batch encoded for this sketch's address
+        otherwise, one pass at a time, each pass folded before the next
+        is hashed; so any batch encoded for this sketch's address
         domain applies exactly.  The reference store and pair codes
         wider than 64 bits take the per-pair path
         (:meth:`_apply_pairs`).  The insert/delete observability
@@ -494,12 +519,11 @@ class DistinctCountSketch:
             return 0
         deltas = batch.deltas
         if self._slab_engine:
-            blocks = batch.blocks
+            blocks: Optional[Iterable[Tuple[Any, Any]]] = batch.blocks
             if blocks is None or not (
                 batch.seed == self.seed and batch.params == self.params
             ):
-                blocks = self.hash_encoded(codes, deltas).blocks
-                assert blocks is not None
+                blocks = self._hash_passes(codes, deltas)
             self._fold_blocks(blocks)
             inserts = int(_np.count_nonzero(deltas > 0))
         else:
@@ -575,20 +599,45 @@ class DistinctCountSketch:
             update(key + bucket, pair, delta)
             key += s
 
+    def _hash_passes(
+        self, codes: Any, deltas: Any
+    ) -> Iterator[Tuple[Any, Any]]:  # hot-path
+        """Hash an encoded batch lazily, one block per pass of at most
+        :data:`FOLD_PASS` updates (:meth:`_hash_pass`)."""
+        for lo in range(0, len(codes), FOLD_PASS):
+            hi = lo + FOLD_PASS
+            yield self._hash_pass(codes[lo:hi], deltas[lo:hi])
+
     # linear: a block is exact integer sums of update rows (RL013)
     def _hash_pass(self, codes: Any, deltas: Any) -> Tuple[Any, Any]:  # hot-path
         """Hash one pass of encoded updates to one foldable block.
 
-        Hashes the pass to an ``(r, n)`` matrix of flat keys — row
-        ``j`` holds table ``j``'s bucket at each update's level, built
-        in one broadcast from the levels and one bank call — then sorts
-        the keys once and sums every distinct key's contribution rows
-        ``[delta, bit_0 * delta, ...]`` (:func:`_sum_runs`).  Returns
-        ``(distinct keys, summed rows)``, which :meth:`_fold` applies
-        with one gather, add and write-back of the touched rows.
+        A pass holding a delete is first netted by pair
+        (:func:`_net_pairs`), so a pair inserted and deleted in the same
+        pass costs nothing further, and a pass whose pairs all cancel
+        gives an empty block.  The surviving updates are hashed to an
+        ``(r, n)`` matrix of flat keys — row ``j`` holds table ``j``'s
+        bucket at each update's level, built in one broadcast from the
+        levels and one bank call — then the keys are sorted once and
+        every distinct key's contribution rows ``[delta, bit_0 * delta,
+        ...]`` summed (:func:`_sum_runs`).  Returns ``(distinct keys,
+        summed rows)``, which :meth:`_fold` applies with one gather, add
+        and write-back of the touched rows.
         """
         params = self.params
         count = len(codes)
+        # Only a delete can cancel a pair, so an insert-only pass skips
+        # the pair sort.  The gate reads the pass's input deltas, not a
+        # counter, and both branches give the same block.
+        if count > 1 and deltas.min() < 0:
+            with trace_span("sketch.scatter"):
+                codes, deltas = _net_pairs(codes, deltas)
+            count = len(codes)
+            if not count:
+                return (
+                    _np.empty(0, _np.int64),
+                    _np.empty((0, params.pair_bits + 1), _np.int64),
+                )
         with trace_span("sketch.hash_bulk"):
             levels = self._level_hash.levels_many(codes)
             keys = (levels * params.r + self._table_ids) * params.s
@@ -610,10 +659,14 @@ class DistinctCountSketch:
             return distinct, _sum_runs(rows, order % count, starts)
 
     # linear: the block fan-out folds by exact integer addition (RL013)
-    def _fold_blocks(self, blocks: List[Tuple[Any, Any]]) -> None:  # hot-path
-        """Fold the blocks of a hashed batch into the slab."""
-        with trace_span("sketch.scatter"):
-            for keys, rows in blocks:
+    def _fold_blocks(
+        self, blocks: Iterable[Tuple[Any, Any]]
+    ) -> None:  # hot-path
+        """Fold the blocks of a batch into the slab, each as it comes:
+        a lazily hashed batch (:meth:`_hash_passes`) has one pass
+        hashed at a time."""
+        for keys, rows in blocks:
+            with trace_span("sketch.scatter"):
                 self._fold(keys, rows)
 
     # linear: folding is exact integer addition (RL013)
@@ -703,10 +756,12 @@ class DistinctCountSketch:
         cuts = _np.searchsorted(
             code_levels[order], _np.arange(num_levels + 1)
         ).tolist()
-        slot_keys = slab.slot_keys()
-        occupied = _np.bincount(
-            slot_keys[slot_keys >= 0] // per_level, minlength=num_levels
-        ).tolist()
+        occupied = (
+            slab.occupied_per_table(self.params.s)
+            .reshape(num_levels, self.params.r)
+            .sum(axis=1)
+            .tolist()
+        )
         out: List[Tuple[Set[int], int, int]] = []
         for level in levels:
             lo = cuts[level]
@@ -791,8 +846,9 @@ class DistinctCountSketch:
 
     def active_levels(self) -> int:
         """Number of first-level buckets currently holding any state."""
-        per_level = self.params.r * self.params.s
-        return len(_np.unique(self._store.occupied_keys() // per_level))
+        params = self.params
+        sizes = self._store.occupied_per_table(params.s)
+        return int(sizes.reshape(-1, params.r).any(axis=1).sum())
 
     @property
     def is_empty(self) -> bool:

@@ -296,6 +296,21 @@ class SignatureTable:
         keys.sort()
         return keys
 
+    def occupied_per_table(self, width: int) -> Any:
+        """Occupied keys in each table (int64 ndarray): each table's
+        dict size.
+
+        Raises:
+            ParameterError: when ``width`` is not the store's table
+                width.
+        """
+        if width != self.width:
+            raise ParameterError(
+                f"tables are {self.width} keys wide, not {width}"
+            )
+        tables = self._tables
+        return _np.fromiter(map(len, tables), _np.int64, len(tables))
+
     def export_rows(self) -> Tuple[Any, Any]:
         """Every occupied key's counter row, as flat int64 ndarrays.
 

@@ -14,8 +14,8 @@ interleaving of block folds, per-update writes, drains and resets:
    since the last drain never ships, and no shipped row is all zero.
 3. **One surface, two stores**: a ``SignatureTable`` fed the same
    operations over the same keys holds the same rows, the same number
-   of keys, the same per-key and per-table singleton decode, and
-   drains the same runs.
+   of keys, the same per-key and per-table singleton decode, the same
+   per-table occupancy, and drains the same runs.
 """
 
 from __future__ import annotations
@@ -75,6 +75,10 @@ def check_same(arena, table):
         table_codes, table_collisions = table.singletons_in(lo, lo + WIDTH)
         assert sorted(arena_codes) == sorted(table_codes)
         assert arena_collisions == table_collisions
+    # The sparse arena's key range runs past the table store's tables.
+    occupancy = arena.occupied_per_table(WIDTH).tolist()
+    assert occupancy[:TABLES] == table.occupied_per_table(WIDTH).tolist()
+    assert not any(occupancy[TABLES:])
 
 
 def check_drain(arena, table, synced):

@@ -340,6 +340,27 @@ class TestSpaceAccounting:
         feed_heavy_hitter(sketch, dest=1, sources=500)
         assert sketch.active_levels() > 3
 
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_active_levels_count_the_occupied_levels(self, domain, backend):
+        sketch = DistinctCountSketch(domain, seed=1, backend=backend)
+        per_level = sketch.params.r * sketch.params.s
+
+        def occupied_levels():
+            keys = sketch._store.occupied_keys() // per_level
+            return set(keys.tolist())
+
+        inserts = [FlowUpdate(source, 1, 1) for source in range(500)]
+        level = {u: sketch.level_of(u.source, u.dest) for u in inserts}
+        top = max(level.values())
+        sketch.update_batch(inserts)
+        assert sketch.active_levels() == len(occupied_levels()) > 3
+        # Deleting every pair of the highest level empties that level.
+        sketch.update_batch([u.inverted() for u in inserts if level[u] == top])
+        assert top not in occupied_levels()
+        assert sketch.active_levels() == len(occupied_levels())
+        sketch.update_batch([u.inverted() for u in inserts if level[u] < top])
+        assert sketch.active_levels() == len(occupied_levels()) == 0
+
     def test_space_bytes_counts_active_levels(self, sketch):
         feed_heavy_hitter(sketch, dest=1, sources=100)
         active = sketch.space_bytes()

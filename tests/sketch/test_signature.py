@@ -232,6 +232,9 @@ class TestSignatureTable:
         assert table.singletons_in(4, 4) == ([], 0)
         with pytest.raises(ParameterError):
             table.singletons_in(2, 6)
+        assert table.occupied_per_table(4).tolist() == [2, 1, 1]
+        with pytest.raises(ParameterError):
+            table.occupied_per_table(6)
 
     def test_fold_keeps_unbounded_counters(self):
         table = SignatureTable(2, 1, 8)
