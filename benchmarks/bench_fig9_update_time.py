@@ -17,12 +17,11 @@ the Basic-vs-Tracking divergence is the reproduced result.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 import pytest
 
+from repro.experiments import run_timing_sweep
 from repro.metrics import UpdateTimer
 from repro.sketch import (
     DistinctCountSketch,
@@ -30,7 +29,14 @@ from repro.sketch import (
     TrackingDistinctCountSketch,
 )
 
-from conftest import make_workload, print_table, scaled_pairs
+from conftest import (
+    best_seconds,
+    env_float,
+    make_workload,
+    print_table,
+    scaled_pairs,
+    write_result,
+)
 
 #: Queries per update.  The paper sweeps 0 .. 1/400 at U = 8e6, where a
 #: single BaseTopk scan is very expensive; at REPRO_SCALE-reduced U the
@@ -46,46 +52,21 @@ def update_stream(ipv4_domain):
     return updates
 
 
-def run_timed(domain, updates, tracking: bool, query_frequency: float,
-              repeats: int = 2):
-    """Best-of-``repeats`` per-update time, robust to scheduler noise."""
-    best = None
-    for _ in range(repeats):
-        sketch_class = (
-            TrackingDistinctCountSketch if tracking
-            else DistinctCountSketch
-        )
-        sketch = sketch_class(domain, r=3, s=128, seed=5,
-                              backend="reference")
-        query = (
-            (lambda: sketch.track_topk(1))
-            if tracking
-            else (lambda: sketch.base_topk(1))
-        )
-        timer = UpdateTimer(
-            update=sketch.process,
-            query=query,
-            query_frequency=query_frequency,
-        )
-        report = timer.run(updates)
-        if best is None or (report.microseconds_per_update
-                            < best.microseconds_per_update):
-            best = report
-    return best
-
-
 @pytest.fixture(scope="module")
 def fig9_results(ipv4_domain, update_stream):
-    results = {}
-    for tracking in (False, True):
-        label = "Tracking" if tracking else "Basic"
-        for frequency in QUERY_FREQUENCIES:
-            report = run_timed(ipv4_domain, update_stream, tracking,
-                               frequency)
-            results[(label, frequency)] = (
-                report.microseconds_per_update
-            )
-    return results
+    """Best-of-2 us/update per (variant, query rate): the reference
+    store, sketch seed 5, r = 3, s = 128."""
+    points = run_timing_sweep(
+        ipv4_domain,
+        updates=update_stream,
+        query_frequencies=QUERY_FREQUENCIES,
+        repeats=2,
+    )
+    return {
+        (point.variant.capitalize(), point.query_frequency):
+            point.microseconds_per_update
+        for point in points
+    }
 
 
 def test_fig9_per_update_time(benchmark, ipv4_domain, fig9_results):
@@ -128,18 +109,6 @@ def test_fig9_per_update_time(benchmark, ipv4_domain, fig9_results):
 
 #: Batch size used by the batched ingestion variants.
 VARIANT_BATCH = 1024
-
-
-def _time_variant(run, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall seconds for one ingestion variant."""
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
 
 
 def test_fig9_update_variants(ipv4_domain, update_stream):
@@ -198,9 +167,7 @@ def test_fig9_update_variants(ipv4_domain, update_stream):
         "packed-tracking-batched": packed_tracking_batched,
         "sharded-sync-packed": sharded_sync_packed,
     }
-    seconds = {
-        name: _time_variant(run) for name, run in variants.items()
-    }
+    seconds = best_seconds(variants, repeats=3)
 
     # Correctness gate: the fast paths must be bit-identical to the
     # seed per-update reference on the same stream and seed.
@@ -231,18 +198,15 @@ def test_fig9_update_variants(ipv4_domain, update_stream):
         ],
     )
 
-    out_path = os.environ.get("REPRO_BENCH_OUT", "BENCH_fig9.json")
-    payload = {
+    out_path = write_result("REPRO_BENCH_OUT", "BENCH_fig9.json", {
         "benchmark": "fig9_update_variants",
         "updates": count,
         "batch_size": VARIANT_BATCH,
         "scale": os.environ.get("REPRO_SCALE", "1.0"),
         "variants": results,
-    }
-    with open(out_path, "w", encoding="ascii") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    })
 
-    min_speedup = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
+    min_speedup = env_float("REPRO_BENCH_MIN_SPEEDUP", 3.0)
     packed_speedup = results["packed-batched"]["speedup_vs_reference"]
     assert packed_speedup >= min_speedup, (
         f"packed+batched speedup {packed_speedup:.2f}x is below the "

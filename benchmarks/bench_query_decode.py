@@ -28,16 +28,21 @@ floor.  Results land in ``BENCH_query.json``
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 import pytest
 
 from repro.sketch import DistinctCountSketch
 
-from conftest import make_workload, print_table, scaled_pairs
+from conftest import (
+    best_seconds,
+    env_float,
+    make_workload,
+    print_table,
+    scaled_pairs,
+    write_result,
+)
 
 #: Distinct pairs in the bench workload.  Decode speedup is measured on
 #: a loaded sketch, so the floor below keeps the workload large enough
@@ -46,19 +51,6 @@ MIN_DECODE_PAIRS = 40_000
 
 #: Ingestion batch size (ingest cost is not what this bench measures).
 INGEST_BATCH = 1024
-
-
-def _best_seconds(run, inner: int, repeats: int = 5) -> float:
-    """Best-of-``repeats`` mean seconds per call over ``inner`` calls."""
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            run()
-        elapsed = (time.perf_counter() - start) / inner
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
 
 
 def _scalar_arena_sweep(sketch: DistinctCountSketch) -> Dict[int, Set[int]]:
@@ -112,15 +104,23 @@ def test_query_decode_variants(ipv4_domain, loaded_sketches):
     assert reference_topk.as_dict() == packed_topk.as_dict()
     assert reference_topk.stop_level == packed_topk.stop_level
 
-    seconds = {
-        "reference-scalar": _best_seconds(reference_scalar, inner=5),
-        "packed-scalar": _best_seconds(packed_scalar, inner=5),
-        "packed-slab": _best_seconds(packed_slab, inner=20),
-    }
-    topk_seconds = {
-        "reference": _best_seconds(lambda: reference.base_topk(10), inner=5),
-        "packed-slab": _best_seconds(lambda: packed.base_topk(10), inner=20),
-    }
+    seconds = best_seconds(
+        {
+            "reference-scalar": reference_scalar,
+            "packed-scalar": packed_scalar,
+            "packed-slab": packed_slab,
+        },
+        repeats=5,
+        inner={"reference-scalar": 5, "packed-scalar": 5, "packed-slab": 20},
+    )
+    topk_seconds = best_seconds(
+        {
+            "reference": lambda: reference.base_topk(10),
+            "packed-slab": lambda: packed.base_topk(10),
+        },
+        repeats=5,
+        inner={"reference": 5, "packed-slab": 20},
+    )
 
     baseline = seconds["reference-scalar"]
     results = {
@@ -160,11 +160,8 @@ def test_query_decode_variants(ipv4_domain, loaded_sketches):
         ],
     )
 
-    out_path = os.environ.get("REPRO_BENCH_QUERY_OUT", "BENCH_query.json")
-    min_speedup = float(
-        os.environ.get("REPRO_BENCH_QUERY_MIN_SPEEDUP", "5.0")
-    )
-    payload = {
+    min_speedup = env_float("REPRO_BENCH_QUERY_MIN_SPEEDUP", 5.0)
+    out_path = write_result("REPRO_BENCH_QUERY_OUT", "BENCH_query.json", {
         "benchmark": "query_decode_variants",
         "updates": update_count,
         "occupied_buckets": packed.occupied_buckets(),
@@ -172,9 +169,7 @@ def test_query_decode_variants(ipv4_domain, loaded_sketches):
         "min_speedup": min_speedup,
         "sweep_variants": results,
         "base_topk": topk_results,
-    }
-    with open(out_path, "w", encoding="ascii") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    })
 
     slab_speedup = results["packed-slab"]["speedup_vs_reference"]
     assert slab_speedup >= min_speedup, (

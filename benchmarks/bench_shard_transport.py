@@ -27,7 +27,6 @@ the whole-snapshot baseline.  Results land in ``BENCH_shard.json``
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Callable, Dict, List
@@ -38,7 +37,13 @@ from repro.sketch import ShardedSketch, TrackingDistinctCountSketch
 from repro.sketch.serialize import loads
 from repro.types import FlowUpdate
 
-from conftest import make_workload, print_table, scaled_pairs
+from conftest import (
+    env_float,
+    make_workload,
+    print_table,
+    scaled_pairs,
+    write_result,
+)
 
 #: Distinct pairs in the bulk-load workload.  The snapshot baseline's
 #: cost is proportional to resident state, so the floor keeps the loaded
@@ -163,11 +168,8 @@ def test_shard_transport_sync_latency(ipv4_domain):
         ],
     )
 
-    out_path = os.environ.get("REPRO_BENCH_SHARD_OUT", "BENCH_shard.json")
-    min_speedup = float(
-        os.environ.get("REPRO_BENCH_SHARD_MIN_SPEEDUP", "10.0")
-    )
-    payload = {
+    min_speedup = env_float("REPRO_BENCH_SHARD_MIN_SPEEDUP", 10.0)
+    out_path = write_result("REPRO_BENCH_SHARD_OUT", "BENCH_shard.json", {
         "benchmark": "shard_transport_sync_latency",
         "shards": SHARDS,
         "resident_pairs": pairs,
@@ -176,9 +178,7 @@ def test_shard_transport_sync_latency(ipv4_domain):
         "scale": os.environ.get("REPRO_SCALE", "1.0"),
         "min_speedup": min_speedup,
         "sync_paths": results,
-    }
-    with open(out_path, "w", encoding="ascii") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    })
 
     speedup = results["delta"]["speedup_vs_snapshot"]
     assert speedup >= min_speedup, (

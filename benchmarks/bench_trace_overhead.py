@@ -17,14 +17,19 @@ off, and writes ``BENCH_trace.json`` (path override:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.sketch import TrackingDistinctCountSketch
 
-from conftest import make_workload, print_table, scaled_pairs
+from conftest import (
+    env_float,
+    make_workload,
+    print_table,
+    scaled_pairs,
+    write_result,
+)
 
 #: Batch size matching the fig9 ingestion variants.
 BATCH = 1024
@@ -87,23 +92,16 @@ def test_trace_overhead_gate(benchmark, ipv4_domain):
         ],
     )
 
-    out_path = os.environ.get(
-        "REPRO_BENCH_TRACE_OUT", "BENCH_trace.json"
-    )
-    payload = {
+    out_path = write_result("REPRO_BENCH_TRACE_OUT", "BENCH_trace.json", {
         "benchmark": "trace_overhead",
         "updates": count,
         "batch_size": BATCH,
         "repeats": REPEATS,
         "scale": os.environ.get("REPRO_SCALE", "1.0"),
         "variants": results,
-    }
-    with open(out_path, "w", encoding="ascii") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    })
 
-    max_overhead = float(
-        os.environ.get("REPRO_BENCH_TRACE_MAX_OVERHEAD", "0.05")
-    )
+    max_overhead = env_float("REPRO_BENCH_TRACE_MAX_OVERHEAD", 0.05)
     overhead = results["sampled-1pct"]["overhead_vs_off"]
     assert overhead <= max_overhead, (
         f"1%-sampled tracing costs {100 * overhead:.1f}% on the fig9 "

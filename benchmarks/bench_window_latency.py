@@ -44,12 +44,10 @@ Env:
 
 from __future__ import annotations
 
-import json
-import os
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional
 
-from conftest import print_table
+from conftest import env_float, print_table, write_result
 
 from repro.monitor import SlidingWindowSketch, WindowedThresholdWatch
 from repro.sketch import TrackingDistinctCountSketch
@@ -162,9 +160,7 @@ def _engines():
 
 def test_burst_flood_detection_latency() -> None:
     """Windowed clear latency beats epoch rotation by the gated floor."""
-    min_speedup = float(
-        os.environ.get("REPRO_BENCH_WINDOW_MIN_SPEEDUP", "1.3")
-    )
+    min_speedup = env_float("REPRO_BENCH_WINDOW_MIN_SPEEDUP", 1.3)
     flood = BurstFlood(
         victim=VICTIM,
         burst_sources=BURST_SOURCES,
@@ -224,7 +220,7 @@ def test_burst_flood_detection_latency() -> None:
     print(f"clear-latency ratio (rotated/windowed): {ratio:.2f}x "
           f"(floor {min_speedup}x)")
 
-    payload = {
+    out = write_result("REPRO_BENCH_WINDOW_OUT", "BENCH_window.json", {
         "workload": {
             "stream_length": STREAM_LENGTH,
             "burst_start": burst_start,
@@ -243,11 +239,7 @@ def test_burst_flood_detection_latency() -> None:
         "rotated": results["rotated"],
         "clear_latency_ratio": ratio,
         "min_speedup": min_speedup,
-    }
-    out = os.environ.get("REPRO_BENCH_WINDOW_OUT", "BENCH_window.json")
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
     print(f"wrote {out}")
 
     # Flag latency is a wash (both engines see updates immediately);

@@ -9,12 +9,28 @@ larger workloads; ``REPRO_SCALE=50`` approaches paper scale).
 
 The paper's workload kept U/d = 8e6 / 5e4 = 160 distinct sources per
 destination on average; the scaled workloads preserve that ratio.
+
+The micro-benches share three helpers: :func:`env_float` reads a
+``REPRO_BENCH_*`` setting, :func:`write_result` writes a bench's JSON
+result, and :func:`best_seconds` times the variants of a comparison
+best-of-N in alternating rounds.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Dict, List, Sequence, Tuple
+import time
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import pytest
 
@@ -54,6 +70,47 @@ def obs_registry():
     from repro.obs import Registry
 
     return Registry()
+
+
+def env_float(name: str, default: float) -> float:
+    """A float bench setting: the env var ``name``, else ``default``."""
+    return float(os.environ.get(name, default))
+
+
+def write_result(
+    env_name: str, default_path: str, payload: Dict[str, Any]
+) -> str:
+    """Write a bench's JSON result to the path in env var ``env_name``
+    (else ``default_path``); returns the path written."""
+    path = os.environ.get(env_name, default_path)
+    with open(path, "w", encoding="ascii") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
+def best_seconds(
+    variants: Mapping[str, Callable[[], object]],
+    repeats: int,
+    inner: Optional[Mapping[str, int]] = None,
+) -> Dict[str, float]:
+    """Best-of-``repeats`` mean seconds per call of each variant.
+
+    Each round times every variant once, in turn, over ``inner[name]``
+    back-to-back calls (default 1), so a slow spell on a loaded host
+    lands on every variant of the comparison rather than on one
+    variant's repeats.
+    """
+    best: Dict[str, float] = {}
+    for _ in range(repeats):
+        for name, run in variants.items():
+            calls = inner[name] if inner else 1
+            start = time.perf_counter()
+            for _ in range(calls):
+                run()
+            elapsed = (time.perf_counter() - start) / calls
+            best[name] = min(elapsed, best.get(name, elapsed))
+    return best
 
 
 def make_workload(

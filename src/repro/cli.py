@@ -231,8 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards", type=int, default=0, metavar="N",
         help="ingest through a process-backed sharded sketch with N "
-             "workers (0 = single in-process sketch); scrapes then "
-             "pull worker-side counters and spans over the pipes",
+             "workers (0 = single in-process sketch, the faster choice "
+             "on 2 or fewer vCPUs: see docs/performance.md); scrapes "
+             "then pull worker-side counters and spans over the pipes",
     )
     serve.add_argument(
         "--sample-every", type=int, default=100, metavar="N",
@@ -651,7 +652,7 @@ def _run_stats(args: argparse.Namespace) -> int:
 def _run_recover(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .resilience import recover_sketch
+    from .resilience import WalCorruption, recover_sketch
 
     try:
         result = recover_sketch(
@@ -659,7 +660,7 @@ def _run_recover(args: argparse.Namespace) -> int:
             label=args.label,
             backend=args.backend,
         )
-    except ParameterError as error:
+    except (ParameterError, WalCorruption) as error:
         print(f"recovery failed: {error}", file=sys.stderr)
         return 1
     info = result.checkpoint

@@ -90,25 +90,12 @@ class GeometricLevelHash:
     def levels_many(self, values: Any) -> Any:  # hot-path
         """Levels for a batch of values, bit-identical to ``self(v)``.
 
-        Vectorized whenever every value is below ``2^64``: tabulated
-        words, then the isolated low bit ``w & -w`` mapped to its
-        clamped index through the mod-67 perfect-hash table
-        (integer-only — no float log2, no version-gated popcount).
-        Returns a numpy ``int64`` array on that path, else a list of
-        ints.
+        Tabulated words (:meth:`TabulationHash.words_many`), then the
+        isolated low bit ``w & -w`` mapped to its clamped index through
+        the mod-67 perfect-hash table (integer-only — no float log2, no
+        version-gated popcount).  Returns a numpy ``int64`` array.
         """
         words = self._randomizer.words_many(values)
-        if isinstance(words, list):
-            max_level = self.max_level
-            out = []
-            append = out.append
-            for word in words:
-                if word == 0:
-                    append(min(63, max_level))
-                    continue
-                level = (word & -word).bit_length() - 1
-                append(level if level < max_level else max_level)
-            return out
         residues = (words & -words) % _np.uint64(67)
         return self._levels.take(residues.view(_np.int64))
 

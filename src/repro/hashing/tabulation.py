@@ -83,14 +83,13 @@ class TabulationHash:
         ``(key_bytes * 256,)`` table (byte ``i`` at offset ``256 i``),
         so every lookup of a block of up to :data:`_GATHER_BLOCK`
         values is one gather and their words one ``bitwise_xor``
-        reduction over it.  Values at or above
-        ``2^64`` take the scalar path instead and come back as a plain
-        list of ints.
+        reduction over it.  Values at or above ``2^64`` take the
+        scalar path instead.  Returns a uint64 ndarray either way.
         """
         codes = _to_uint64_array(values)
         if codes is None:
             word = self.word
-            return [word(value) for value in values]
+            return _np.array([word(value) for value in values], _np.uint64)
         folded = codes
         width = 8 * self.key_bytes
         if width < 64:
@@ -133,13 +132,10 @@ class TabulationHash:
     def hash_many(self, values: Any) -> Any:  # hot-path
         """Hash a batch of values into ``[0, range_size)``.
 
-        Bit-identical to calling the hash once per value; numpy array
-        out when vectorized, list of ints otherwise.
+        Bit-identical to calling the hash once per value; returns an
+        int64 ndarray.
         """
         words = self.words_many(values)
-        if isinstance(words, list):
-            s = self.range_size
-            return [word % s for word in words]
         return (words % _np.uint64(self.range_size)).astype(_np.int64)
 
     def __call__(self, value: int) -> int:

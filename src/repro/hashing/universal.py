@@ -17,7 +17,7 @@ to confirm the implementation generalizes.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Sequence
 
 from .._accel import np as _np
 from .._accel import to_uint64_array as _to_uint64_array
@@ -90,8 +90,7 @@ class CarterWegmanHash:
 
         Bit-identical to calling the hash once per value: the one-row
         case of :class:`CarterWegmanBank`.  Returns a numpy ``int64``
-        array when every value is below ``2^64``, else a plain list of
-        ints.
+        array.
         """
         return CarterWegmanBank([self]).hash_many(values)[0]
 
@@ -128,39 +127,41 @@ class CarterWegmanBank:
         hashes: the hashes, one output row each, in order.
     """
 
-    __slots__ = ("_rows", "_a_lo", "_a_hi", "_a_hi2", "_b", "_ranges")
+    __slots__ = ("_hashes", "_a_lo", "_a_hi", "_a_hi2", "_b", "_ranges")
 
     def __init__(self, hashes: Sequence[CarterWegmanHash]) -> None:
         if not hashes:
             raise ParameterError("a hash bank needs at least one hash")
-        rows = [(h._a, h._b, h.range_size) for h in hashes]
-        #: ``(a, b, range_size)`` per row, for the exact scalar path.
-        self._rows: List[Tuple[int, int, int]] = rows
-        self._a_lo = _column([a & ((1 << _LIMB) - 1) for a, _, _ in rows])
-        self._a_hi = _column([a >> _LIMB for a, _, _ in rows])
+        #: The scalar hashes, one per row (the exact path).
+        self._hashes = list(hashes)
+        self._a_lo = _column([h._a & ((1 << _LIMB) - 1) for h in hashes])
+        self._a_hi = _column([h._a >> _LIMB for h in hashes])
         # a_hi x_hi 2^62 = 2 a_hi x_hi (mod p), and 2 a_hi < 2^31.
         self._a_hi2 = self._a_hi << _np.uint64(1)
-        self._b = _column([b for _, b, _ in rows])
-        self._ranges = _column([s for _, _, s in rows])
+        self._b = _column([h._b for h in hashes])
+        self._ranges = _column([h.range_size for h in hashes])
 
     def hash_many(self, values: Any) -> Any:  # hot-path
         """Row ``j`` holds ``hashes[j](v)`` for every value ``v``.
 
-        Bit-identical to the scalar hashes.  With every value below
-        ``2^64`` the result is an ``(r, n)`` int64 ndarray computed in
-        exact integer arithmetic: ``x = v mod p`` and ``a`` are both
+        Bit-identical to the scalar hashes; the result is an ``(r, n)``
+        int64 ndarray.  With every value below ``2^64`` it is computed
+        in exact integer arithmetic: ``x = v mod p`` and ``a`` are both
         below ``2^61``, so split as ``hi * 2^31 + lo`` they give
         ``a x = a_hi x_hi 2^62 + mid 2^31 + a_lo x_lo`` with
         ``mid = a_hi x_lo + a_lo x_hi < 2^62``.  Modulo ``p``,
         ``2^62 = 2`` and ``2^61 = 1``, so ``mid 2^31`` reduces to
         ``(mid >> 30) + (mid mod 2^30) 2^31``; every term is below
         ``2^62``, their sum with ``b`` below ``2^64``, and one ``% p``
-        lands on the field value.  Values at or above ``2^64`` take
-        the scalar path and return one list of ints per row.
+        lands on the field value.  Values at or above ``2^64`` are
+        hashed by the scalar hashes themselves.
         """
         codes = _to_uint64_array(values)
         if codes is None:
-            return self._hash_exact(values)
+            return _np.array(
+                [[h(value) for value in values] for h in self._hashes],
+                dtype=_np.int64,
+            )
         x = codes % _P
         x_lo = x & _LIMB_MASK
         x_hi = x >> _LIMB_BITS
@@ -175,23 +176,8 @@ class CarterWegmanBank:
         # Every bucket is below its range, so the int64 view is exact.
         return (acc % _P % self._ranges).view(_np.int64)
 
-    def _hash_exact(self, values: Any) -> List[List[int]]:  # hot-path
-        """The scalar path: Python-int arithmetic, one list per row."""
-        p = MERSENNE_61
-        field = [value % p for value in values]
-        out: List[List[int]] = [[] for _ in self._rows]
-        for (a, b, s), row in zip(self._rows, out):
-            append = row.append
-            for x in field:
-                acc = a * x + b
-                acc = (acc & p) + (acc >> 61)
-                if acc >= p:
-                    acc -= p
-                append(acc % s)
-        return out
-
     def __repr__(self) -> str:
-        return f"CarterWegmanBank(size={len(self._rows)})"
+        return f"CarterWegmanBank(size={len(self._hashes)})"
 
 
 class PairwiseHashFamily:

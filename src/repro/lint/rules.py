@@ -203,8 +203,7 @@ class FloatInCounterPathRule(Rule):
             {"observe_hashed", "_tally", "_advance", "_expire"}
         ),
         "repro.hashing.universal": frozenset(
-            {"__call__", "field_value", "hash_many", "_hash_exact",
-             "_mod_mersenne_61"}
+            {"__call__", "field_value", "hash_many", "_mod_mersenne_61"}
         ),
         "repro.hashing.tabulation": frozenset(
             {"__call__", "word", "words_many", "hash_many"}

@@ -127,8 +127,7 @@ SKETCH_SCALAR_FALLBACKS = MetricSpec(
     name="repro_sketch_scalar_fallbacks_total",
     kind="counter",
     help="Query-path decodes that took the scalar bucket walk because "
-         "the vectorized slab path was unavailable (reference backend "
-         "or pair_bits > 64).",
+         "the vectorized slab path was unavailable (reference backend).",
     paper_ref="§4 Fig. 4 ReturnSingleton run per-bucket instead of "
               "per-slab (same answers, §6.2 speed notes)",
 )

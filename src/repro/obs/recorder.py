@@ -11,12 +11,12 @@ dump the recorder — events plus the tracer's recent spans — to a
 CRC-framed post-mortem file that ``repro-ddos blackbox`` pretty-prints
 and diffs.
 
-The dump format reuses the WAL's framing discipline so a dump written
-moments before a crash is still readable: a flat sequence of records,
-each ``b"FR" | length (4B LE) | crc32 (4B LE) | JSON payload``.  The
-first record is a header (version, reason, pid, counts); a torn or
-corrupted tail truncates the record list but never the parse
-(:func:`load_blackbox` reports ``torn=True``).
+The dump format is the WAL's record framing (:mod:`repro._framing`),
+so a dump written moments before a crash is still readable: a flat
+sequence of records, each ``b"FR" | length (4B LE) | crc32 (4B LE) |
+JSON payload``.  The first record is a header (version, reason, pid,
+counts); a torn or corrupted tail truncates the record list but never
+the parse (:func:`load_blackbox` reports ``torn=True``).
 
 Like tracing, recording is process-global and off by default:
 :func:`current_recorder` returns :data:`NULL_RECORDER` until
@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Optional, Union
 
+from .._framing import frame, parse_frames
 from ..exceptions import ParameterError
 from .trace import SpanDict, current_tracer
 
@@ -50,16 +49,14 @@ EventDict = Dict[str, Union[int, str]]
 #: Frame magic for post-mortem dump records.
 DUMP_MAGIC = b"FR"
 
-#: Bytes preceding each record payload: magic + length + CRC-32.
-DUMP_HEADER_BYTES = 10
-
 #: Dump format version written into every header record.
 DUMP_VERSION = 1
 
 
-def _frame(payload: bytes) -> bytes:
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return DUMP_MAGIC + struct.pack("<II", len(payload), crc) + payload
+def _frame(record: Dict[str, Any]) -> bytes:
+    """One dump record: ``record`` as sorted ASCII JSON, framed."""
+    payload = json.dumps(record, sort_keys=True).encode("ascii")
+    return frame(DUMP_MAGIC, payload)
 
 
 @dataclass(frozen=True)
@@ -155,27 +152,15 @@ class FlightRecorder:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("wb") as handle:
-            handle.write(
-                _frame(json.dumps(header, sort_keys=True).encode("ascii"))
-            )
+            handle.write(_frame(header))
             for event in events:
                 record = {"record": "event"}
                 record.update(event)
-                handle.write(
-                    _frame(
-                        json.dumps(record, sort_keys=True).encode("ascii")
-                    )
-                )
+                handle.write(_frame(record))
             for entry in spans:
                 span_record = {"record": "span"}
                 span_record.update(entry)
-                handle.write(
-                    _frame(
-                        json.dumps(span_record, sort_keys=True).encode(
-                            "ascii"
-                        )
-                    )
-                )
+                handle.write(_frame(span_record))
             handle.flush()
         return path
 
@@ -244,32 +229,23 @@ def load_blackbox(path: Path) -> BlackboxDump:
 
     Parsing stops at the first missing/mismatched frame (``torn=True``)
     — everything before it is intact.  A file whose *header* record is
-    unreadable raises :class:`~repro.exceptions.ParameterError`.
+    unreadable, or holding an intact record that is not an ASCII JSON
+    object, raises :class:`~repro.exceptions.ParameterError`.
     """
-    data = Path(path).read_bytes()
+    payloads, _, torn = parse_frames(DUMP_MAGIC, Path(path).read_bytes())
     records: List[Dict[str, Union[int, str]]] = []
-    offset = 0
-    torn = False
-    while offset < len(data):
-        frame_head = data[offset : offset + DUMP_HEADER_BYTES]
-        if (
-            len(frame_head) < DUMP_HEADER_BYTES
-            or frame_head[:2] != DUMP_MAGIC
-        ):
-            torn = True
-            break
-        length, crc = struct.unpack("<II", frame_head[2:])
-        payload = data[
-            offset + DUMP_HEADER_BYTES : offset + DUMP_HEADER_BYTES + length
-        ]
-        if len(payload) < length:
-            torn = True
-            break
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            torn = True
-            break
-        records.append(json.loads(payload.decode("ascii")))
-        offset += DUMP_HEADER_BYTES + length
+    for index, payload in enumerate(payloads):
+        try:
+            record = json.loads(payload.decode("ascii"))
+        except ValueError as error:  # UnicodeDecodeError is one too
+            raise ParameterError(
+                f"{path}: record {index} is not ASCII JSON: {error}"
+            ) from error
+        if not isinstance(record, dict):
+            raise ParameterError(
+                f"{path}: record {index} is not a JSON object"
+            )
+        records.append(record)
     if not records or records[0].get("record") != "header":
         raise ParameterError(f"{path}: not a blackbox dump (no header)")
     header = dict(records[0])

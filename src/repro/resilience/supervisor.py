@@ -127,8 +127,6 @@ class ShardSupervisor:
             obs=obs,
         )
         shards = sharded.num_shards
-        #: Updates routed to each shard since WAL sequence 0.
-        self._routed = [0] * shards
         self._failures = [0] * shards
         self._restart_count = 0
         self._since_checkpoint = 0
@@ -180,7 +178,6 @@ class ShardSupervisor:
         for index, (shard_codes, shard_deltas) in enumerate(frames):
             if not len(shard_codes):
                 continue
-            self._routed[index] += len(shard_codes)
             self._send(index, shard_codes, shard_deltas)
         self._since_checkpoint += len(batch)
         if (
@@ -226,12 +223,13 @@ class ShardSupervisor:
         payload, info = loaded
         return payload, info.wal_count, info.extra.get("routed", 0)
 
-    def _replay_shard(self, index: int, start_seq: int) -> int:
-        """Re-apply the WAL tail routed to one shard; returns count.
+    def _replay_shard(self, index: int, start_seq: int) -> None:
+        """Re-apply the WAL tail routed to one shard.
 
         The log is re-routed in chunks through the same router as live
         ingest, each positioned at its first sequence number, and only
-        the shard's frame is applied.
+        the shard's frame is applied (through ``ingest_frame``, which
+        also counts it in the shard's tally).
 
         Raises:
             WorkerDied: when the freshly-respawned worker dies again
@@ -260,7 +258,6 @@ class ShardSupervisor:
                 )
         if replayed:
             self._obs_replayed.inc(replayed)
-        return replayed
 
     def _recover_shard(self, index: int) -> None:
         """Respawn + restore + replay one shard, with capped backoff.
@@ -301,8 +298,7 @@ class ShardSupervisor:
                 self.sharded.restore_shard(
                     index, payload, processed_count=routed
                 )
-                self._routed[index] = routed
-                self._routed[index] += self._replay_shard(index, start)
+                self._replay_shard(index, start)
                 if self.sharded.worker_alive(index):
                     self._failures[index] = 0
                     return
@@ -318,8 +314,7 @@ class ShardSupervisor:
                 self.sharded.restore_shard(
                     index, payload, processed_count=routed
                 )
-                self._routed[index] = routed
-                self._routed[index] += self._replay_shard(index, start)
+                self._replay_shard(index, start)
             except (WorkerDied, PoolUnavailable):
                 self._recover_shard(index)
 
@@ -343,7 +338,7 @@ class ShardSupervisor:
                 try:
                     payload = serialize.dumps(self.sharded.shard(index))
                     start = self.wal.next_seq
-                    routed = self._routed[index]
+                    routed = self.sharded.shard_update_counts()[index]
                 except WorkerDied:
                     payload = None
             if payload is None:
@@ -355,10 +350,7 @@ class ShardSupervisor:
             routeds.append(routed)
         self.sharded.degrade_to_sync(payloads, routeds)
         for index in range(shards):
-            self._routed[index] = routeds[index]
-            self._routed[index] += self._replay_shard(
-                index, starts[index]
-            )
+            self._replay_shard(index, starts[index])
             self._failures[index] = 0
 
     # -- durability --------------------------------------------------------------
@@ -380,7 +372,9 @@ class ShardSupervisor:
                     payload,
                     wal_count=wal_count,
                     label=_shard_label(index),
-                    extra={"routed": self._routed[index]},
+                    extra={
+                        "routed": self.sharded.shard_update_counts()[index]
+                    },
                 )
             )
         oldest = [
@@ -438,8 +432,10 @@ class ShardSupervisor:
         return self._restart_count
 
     def routed_counts(self) -> List[int]:
-        """Updates routed per shard (supervisor's authoritative view)."""
-        return list(self._routed)
+        """Updates routed per shard since WAL sequence 0 (the sharded
+        sketch's tally, which recovery restores from the checkpoints
+        and the replayed WAL tail)."""
+        return self.sharded.shard_update_counts()
 
     def close(self) -> None:
         """Flush and close the WAL and shut down workers; idempotent.

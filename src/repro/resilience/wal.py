@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..exceptions import ParameterError
+from .._framing import HEADER_BYTES, frame, parse_frames
+from ..exceptions import ParameterError, ReproError
 from ..obs.catalog import WAL_RECORDS
 from ..obs.recorder import current_recorder
 from ..obs.registry import Registry, registry_or_null
@@ -49,9 +49,6 @@ from ..types import FlowUpdate
 #: Two-byte magic prefix of every WAL record.
 RECORD_MAGIC = b"RW"
 
-#: Bytes of framing before the payload: magic + length + crc32.
-HEADER_BYTES = 10
-
 #: Valid ``fsync_policy`` values.
 FSYNC_POLICIES = ("always", "batch", "never")
 
@@ -59,8 +56,9 @@ FSYNC_POLICIES = ("always", "batch", "never")
 SEGMENT_PATTERN = "wal-{:020d}.seg"
 
 
-class WalCorruption(RuntimeError):
-    """A WAL record failed its frame or CRC check before the log tail."""
+class WalCorruption(ReproError, RuntimeError):
+    """A WAL record failed its frame or CRC check before the log tail,
+    or a CRC-valid record holds a malformed payload."""
 
 
 def _encode_record(first_seq: int, updates: Sequence[FlowUpdate]) -> bytes:
@@ -69,12 +67,7 @@ def _encode_record(first_seq: int, updates: Sequence[FlowUpdate]) -> bytes:
         [first_seq, [[u.source, u.dest, u.delta] for u in updates]],
         separators=(",", ":"),
     ).encode("ascii")
-    header = (
-        RECORD_MAGIC
-        + len(payload).to_bytes(4, "little")
-        + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little")
-    )
-    return header + payload
+    return frame(RECORD_MAGIC, payload)
 
 
 def _decode_records(
@@ -86,24 +79,15 @@ def _decode_records(
     of ``(first_seq, updates)`` batches, ``good_bytes`` is the offset of
     the first undecodable byte, and ``torn`` reports whether trailing
     bytes were left undecoded.
+
+    Raises:
+        WalCorruption: for an intact (CRC-valid) record whose payload
+            is not ``[first_seq, [[source, dest, delta], ...]]`` with a
+            non-negative integer ``first_seq``.
     """
+    payloads, good_bytes, torn = parse_frames(RECORD_MAGIC, data)
     records: List[Tuple[int, List[FlowUpdate]]] = []
-    offset = 0
-    size = len(data)
-    while offset < size:
-        if size - offset < HEADER_BYTES:
-            return records, offset, True
-        if data[offset:offset + 2] != RECORD_MAGIC:
-            return records, offset, True
-        length = int.from_bytes(data[offset + 2:offset + 6], "little")
-        crc = int.from_bytes(data[offset + 6:offset + 10], "little")
-        start = offset + HEADER_BYTES
-        end = start + length
-        if end > size:
-            return records, offset, True
-        payload = data[start:end]
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            return records, offset, True
+    for payload in payloads:
         try:
             first_seq, triples = json.loads(payload.decode("ascii"))
             batch = [
@@ -114,9 +98,14 @@ def _decode_records(
             raise WalCorruption(
                 f"CRC-valid record with malformed payload: {error}"
             ) from error
-        records.append((int(first_seq), batch))
-        offset = end
-    return records, offset, False
+        # type() rather than isinstance: JSON's true/false load as bools.
+        if type(first_seq) is not int or first_seq < 0:
+            raise WalCorruption(
+                "CRC-valid record with malformed sequence number "
+                f"{first_seq!r}"
+            )
+        records.append((first_seq, batch))
+    return records, good_bytes, torn
 
 
 def _segment_paths(directory: Path) -> List[Path]:

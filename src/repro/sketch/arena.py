@@ -82,9 +82,8 @@ def pack_codes(eq_bits: Any) -> Any:  # hot-path
     """Reassemble uint64 pair codes from a ``(rows, pair_bits)`` bit mask.
 
     Bit ``i`` of row ``r``'s code is set iff ``eq_bits[r, i]`` — the
-    vectorized form of the scalar decoder's ``code |= 1 << i``.  Only
-    valid for ``pair_bits <= 64`` (callers gate wider domains to the
-    scalar path).
+    vectorized form of the scalar decoder's ``code |= 1 << i``, for
+    ``pair_bits <= 64`` (the arena's limit).
     """
     width = eq_bits.shape[1]
     if width % 64:
@@ -98,8 +97,9 @@ class SignatureArena:
     """Packed :class:`CountSignature` storage keyed by flat bucket id.
 
     Args:
-        pair_bits: width of the pair encoding (``2 log2 m``); each slot
-            holds ``pair_bits + 1`` counters (total first).
+        pair_bits: width of the pair encoding (``2 log2 m``), at most
+            64 (one uint64 pair code); each slot holds ``pair_bits + 1``
+            counters (total first).
         range_size: the key range; a sketch's slab has
             ``num_levels * r * s`` keys.  Keys are validated against it
             only through the dense index size.
@@ -112,8 +112,10 @@ class SignatureArena:
     )
 
     def __init__(self, pair_bits: int, range_size: int) -> None:
-        if pair_bits < 1:
-            raise ParameterError(f"pair_bits must be >= 1, got {pair_bits}")
+        if not 1 <= pair_bits <= 64:
+            raise ParameterError(
+                f"pair_bits must lie in [1, 64], got {pair_bits}"
+            )
         if range_size < 1:
             raise ParameterError(
                 f"range_size must be >= 1, got {range_size}"
@@ -496,15 +498,7 @@ class SignatureArena:
         ``narrow`` runs the predicate over a 32-bit copy of the
         counters — half the bytes through every pass — which is exact
         only while every counter fits 32 bits (the caller's proof).
-
-        Raises:
-            ParameterError: for pair encodings wider than 64 bits
-                (decode those through :meth:`singleton_at`).
         """
-        if self.pair_bits > 64:
-            raise ParameterError(
-                f"decode_slab needs pair_bits <= 64, got {self.pair_bits}"
-            )
         with trace_span("arena.decode_slab"):
             view = self.view2d()
             if narrow:

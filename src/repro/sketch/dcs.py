@@ -182,8 +182,8 @@ def encode_batch(
     :class:`~repro.exceptions.DomainError`, ``TypeError`` or
     :class:`~repro.exceptions.ParameterError` that per-update
     processing raises, at the same update.  What the scalar path
-    accepts comes back as the same two arrays, or as two lists when
-    pair codes are wider than 64 bits.
+    accepts comes back as the same two arrays, except that pair codes
+    wider than 64 bits come back as an object ndarray of Python ints.
     """
     count = len(batch)
     addresses = [u.source for u in batch]
@@ -216,12 +216,8 @@ def encode_batch(
     for update in batch:
         pairs.append(encode(update.source, update.dest))
         signs.append(_unit_delta(update.delta))
-    if domain.pair_bits <= 64:
-        return (
-            _np.array(pairs, dtype=_np.uint64),
-            _np.array(signs, dtype=_np.int64),
-        )
-    return pairs, signs
+    dtype = _np.uint64 if domain.pair_bits <= 64 else object
+    return _np.array(pairs, dtype=dtype), _np.array(signs, dtype=_np.int64)
 
 
 class HashedBatch(NamedTuple):
@@ -246,9 +242,9 @@ class HashedBatch(NamedTuple):
     #: :meth:`DistinctCountSketch._hash_pass`); a pass whose pairs all
     #: cancel gives an empty block.  ``None`` when the batch is not
     #: hashed: the hashing sketch takes the per-pair path (the
-    #: reference store, or pair codes wider than 64 bits), or the batch
-    #: came from :meth:`DistinctCountSketch.update_encoded`, whose
-    #: sketch hashes each pass as it folds it.
+    #: reference store), or the batch came from
+    #: :meth:`DistinctCountSketch.update_encoded`, whose sketch hashes
+    #: each pass as it folds it.
     blocks: Optional[List[Tuple[Any, Any]]]
 
 
@@ -275,7 +271,10 @@ class DistinctCountSketch:
             timing reproductions measure).  The sketch picks its store
             here and runs one body against either; both are
             bit-identical: same seeds imply :meth:`structurally_equal`
-            states after the same stream.
+            states after the same stream.  Packed storage holds pair
+            codes of at most 64 bits (one uint64 lane, the paper's
+            IPv4 domain), so a wider domain builds the reference store
+            whichever is asked for, and :attr:`backend` reports it.
 
     Example:
         >>> from repro.types import AddressDomain
@@ -303,10 +302,13 @@ class DistinctCountSketch:
             raise ParameterError(
                 f"backend must be one of {BACKENDS}, got {backend!r}"
             )
+        if params.pair_bits > 64:
+            backend = "reference"
         self.params = params
         self.seed = int(seed)
         self.domain = params.domain
-        #: Storage backend: ``"reference"`` or ``"packed"``.
+        #: Storage backend the sketch resolved to: ``"reference"`` or
+        #: ``"packed"``.
         self.backend = backend
         self._level_hash = GeometricLevelHash(
             max_level=params.num_levels - 1,
@@ -333,9 +335,8 @@ class DistinctCountSketch:
             else SignatureTable(params.pair_bits, tables, params.s)
         )
         #: The vectorized engine: batches fold as hashed blocks and
-        #: queries decode the whole slab.  Needs packed storage and
-        #: pair codes of at most 64 bits (``pack_codes``' limit).
-        self._slab_engine = backend == "packed" and params.pair_bits <= 64
+        #: queries decode the whole slab.
+        self._slab_engine = backend == "packed"
         #: Number of stream updates processed (the paper's ``n``).
         self.updates_processed = 0
         #: Net sum of deltas across all updates.
@@ -464,12 +465,12 @@ class DistinctCountSketch:
 
         The half of :meth:`update_batch` that runs after encoding — what
         shard workers run on the frames their router sends.  ``codes``
-        and ``deltas`` are a uint64 and an int64 ndarray, or two lists
-        (pair codes wider than 64 bits); the pair codes must lie inside
-        the domain.  Folds the batch through :meth:`apply_hashed`,
-        which hashes and folds it one pass at a time, so its
-        temporaries do not grow with the batch.  Returns the number of
-        updates applied.
+        is a uint64 ndarray (an object ndarray of Python ints for pair
+        codes wider than 64 bits) and ``deltas`` an int64 ndarray; the
+        pair codes must lie inside the domain.  Folds the batch through
+        :meth:`apply_hashed`, which hashes and folds it one pass at a
+        time, so its temporaries do not grow with the batch.  Returns
+        the number of updates applied.
         """
         return self.apply_hashed(
             HashedBatch(self.params, self.seed, codes, deltas, None)
@@ -478,12 +479,11 @@ class DistinctCountSketch:
     def hash_encoded(self, codes: Any, deltas: Any) -> HashedBatch:  # hot-path
         """The hash half of ingestion: hash an encoded batch once.
 
-        On the vectorized engine (packed storage, pair codes of at
-        most 64 bits) the batch is cut into passes of at most
-        :data:`FOLD_PASS` updates, each hashed to one block of distinct
-        slab keys and summed counter rows (:meth:`_hash_pass`);
-        elsewhere the batch is left for the per-pair path of
-        :meth:`apply_hashed`.  No counter moves.
+        On the vectorized engine (packed storage) the batch is cut into
+        passes of at most :data:`FOLD_PASS` updates, each hashed to one
+        block of distinct slab keys and summed counter rows
+        (:meth:`_hash_pass`); on the reference store the batch is left
+        for the per-pair path of :meth:`apply_hashed`.  No counter moves.
         """
         blocks: Optional[List[Tuple[Any, Any]]] = None
         if self._slab_engine:
@@ -498,9 +498,8 @@ class DistinctCountSketch:
         hashed chunk feed several sketches — and re-hashed here
         otherwise, one pass at a time, each pass folded before the next
         is hashed; so any batch encoded for this sketch's address
-        domain applies exactly.  The reference store and pair codes
-        wider than 64 bits take the per-pair path
-        (:meth:`_apply_pairs`).  The insert/delete observability
+        domain applies exactly.  The reference store takes the per-pair
+        path (:meth:`_apply_pairs`).  The insert/delete observability
         counters receive one aggregated ``inc(n)`` each.  Returns the
         number of updates applied.
 
@@ -570,17 +569,12 @@ class DistinctCountSketch:
         ``2^64``), then applies the pairs in stream order through the
         same kernel as per-update processing (:meth:`_apply_at`).
         """
-        levels = self._level_hash.levels_many(codes)
-        buckets = self._inner_bank.hash_many(codes)
-        if not isinstance(codes, list):
-            codes = codes.tolist()
-            deltas = deltas.tolist()
-            levels = levels.tolist()
-            buckets = buckets.tolist()
+        levels = self._level_hash.levels_many(codes).tolist()
+        buckets = self._inner_bank.hash_many(codes).tolist()
         apply_at = self._apply_at
         inserts = 0
         for pair, level, pair_buckets, delta in zip(
-            codes, levels, zip(*buckets), deltas
+            codes.tolist(), levels, zip(*buckets), deltas.tolist()
         ):
             apply_at(pair, level, pair_buckets, delta)
             if delta > 0:
@@ -722,10 +716,6 @@ class DistinctCountSketch:
         lo = self._key(level, j, 0)
         return self._store.singletons_in(lo, lo + self.params.s)
 
-    def _slab_decode_ready(self) -> bool:
-        """True when whole-slab decode can serve queries on this sketch."""
-        return self._slab_engine
-
     def _decode_levels(
         self, levels: List[int]
     ) -> List[Tuple[Set[int], int, int]]:
@@ -738,8 +728,7 @@ class DistinctCountSketch:
         ``key // (r * s)``.  Returns ``(sample, recovered, collisions)``
         tuples aligned with ``levels``; does not touch observability
         counters (callers record only the levels they actually visit,
-        matching the scalar walk).  Callers must check
-        :meth:`_slab_decode_ready` first.
+        matching the scalar walk).  Packed storage only.
         """
         slab = self._store
         assert isinstance(slab, SignatureArena)
@@ -791,11 +780,11 @@ class DistinctCountSketch:
         returned set; the per-level singleton/collision counters receive
         the same aggregate increments either way.
         """
-        if self._slab_decode_ready():
+        if self._slab_engine:
             sample, recovered, collisions = self._decode_levels([level])[0]
         else:
             # Scalar fallback: one per-signature decode of the level's
-            # r inner tables (reference backend or pair_bits > 64).
+            # r inner tables (reference backend).
             self._obs_scalar_fallbacks.inc(self.params.r)
             lo = self._key(level, 0, 0)
             codes, collisions = self._store.singletons_in(
@@ -810,17 +799,17 @@ class DistinctCountSketch:
         """``GetdSample`` for every level of the sketch in one pass.
 
         Returns ``{level: sample}`` for all levels.  On the packed
-        backend (pair domains up to 64 bits) this decodes every arena
-        of the sketch with a single application of the slab kernel — the fastest way to
-        materialize the full distinct-sample hierarchy (diagnostics,
-        benchmarks, exhaustive queries); elsewhere it degrades to the
-        per-level scalar scan with identical results.  Observability
+        backend this decodes the whole slab with a single application
+        of the slab kernel — the fastest way to materialize the full
+        distinct-sample hierarchy (diagnostics, benchmarks, exhaustive
+        queries); on the reference store it degrades to the per-level
+        scalar scan with identical results.  Observability
         counters receive the same per-level increments as ``num_levels``
         individual :meth:`get_dsample` calls.
         """
         with trace_span("sketch.dsample_sweep", metric=SKETCH_SWEEP_DURATION):
             levels = list(range(self.params.num_levels))
-            if not self._slab_decode_ready():
+            if not self._slab_engine:
                 return {
                     level: self.get_dsample(level) for level in levels
                 }
@@ -868,7 +857,7 @@ class DistinctCountSketch:
         target = self.params.sample_target(epsilon)
         sample: Set[int] = set()
         stop_level = 0
-        if self._slab_decode_ready():
+        if self._slab_engine:
             # Decode every slab of the sketch with one kernel pass, then
             # replay the top-down walk over the per-level results.  The
             # walk may stop before consuming all levels — identical to

@@ -135,7 +135,8 @@ def sketch_from_dict(
     """Decode a sketch from :func:`sketch_to_dict` output.
 
     ``backend`` selects the storage backend of the reconstructed sketch
-    (packed by default; the wire format is backend-agnostic — both
+    (packed by default, which a pair domain wider than 64 bits resolves
+    to the reference store; the wire format is backend-agnostic — both
     backends serialize to the same payload and load into either).
 
     Raises:
@@ -183,7 +184,7 @@ def sketch_from_dict(
     )
     keys = [sketch._key(*where) for where in coordinates]
     # Packed counters are 64-bit; the reference store's are unbounded.
-    dtype = _np.int64 if backend == "packed" else object
+    dtype = _np.int64 if sketch.backend == "packed" else object
     try:
         matrix = _np.array(rows, dtype=dtype)
     except OverflowError as error:

@@ -222,22 +222,16 @@ class ShardedSketch:
         ``round-robin`` policy maps to shard ``position % shards``
         (``by-destination`` hashes each update's destination and
         ignores it).  One stable argsort of the shard column keeps each
-        frame in stream order.  Frames are ndarray slices — uint64 pair
-        codes, int64 deltas — or, for pair codes wider than 64 bits
-        (the sync backend only), lists.  Reads no cursor: the caller
-        supplies the position.
+        frame in stream order.  Frames are ndarray slices of the codes
+        and deltas.  Reads no cursor: the caller supplies the position.
         """
         count = len(codes)
         shards = self._num_shards
-        wide = isinstance(codes, list)
         if self.policy == "by-destination":
-            if wide:
-                mask = self.domain.m - 1
-                dests = _np.array(
-                    [code & mask for code in codes], dtype=_np.uint64
-                )
-            else:
-                dests = codes & _np.uint64(self.domain.m - 1)
+            # A mask of the codes' own scalar type: uint64 for uint64
+            # codes (numpy < 2 promotes a uint64/int64 mix to float64),
+            # a Python int for object codes.
+            dests = codes & codes.dtype.type(self.domain.m - 1)
             owners = self._route_hash.hash_many(dests)
         else:
             owners = (_np.arange(count) + position % shards) % shards
@@ -245,13 +239,8 @@ class ShardedSketch:
         bounds = [0] + _np.cumsum(
             _np.bincount(owners, minlength=shards)
         ).tolist()
-        if wide:
-            picks = order.tolist()
-            codes = [codes[pick] for pick in picks]
-            deltas = [deltas[pick] for pick in picks]
-        else:
-            codes = codes[order]
-            deltas = deltas[order]
+        codes = codes[order]
+        deltas = deltas[order]
         return [
             (codes[lo:hi], deltas[lo:hi])
             for lo, hi in zip(bounds, bounds[1:])

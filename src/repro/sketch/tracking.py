@@ -190,15 +190,14 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         comparison, and Python touches only the rows whose occupant
         changed, at level ``key // (r * s)``.  Removals and adds may run
         in any order: every removal is a before-image occupant, so
-        ``decr_count`` cannot underflow.  The reference store (no
-        images) and pair codes wider than 64 bits (``pack_codes`` holds
-        at most 64) recount from scratch instead.
+        ``decr_count`` cannot underflow.  The reference store returns
+        no images and recounts from scratch instead.
         """
         images = super()._fold(keys, rows)
         count = len(keys)
         if not count:
             return images
-        if images is None or self.params.pair_bits > 64:
+        if images is None:
             self._rebuild_tracking_state()
             return images
         ok, ne = singleton_mask(images.reshape(2 * count, images.shape[2]))
@@ -399,7 +398,7 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         add = self._add_singleton_occurrence
         per_level = self.params.r * self.params.s
         store = self._store
-        if self._slab_decode_ready():
+        if self._slab_engine:
             assert isinstance(store, SignatureArena)
             keys, codes = store.decode_slab()
             for level, pair in zip(

@@ -55,8 +55,9 @@ class TestCarterWegmanHashMany:
         h = CarterWegmanHash(range_size=128, seed=5)
         values = [1 << 64, (1 << 64) + 12345, 1 << 100, 7]
         result = h.hash_many(values)
-        assert isinstance(result, list)
-        assert result == [h(v) for v in values]
+        assert isinstance(result, np.ndarray)
+        assert result.dtype == np.int64
+        assert result.tolist() == [h(v) for v in values]
 
     def test_empty_input(self):
         h = CarterWegmanHash(range_size=128, seed=5)
@@ -97,7 +98,9 @@ class TestCarterWegmanBank:
         hashes = [CarterWegmanHash(range_size=128, seed=j) for j in range(3)]
         values = [1 << 64, (1 << 64) + 12345, 1 << 100, 7]
         result = CarterWegmanBank(hashes).hash_many(values)
-        assert result == [[h(v) for v in values] for h in hashes]
+        assert isinstance(result, np.ndarray)
+        assert result.dtype == np.int64
+        assert result.tolist() == [[h(v) for v in values] for h in hashes]
 
     def test_empty_input(self):
         hashes = [CarterWegmanHash(range_size=128, seed=j) for j in range(3)]
@@ -124,8 +127,9 @@ class TestTabulationHashMany:
         h = TabulationHash(range_size=64, seed=3, key_bytes=4)
         values = [1 << 40, (1 << 64) + 3, 12]
         result = h.hash_many(values)
-        assert isinstance(result, list)
-        assert result == [h(v) for v in values]
+        assert isinstance(result, np.ndarray)
+        assert result.dtype == np.int64
+        assert result.tolist() == [h(v) for v in values]
 
     def test_empty_input(self):
         h = TabulationHash(range_size=64, seed=3)

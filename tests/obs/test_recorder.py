@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
 
 from repro.exceptions import ParameterError
@@ -16,6 +19,25 @@ from repro.obs import (
     uninstall_recorder,
     uninstall_tracer,
 )
+
+
+def framed(payload: bytes) -> bytes:
+    """One CRC-valid dump record holding ``payload``."""
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    return b"FR" + struct.pack("<II", len(payload), crc) + payload
+
+
+#: A well-formed header record.
+GOOD_HEADER = framed(b'{"record":"header","reason":"test","version":1}')
+
+#: Dumps whose every frame is intact but one record is not a JSON
+#: object, by case: ``(bytes, index of the bad record)``.
+MALFORMED_DUMPS = {
+    "not-json": (framed(b"not json"), 0),
+    "non-ascii": (framed(b'{"record":"header","x":"\xc3\xa9"}'), 0),
+    "list-header": (framed(b'["header"]'), 0),
+    "list-record": (GOOD_HEADER + framed(b'["event"]'), 1),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +155,16 @@ class TestTornDumps:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_blackbox(tmp_path / "absent.bin")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
+    def test_intact_record_that_is_not_an_object_raises(
+        self, tmp_path, case
+    ):
+        data, index = MALFORMED_DUMPS[case]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(ParameterError, match=f"record {index}"):
+            load_blackbox(path)
 
 
 class TestProcessWideInstall:

@@ -46,6 +46,23 @@ def reference_for(stream, seed=5):
     return sketch
 
 
+def routed_tally(stream, policy="round-robin"):
+    """Updates per shard a three-shard bank routes ``stream`` to."""
+    bank = ShardedSketch(
+        AddressDomain(2 ** 16), shards=3, policy=policy, seed=5
+    )
+    bank.update_batch(stream)
+    return bank.shard_update_counts()
+
+
+def assert_tallies(supervisor, stream, policy="round-robin"):
+    """The supervisor's routed counts are the sharded sketch's tally,
+    and both count what the router sent each shard."""
+    routed = supervisor.routed_counts()
+    assert routed == supervisor.sharded.shard_update_counts()
+    assert routed == routed_tally(stream, policy)
+
+
 def process_bank(policy="round-robin"):
     bank = ShardedSketch(
         AddressDomain(2 ** 16),
@@ -79,6 +96,7 @@ class TestKillNineRecovery:
             )
             assert supervisor.restarts >= 1
             assert supervisor.backend == "process"
+            assert_tallies(supervisor, stream)
 
     def test_sigkill_before_any_checkpoint_replays_from_zero(
         self, tmp_path
@@ -93,6 +111,7 @@ class TestKillNineRecovery:
             assert supervisor.combined().structurally_equal(
                 reference_for(stream)
             )
+            assert_tallies(supervisor, stream)
 
     def test_sigkill_detected_at_combine_time(self, tmp_path):
         stream = random_stream(300, seed=3)
@@ -105,6 +124,7 @@ class TestKillNineRecovery:
             assert supervisor.combined().structurally_equal(
                 reference_for(stream)
             )
+            assert_tallies(supervisor, stream)
 
     @pytest.mark.parametrize("policy", ["round-robin", "by-destination"])
     def test_both_policies_survive_a_kill(self, tmp_path, policy):
@@ -118,6 +138,7 @@ class TestKillNineRecovery:
             assert supervisor.combined().structurally_equal(
                 reference_for(stream)
             )
+            assert_tallies(supervisor, stream, policy)
 
 
 class TestDegradeToSync:
@@ -147,12 +168,14 @@ class TestDegradeToSync:
         assert supervisor.combined().structurally_equal(
             reference_for(stream)
         )
+        assert_tallies(supervisor, stream)
         # Ingestion continues on the sync backend after degrading.
         extra = random_stream(60, seed=55)
         supervisor.process_stream(extra)
         assert supervisor.combined().structurally_equal(
             reference_for(stream + extra)
         )
+        assert_tallies(supervisor, stream + extra)
         supervisor.close()
 
 

@@ -3,15 +3,33 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import pytest
 
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, ReproError
 from repro.obs import Registry
 from repro.resilience import WalCorruption, WriteAheadLog
 from repro.resilience.faults import truncate_wal_tail
 from repro.resilience.wal import replay_wal
 from repro.types import FlowUpdate
+
+
+def framed(payload: bytes) -> bytes:
+    """One CRC-valid WAL record holding ``payload``."""
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    return b"RW" + struct.pack("<II", len(payload), crc) + payload
+
+
+#: CRC-valid payloads whose first sequence number is malformed.
+BAD_SEQUENCE_PAYLOADS = [
+    b'["x",[]]',
+    b"[null,[]]",
+    b"[1.5,[[1,2,1]]]",
+    b"[true,[[1,2,1]]]",
+    b"[-1,[[1,2,1]]]",
+]
 
 
 def random_stream(count, seed=0, dests=20):
@@ -105,6 +123,22 @@ class TestCrashBehaviour:
         first.write_bytes(bytes(data))
         with pytest.raises(WalCorruption):
             list(replay_wal(tmp_path))
+
+    @pytest.mark.parametrize("payload", BAD_SEQUENCE_PAYLOADS)
+    def test_malformed_sequence_number_raises(self, tmp_path, payload):
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append_batch(random_stream(10, seed=3))
+        segment = sorted(tmp_path.glob("wal-*.seg"))[-1]
+        with segment.open("ab") as handle:
+            handle.write(framed(payload))
+        with pytest.raises(WalCorruption, match="sequence number"):
+            WriteAheadLog(tmp_path)
+        with pytest.raises(WalCorruption):
+            list(replay_wal(tmp_path))
+
+    def test_corruption_is_a_repro_error(self):
+        assert issubclass(WalCorruption, ReproError)
+        assert issubclass(WalCorruption, RuntimeError)
 
     def test_prune_drops_only_covered_segments(self, tmp_path):
         stream = random_stream(300, seed=9)

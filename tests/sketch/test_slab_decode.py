@@ -156,7 +156,7 @@ class TestSlabDecodeDifferential:
         wide = AddressDomain(2 ** 33)
         sketch = DistinctCountSketch(wide, seed=1, backend="packed")
         assert sketch.params.pair_bits > 64
-        assert not sketch._slab_decode_ready()
+        assert not sketch._slab_engine
         updates = make_stream(14, 800, domain=wide)
         sketch.process_stream(updates, batch_size=64)
         assert_decode_matches_oracle(sketch)

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
 
 from repro.cli import main
+
+
+def framed(magic: bytes, payload: bytes) -> bytes:
+    """One CRC-valid WAL (``RW``) or dump (``FR``) record."""
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    return magic + struct.pack("<II", len(payload), crc) + payload
 
 
 class TestSpaceCommand:
@@ -223,6 +232,29 @@ class TestCheckpointRoundTrip:
             "--format", "json", "--checkpoint-dir", directory,
         ]) == 0
         assert "# resumed from checkpoint" in capsys.readouterr().out
+
+    def test_recover_reports_a_corrupt_wal(self, tmp_path, capsys):
+        directory = tmp_path / "durable"
+        assert main([
+            "stats", "--updates", "500", "--seed", "5",
+            "--format", "json", "--checkpoint-dir", str(directory),
+        ]) == 0
+        capsys.readouterr()
+        segment = sorted((directory / "wal").glob("wal-*.seg"))[-1]
+        with segment.open("ab") as handle:
+            handle.write(framed(b"RW", b'["x",[]]'))
+        assert main(["recover", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("recovery failed:")
+        assert err.count("\n") == 1
+
+
+class TestBlackboxCommand:
+    def test_malformed_record_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(framed(b"FR", b"not json"))
+        assert main(["blackbox", str(path)]) == 1
+        assert "cannot read dump" in capsys.readouterr().err
 
 
 class TestServeCommand:
