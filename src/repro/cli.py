@@ -35,7 +35,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from .baselines import BruteForceTracker
-from .exceptions import ParameterError
+from .exceptions import ParameterError, ReproError
 from .metrics import average_relative_error, top_k_recall
 from .monitor import DDoSMonitor, MonitorConfig, SlidingWindowSketch
 from .netsim import (
@@ -326,12 +326,17 @@ def _run_topk(args: argparse.Namespace) -> int:
           f"(brute force: "
           f"{BruteForceTracker.projected_space_bytes(args.pairs) / 1e6:.1f} "
           f"MB)")
+    _print_ranking(result)
+    return 0
+
+
+def _print_ranking(result: TopKResult) -> None:
+    """The rank / destination / estimate table of a top-k answer."""
     print("rank  destination        estimate")
     for index, entry in enumerate(result, start=1):
         print(
             f"{index:4d}  {format_ip(entry.dest):15s}  {entry.estimate:8d}"
         )
-    return 0
 
 
 def _run_space(args: argparse.Namespace) -> int:
@@ -388,10 +393,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     print(f"replayed {len(updates)} updates from {args.path}")
     print(f"estimated distinct active pairs: "
           f"{sketch.estimate_distinct_pairs()}")
-    print("rank  destination        estimate")
-    for index, entry in enumerate(result, start=1):
-        print(f"{index:4d}  {format_ip(entry.dest):15s}  "
-              f"{entry.estimate:8d}")
+    _print_ranking(result)
     return 0
 
 
@@ -584,17 +586,7 @@ def _run_stats(args: argparse.Namespace) -> int:
         seed=args.seed,
         obs=registry,
     )
-    if args.workload == "zipf":
-        workload = ZipfWorkload(
-            domain,
-            distinct_pairs=args.updates,
-            destinations=max(args.updates // 50, 10),
-            skew=1.2,
-            seed=args.seed,
-        )
-        updates = list(workload.updates())
-    else:
-        updates = _stats_quickstart(domain, args.updates, args.seed)
+    updates = _workload_updates(args)
     delivered = channel.transmit(updates)
 
     def metric_value(name: str) -> int:
@@ -652,7 +644,7 @@ def _run_stats(args: argparse.Namespace) -> int:
 def _run_recover(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .resilience import WalCorruption, recover_sketch
+    from .resilience import recover_sketch
 
     try:
         result = recover_sketch(
@@ -660,7 +652,7 @@ def _run_recover(args: argparse.Namespace) -> int:
             label=args.label,
             backend=args.backend,
         )
-    except (ParameterError, WalCorruption) as error:
+    except ReproError as error:
         print(f"recovery failed: {error}", file=sys.stderr)
         return 1
     info = result.checkpoint
@@ -675,18 +667,12 @@ def _run_recover(args: argparse.Namespace) -> int:
     sketch = result.sketch
     print(f"recovered: {sketch!r}")
     if hasattr(sketch, "track_topk"):
-        top = sketch.track_topk(args.k)
-        print("rank  destination        estimate")
-        for index, entry in enumerate(top, start=1):
-            print(
-                f"{index:4d}  {format_ip(entry.dest):15s}  "
-                f"{entry.estimate:8d}"
-            )
+        _print_ranking(sketch.track_topk(args.k))
     return 0
 
 
-def _serve_updates(args: argparse.Namespace) -> List["FlowUpdate"]:
-    """The pre-serve ingest stream (same shapes as ``stats``)."""
+def _workload_updates(args: argparse.Namespace) -> List["FlowUpdate"]:
+    """The ``--workload`` stream of ``stats`` and ``serve``."""
     domain = AddressDomain(2 ** 32)
     if args.workload == "zipf":
         workload = ZipfWorkload(
@@ -729,7 +715,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
     install_recorder(FlightRecorder())
     try:
-        updates = _serve_updates(args)
+        updates = _workload_updates(args)
         refresh: Optional[Callable[[], None]] = None
         if args.shards > 0:
             sharded = ShardedSketch(
@@ -905,16 +891,19 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    A flag value the library rejects (a :class:`~repro.exceptions.
-    ParameterError`, e.g. a negative size) is a usage error: exit
-    status 2 with a one-line message on stderr, never a traceback.
+    A library error (any :class:`~repro.exceptions.ReproError`) ends
+    the command with a one-line message on stderr, never a traceback:
+    a flag value the library rejects (a :class:`~repro.exceptions.
+    ParameterError`, e.g. a negative size) is a usage error, exit
+    status 2; malformed input (a trace's unparseable token or
+    out-of-domain address, a corrupt log) exits 1.
     """
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParameterError as error:
+    except ReproError as error:
         print(f"repro-ddos {args.command}: {error}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(error, ParameterError) else 1
 
 
 if __name__ == "__main__":

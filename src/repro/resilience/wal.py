@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .._framing import HEADER_BYTES, frame, parse_frames
 from ..exceptions import ParameterError, ReproError
@@ -70,6 +70,28 @@ def _encode_record(first_seq: int, updates: Sequence[FlowUpdate]) -> bytes:
     return frame(RECORD_MAGIC, payload)
 
 
+def _logged_update(source: Any, dest: Any, delta: Any) -> FlowUpdate:
+    """One decoded update triple, checked before it is built.
+
+    Addresses must be plain non-negative ``int`` and the delta the
+    ``int`` +1 or -1 (``type`` rather than ``isinstance``: JSON's
+    true/false load as bools).
+
+    Raises:
+        WalCorruption: for any other triple.
+    """
+    if (
+        {type(source), type(dest), type(delta)} != {int}
+        or source < 0
+        or dest < 0
+        or delta not in (1, -1)
+    ):
+        raise WalCorruption(
+            f"CRC-valid record with malformed update {[source, dest, delta]!r}"
+        )
+    return FlowUpdate(source, dest, delta)
+
+
 def _decode_records(
     data: bytes,
 ) -> Tuple[List[Tuple[int, List[FlowUpdate]]], int, bool]:
@@ -83,17 +105,15 @@ def _decode_records(
     Raises:
         WalCorruption: for an intact (CRC-valid) record whose payload
             is not ``[first_seq, [[source, dest, delta], ...]]`` with a
-            non-negative integer ``first_seq``.
+            non-negative integer ``first_seq``, non-negative integer
+            addresses and a delta of +1 or -1.
     """
     payloads, good_bytes, torn = parse_frames(RECORD_MAGIC, data)
     records: List[Tuple[int, List[FlowUpdate]]] = []
     for payload in payloads:
         try:
             first_seq, triples = json.loads(payload.decode("ascii"))
-            batch = [
-                FlowUpdate(source, dest, delta)
-                for source, dest, delta in triples
-            ]
+            batch = [_logged_update(*triple) for triple in triples]
         except (ValueError, TypeError) as error:
             raise WalCorruption(
                 f"CRC-valid record with malformed payload: {error}"

@@ -21,17 +21,18 @@ clearing).
 
 The layout is fold-friendly: :meth:`fold` adds a block of rows for
 distinct keys with one gather, one add and one write-back, and
-returns the before and after images of the block so the tracking
-sketch can diff singleton state without re-reading the buffer.  Query
-decode views the buffer as one ``(slots, stride)`` int64 matrix
-(:meth:`decode_slab`).
+returns the before and after images of the block, which
+:meth:`fold_changes` diffs for the tracking sketch without re-reading
+the buffer.  Query decode views the buffer as one ``(slots, stride)``
+int64 matrix (:meth:`decode_slab`, split by level in
+:meth:`decode_levels`).
 
 The arena's surface is the one the sketch runs against either store
 (the reference store is
 :class:`~repro.sketch.signature.SignatureTable`): per-key ``update`` /
-``get`` / ``singleton_at``, per-range ``singletons_in``, ``fold``,
-``export_rows``, ``occupied_keys``, ``occupied_per_table``, ``copy``
-and the delta record.
+``get`` / ``singleton_at``, per-level ``decode_levels``, ``fold`` and
+``fold_changes``, ``export_rows``, ``occupied_keys``,
+``occupied_per_table``, ``copy`` and the delta record.
 :class:`CountSignature` remains the interchange type: :meth:`get`
 returns an independent copy, never a view into the buffer.
 
@@ -43,7 +44,7 @@ far past any feasible stream.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .._accel import np as _np
 from ..exceptions import MergeError, ParameterError
@@ -381,21 +382,6 @@ class SignatureArena:
                 return None
         return code
 
-    def singletons_in(self, lo: int, hi: int) -> Tuple[List[int], int]:
-        """Decode every occupied key in ``[lo, hi)``, row by row.
-
-        Returns ``(singleton pair codes, collision count)`` through the
-        scalar :meth:`singleton_at`: the per-table view of the scalar
-        query fallback (pair codes wider than 64 bits).  The vectorized
-        path decodes the whole arena at once (:meth:`decode_slab`).
-        """
-        keys = self.occupied_keys()
-        first, last = _np.searchsorted(keys, [lo, hi]).tolist()
-        singleton_at = self.singleton_at
-        decoded = [singleton_at(key) for key in keys[first:last].tolist()]
-        codes = [code for code in decoded if code is not None]
-        return codes, len(decoded) - len(codes)
-
     # -- batch engine surface -------------------------------------------------
 
     def resolve_slots(self, keys: Any) -> Any:  # hot-path
@@ -506,6 +492,71 @@ class SignatureArena:
             ok, ne = singleton_mask(view)
             index = _np.flatnonzero(ok)
             return self.slot_keys()[index], pack_codes(~ne[index, 1:])
+
+    def decode_levels(
+        self, levels: Sequence[int], width: int, narrow: bool = False
+    ) -> Iterator[Tuple[List[int], int]]:  # hot-path
+        """Decode each level of ``levels``, in order: ``GetdSample``'s scan.
+
+        A level is ``width`` consecutive keys (a sketch's ``r * s``
+        buckets).  Yields ``(codes, collisions)`` per level: the pair
+        code of each singleton row (a pair that is a singleton in
+        several tables comes once per table) and the number of the
+        level's other occupied rows.  One :meth:`decode_slab` pass
+        (``narrow`` as there) runs before the first level and is split
+        by level ``key // width``, so a walk that stops early has still
+        decoded the whole arena.
+        """
+        keys, codes = self.decode_slab(narrow)
+        code_levels = keys // width
+        order = _np.argsort(code_levels, kind="stable")
+        code_list = codes[order].tolist()
+        occupied = self.occupied_per_table(width).tolist()
+        cuts = _np.searchsorted(
+            code_levels[order], _np.arange(len(occupied) + 1)
+        ).tolist()
+        for level in levels:
+            lo = cuts[level]
+            hi = cuts[level + 1]
+            yield code_list[lo:hi], occupied[level] - (hi - lo)
+
+    def fold_changes(
+        self, keys: Any, rows: Any
+    ) -> List[Tuple[int, Optional[int], Optional[int]]]:  # hot-path
+        """:meth:`fold`, reporting the keys whose singleton occupant changed.
+
+        Returns ``(key, before, after)`` per such key, in block order:
+        its singleton pair code before and after the fold, ``None``
+        where it held none.  One :func:`singleton_mask` pass decodes
+        both of the fold's images, only the rows that are a singleton on
+        either side are packed into codes, and Python touches only the
+        rows whose occupant changed.
+        """
+        images = self.fold(keys, rows)
+        count = len(keys)
+        if not count:
+            return []
+        ok, ne = singleton_mask(images.reshape(2 * count, self.stride))
+        either = (ok[:count] | ok[count:]).nonzero()[0]
+        if not len(either):
+            return []
+        was = ok[either]
+        now = ok[either + count]
+        before = pack_codes(~ne[either, 1:])
+        after = pack_codes(~ne[either + count, 1:])
+        changed = ((was != now) | (before != after)).nonzero()[0]
+        if not len(changed):
+            return []
+        return [
+            (key, old if was_one else None, new if now_one else None)
+            for key, was_one, old, now_one, new in zip(
+                keys[either[changed]].tolist(),
+                was[changed].tolist(),
+                before[changed].tolist(),
+                now[changed].tolist(),
+                after[changed].tolist(),
+            )
+        ]
 
     def copy(self) -> "SignatureArena":
         """Deep, independent copy of this arena (same slot layout)."""

@@ -36,6 +36,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -664,17 +665,15 @@ class DistinctCountSketch:
                 self._fold(keys, rows)
 
     # linear: folding is exact integer addition (RL013)
-    def _fold(self, keys: Any, rows: Any) -> Any:  # hot-path
+    def _fold(self, keys: Any, rows: Any) -> None:  # hot-path
         """Add counter rows at distinct ``keys``.
 
         The one mutation point of counter state outside per-pair
         updates: batch passes, merges, subtracts, delta syncs and
-        window expiry all end here.  Returns what the store's fold
-        returns: the packed slab's before/after images of the block
-        (:meth:`~repro.sketch.arena.SignatureArena.fold`), which the
-        tracking sketch diffs, or ``None`` from the reference store.
+        window expiry all end here (the tracking sketch folds through
+        the store's ``fold_changes`` instead).
         """
-        return self._store.fold(keys, rows)
+        self._store.fold(keys, rows)
 
     # -- structural accessors -----------------------------------------------
 
@@ -703,135 +702,65 @@ class DistinctCountSketch:
         """
         return self._store.singleton_at(self._key(level, j, bucket))
 
-    def decoded_slab(self, level: int, j: int) -> Tuple[List[int], int]:
-        """Decode the occupied buckets of one ``(level, table)``.
+    def _walk_levels(
+        self, levels: Sequence[int]
+    ) -> Iterator[Tuple[int, List[int]]]:
+        """Decode ``levels`` in order: ``(level, singleton codes)`` each.
 
-        Returns ``(singleton pair codes, collision count)`` through the
-        scalar per-bucket decode on either backend: one table of the
-        scalar query fallback's per-level walk.  The vectorized query path
-        decodes the whole packed slab at once instead
-        (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`).  Does
-        not touch observability counters (callers aggregate per scan).
+        The store's ``decode_levels`` (on packed storage one whole-slab
+        pass, on 32-bit counters when ``updates_processed`` proves that
+        safe; on the reference store a level's ``r`` tables at a time,
+        each counted as a scalar fallback).  A level's singleton and
+        collision counters are incremented as the walk reaches it, once
+        per scan, so a walk that stops early records only the levels it
+        visited.
         """
-        lo = self._key(level, j, 0)
-        return self._store.singletons_in(lo, lo + self.params.s)
-
-    def _decode_levels(
-        self, levels: List[int]
-    ) -> List[Tuple[Set[int], int, int]]:
-        """Slab-decode the sketch with one application of the kernel.
-
-        The core of the vectorized query path: one
-        :meth:`~repro.sketch.arena.SignatureArena.decode_slab` pass over
-        the whole slab (on 32-bit counters when ``updates_processed``
-        proves that safe), with the recovered codes split by level
-        ``key // (r * s)``.  Returns ``(sample, recovered, collisions)``
-        tuples aligned with ``levels``; does not touch observability
-        counters (callers record only the levels they actually visit,
-        matching the scalar walk).  Packed storage only.
-        """
-        slab = self._store
-        assert isinstance(slab, SignatureArena)
-        if not slab:
-            return [(set(), 0, 0) for _ in levels]
-        num_levels = self.params.num_levels
-        per_level = self.params.r * self.params.s
-        keys, codes = slab.decode_slab(
-            narrow=self.updates_processed < _INT32_SAFE
+        fallbacks = 0 if self._slab_engine else self.params.r
+        decoded = self._store.decode_levels(
+            levels,
+            self.params.r * self.params.s,
+            narrow=self.updates_processed < _INT32_SAFE,
         )
-        code_levels = keys // per_level
-        order = _np.argsort(code_levels, kind="stable")
-        code_list = codes[order].tolist()
-        cuts = _np.searchsorted(
-            code_levels[order], _np.arange(num_levels + 1)
-        ).tolist()
-        occupied = (
-            slab.occupied_per_table(self.params.s)
-            .reshape(num_levels, self.params.r)
-            .sum(axis=1)
-            .tolist()
-        )
-        out: List[Tuple[Set[int], int, int]] = []
-        for level in levels:
-            lo = cuts[level]
-            hi = cuts[level + 1]
-            out.append(
-                (set(code_list[lo:hi]), hi - lo, occupied[level] - (hi - lo))
-            )
-        return out
-
-    def _record_dsample_obs(
-        self, level: int, recovered: int, collisions: int
-    ) -> None:
-        """One aggregated inc per scan, into children pre-bound at
-        construction, keeps instrumented scans cheap."""
-        if recovered:
-            self._obs_singletons_by_level[level].inc(recovered)
-        if collisions:
-            self._obs_collisions_by_level[level].inc(collisions)
-
-    def get_dsample_batch(self, level: int) -> Set[int]:
-        """``GetdSample`` over whole slabs: all singleton pairs at ``level``.
-
-        Semantically identical to :meth:`get_dsample` — the two differ
-        only in how buckets are decoded (slab-at-a-time versus the
-        conceptual bucket-at-a-time scan of the paper's Figure 4).
-        Duplicates (a pair singleton in several tables) collapse in the
-        returned set; the per-level singleton/collision counters receive
-        the same aggregate increments either way.
-        """
-        if self._slab_engine:
-            sample, recovered, collisions = self._decode_levels([level])[0]
-        else:
-            # Scalar fallback: one per-signature decode of the level's
-            # r inner tables (reference backend).
-            self._obs_scalar_fallbacks.inc(self.params.r)
-            lo = self._key(level, 0, 0)
-            codes, collisions = self._store.singletons_in(
-                lo, lo + self.params.r * self.params.s
-            )
-            sample = set(codes)
-            recovered = len(codes)
-        self._record_dsample_obs(level, recovered, collisions)
-        return sample
+        for level, (codes, collisions) in zip(levels, decoded):
+            if fallbacks:
+                self._obs_scalar_fallbacks.inc(fallbacks)
+            if codes:
+                self._obs_singletons_by_level[level].inc(len(codes))
+            if collisions:
+                self._obs_collisions_by_level[level].inc(collisions)
+            yield level, codes
 
     def dsample_sweep(self) -> Dict[int, Set[int]]:
         """``GetdSample`` for every level of the sketch in one pass.
 
-        Returns ``{level: sample}`` for all levels.  On the packed
-        backend this decodes the whole slab with a single application
-        of the slab kernel — the fastest way to materialize the full
-        distinct-sample hierarchy (diagnostics, benchmarks, exhaustive
-        queries); on the reference store it degrades to the per-level
-        scalar scan with identical results.  Observability
-        counters receive the same per-level increments as ``num_levels``
+        Returns ``{level: sample}`` for all levels: on packed storage
+        one application of the slab kernel — the fastest way to
+        materialize the full distinct-sample hierarchy (diagnostics,
+        benchmarks, exhaustive queries).  Observability counters
+        receive the same per-level increments as ``num_levels``
         individual :meth:`get_dsample` calls.
         """
         with trace_span("sketch.dsample_sweep", metric=SKETCH_SWEEP_DURATION):
-            levels = list(range(self.params.num_levels))
-            if not self._slab_engine:
-                return {
-                    level: self.get_dsample(level) for level in levels
-                }
-            decoded = self._decode_levels(levels)
-            sweep: Dict[int, Set[int]] = {}
-            for level in levels:
-                sample, recovered, collisions = decoded[level]
-                self._record_dsample_obs(level, recovered, collisions)
-                sweep[level] = sample
-            return sweep
+            return {
+                level: set(codes)
+                for level, codes in self._walk_levels(
+                    range(self.params.num_levels)
+                )
+            }
 
     def get_dsample(self, level: int) -> Set[int]:
         """The paper's ``GetdSample``: all singleton pairs at ``level``.
 
         Decodes every occupied second-level bucket of the level across
         all ``r`` inner tables; duplicates (a pair singleton in several
-        tables) collapse in the returned set.  Delegates to
-        :meth:`get_dsample_batch`, which evaluates whole slabs at once
-        on the packed backend and falls back to the scalar decode
-        elsewhere — the answer is identical either way.
+        tables) collapse in the returned set.
+
+        Raises:
+            ParameterError: for a level outside the sketch.
         """
-        return self.get_dsample_batch(level)
+        self._key(level, 0, 0)
+        _, codes = next(self._walk_levels([level]))
+        return set(codes)
 
     def active_levels(self) -> int:
         """Number of first-level buckets currently holding any state."""
@@ -857,30 +786,15 @@ class DistinctCountSketch:
         target = self.params.sample_target(epsilon)
         sample: Set[int] = set()
         stop_level = 0
-        if self._slab_engine:
-            # Decode every slab of the sketch with one kernel pass, then
-            # replay the top-down walk over the per-level results.  The
-            # walk may stop before consuming all levels — identical to
-            # the scalar walk, which never decodes below its stop level;
-            # the speculative decode of the lower levels costs a few
-            # vectorized passes and keeps the whole query one kernel
-            # application.  Observability records visited levels only,
-            # exactly as the scalar walk does.
-            order = list(range(self.params.num_levels - 1, -1, -1))
-            decoded = self._decode_levels(order)
-            for offset, level in enumerate(order):
-                level_sample, recovered, collisions = decoded[offset]
-                sample |= level_sample
-                self._record_dsample_obs(level, recovered, collisions)
-                stop_level = level
-                if len(sample) >= target:
-                    break
-        else:
-            for level in range(self.params.num_levels - 1, -1, -1):
-                sample |= self.get_dsample(level)
-                stop_level = level
-                if len(sample) >= target:
-                    break
+        # On packed storage the first level decodes the whole slab in
+        # one kernel pass; the reference store never decodes below the
+        # stop level.
+        for stop_level, codes in self._walk_levels(
+            range(self.params.num_levels - 1, -1, -1)
+        ):
+            sample.update(codes)
+            if len(sample) >= target:
+                break
         self._obs_sample_size.observe(len(sample))
         return sample, stop_level, target
 

@@ -26,7 +26,7 @@ same flat-key surface as the packed
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .._accel import np as _np
 from ..exceptions import MergeError, ParameterError
@@ -242,31 +242,40 @@ class SignatureTable:
         signature = self._tables[key // self.width].get(key)
         return None if signature is None else signature.recover_singleton()
 
-    def singletons_in(self, lo: int, hi: int) -> Tuple[List[int], int]:
-        """Decode every occupied key of the whole tables in ``[lo, hi)``.
+    def decode_levels(
+        self, levels: Sequence[int], width: int, narrow: bool = False
+    ) -> Iterator[Tuple[List[int], int]]:
+        """Decode each level of ``levels``, in order: ``GetdSample``'s scan.
 
-        Returns ``(singleton pair codes, collision count)``, visiting
-        only those tables' signatures.
+        A level is ``width`` consecutive keys, whole tables (a sketch's
+        ``r`` tables of ``s``).  Yields ``(codes, collisions)`` per
+        level, as the packed
+        :meth:`~repro.sketch.arena.SignatureArena.decode_levels` does,
+        decoding a level's tables signature by signature only when the
+        walk reaches it.  ``narrow`` is accepted for that surface and
+        ignored: these counters are unbounded integers.
 
         Raises:
-            ParameterError: when ``lo`` or ``hi`` is not a table bound.
+            ParameterError: when ``width`` is not a whole number of
+                tables.
         """
-        width = self.width
-        if lo % width or hi % width:
+        if width % self.width:
             raise ParameterError(
-                f"[{lo}, {hi}) does not cover whole tables of {width}"
+                f"levels of {width} keys split tables of {self.width}"
             )
-        codes: List[int] = []
-        append = codes.append
-        collisions = 0
-        for table in self._tables[lo // width:hi // width]:
-            for signature in table.values():
-                pair = signature.recover_singleton()
-                if pair is None:
-                    collisions += 1
-                else:
-                    append(pair)
-        return codes, collisions
+        per_level = width // self.width
+        for level in levels:
+            codes: List[int] = []
+            collisions = 0
+            first = level * per_level
+            for table in self._tables[first:first + per_level]:
+                for signature in table.values():
+                    pair = signature.recover_singleton()
+                    if pair is None:
+                        collisions += 1
+                    else:
+                        codes.append(pair)
+            yield codes, collisions
 
     # linear: signature folding is exact integer addition (RL013)
     def fold(self, keys: Any, rows: Any) -> None:
@@ -275,20 +284,43 @@ class SignatureTable:
         ``keys`` are distinct and ``rows`` holds one ``[total, bit_0,
         ...]`` row per key (int64, or Python ints for counters beyond
         64 bits).  Creates signatures on a miss and prunes those that
-        net to zero.  Returns no before/after images: a tracking
-        sketch recounts its sample state instead.
+        net to zero.
         """
-        tables = self._tables
-        width = self.width
-        pair_bits = self.pair_bits
         for key, row in zip(keys.tolist(), rows.tolist()):
-            table = tables[divmod(key, width)[0]]
-            signature = table.get(key)
-            if signature is None:
-                signature = table[key] = CountSignature(pair_bits)
-            signature.add_counters(row)
-            if signature.is_zero:
-                del table[key]
+            self._add_row(key, row)
+
+    def fold_changes(
+        self, keys: Any, rows: Any
+    ) -> List[Tuple[int, Optional[int], Optional[int]]]:
+        """:meth:`fold`, reporting the keys whose singleton occupant changed.
+
+        Returns ``(key, before, after)`` per such key, in block order,
+        as the packed
+        :meth:`~repro.sketch.arena.SignatureArena.fold_changes` does:
+        each key's ``recover_singleton`` before and after its add, exact
+        at any pair width.
+        """
+        changes: List[Tuple[int, Optional[int], Optional[int]]] = []
+        singleton_at = self.singleton_at
+        for key, row in zip(keys.tolist(), rows.tolist()):
+            before = singleton_at(key)
+            self._add_row(key, row)
+            after = singleton_at(key)
+            if before != after:
+                changes.append((key, before, after))
+        return changes
+
+    # linear: a counter row lands by exact integer addition (RL013)
+    def _add_row(self, key: int, row: List[int]) -> None:
+        """Add one counter row to ``key``'s signature, creating on a
+        miss and pruning at zero."""
+        table = self._tables[divmod(key, self.width)[0]]
+        signature = table.get(key)
+        if signature is None:
+            signature = table[key] = CountSignature(self.pair_bits)
+        signature.add_counters(row)
+        if signature.is_zero:
+            del table[key]
 
     def occupied_keys(self) -> Any:
         """Every occupied key, ascending (int64 ndarray)."""

@@ -39,7 +39,6 @@ from ..obs.catalog import (
 )
 from ..obs.registry import Registry
 from ..types import AddressDomain
-from .arena import SignatureArena, pack_codes, singleton_mask
 from .dcs import DEFAULT_EPSILON, DistinctCountSketch
 from .estimate import TopKResult, build_result
 from .heap import IndexedMaxHeap
@@ -139,7 +138,7 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         self._dest_heaps: List[IndexedMaxHeap[int]] = [
             IndexedMaxHeap() for _ in range(levels)
         ]
-        # Tracking instruments; rebuilds (merge/copy) count as events too.
+        # Tracking instruments: one event per pair and level, not per table.
         events = self.obs.counter_from(TRACKING_SINGLETON_EVENTS)
         self._obs_sample_add = events.labels(event="add")
         self._obs_sample_remove = events.labels(event="remove")
@@ -177,56 +176,28 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             if after is not None:
                 self._add_singleton_occurrence(level, after)
 
-    def _fold(self, keys: Any, rows: Any) -> Any:  # hot-path
-        """Batch UpdateTracking: diff singleton state across a slab fold.
+    def _fold(self, keys: Any, rows: Any) -> None:  # hot-path
+        """Batch UpdateTracking: apply a fold's singleton changes.
 
         The tracked structures are a pure function of the counter state
-        (:meth:`check_invariants` is exactly that statement), so diffing
-        each folded row's singleton occupant between the fold's before
-        and after images yields the same final state as replaying the
-        fold update by update.  The images come back from the fold
-        itself (no extra gathers), one :func:`~repro.sketch.arena.
-        singleton_mask` pass decodes both, the diff is a numpy
-        comparison, and Python touches only the rows whose occupant
-        changed, at level ``key // (r * s)``.  Removals and adds may run
-        in any order: every removal is a before-image occupant, so
-        ``decr_count`` cannot underflow.  The reference store returns
-        no images and recounts from scratch instead.
+        (:meth:`check_invariants` is exactly that statement), so moving
+        each folded bucket's singleton occupant from its value before
+        the fold to its value after yields the same final state as
+        replaying the fold update by update.  The store's
+        ``fold_changes`` reports just the buckets whose occupant
+        changed; each lives at level ``key // (r * s)``.  Removals and
+        adds may run in any order: every removal is a before-fold
+        occupant, so ``decr_count`` cannot underflow.
         """
-        images = super()._fold(keys, rows)
-        count = len(keys)
-        if not count:
-            return images
-        if images is None:
-            self._rebuild_tracking_state()
-            return images
-        ok, ne = singleton_mask(images.reshape(2 * count, images.shape[2]))
-        was_ok = ok[:count]
-        now_ok = ok[count:]
-        either = (was_ok | now_ok).nonzero()[0]
-        if not len(either):
-            return images
-        was = was_ok[either]
-        now = now_ok[either]
-        before = pack_codes(~ne[either, 1:])
-        after = pack_codes(~ne[either + count, 1:])
-        changed = ((was != now) | (before != after)).nonzero()[0]
-        if not len(changed):
-            return images
         per_level = self.params.r * self.params.s
-        levels = (keys[either[changed]] // per_level).tolist()
-        was_list = was[changed].tolist()
-        now_list = now[changed].tolist()
-        before_list = before[changed].tolist()
-        after_list = after[changed].tolist()
         remove = self._remove_singleton_occurrence
         add = self._add_singleton_occurrence
-        for index, level in enumerate(levels):
-            if was_list[index]:
-                remove(level, before_list[index])
-            if now_list[index]:
-                add(level, after_list[index])
-        return images
+        for key, before, after in self._store.fold_changes(keys, rows):
+            level = key // per_level
+            if before is not None:
+                remove(level, before)
+            if after is not None:
+                add(level, after)
 
     def _add_singleton_occurrence(self, level: int, pair: int) -> None:
         """A bucket at ``level`` became a singleton holding ``pair``."""
@@ -267,6 +238,23 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
 
     # -- estimation (Figure 7) -----------------------------------------------------
 
+    def _tracked_stop(self, epsilon: float) -> Tuple[int, int, float]:
+        """Figure 7's walk to the sample inference level.
+
+        Sums ``numSingletons`` top-down until the sample reaches its
+        target, and observes the sample size.  Returns ``(stop_level,
+        sample_size, target)``.
+        """
+        target = self.params.sample_target(epsilon)
+        sample_size = 0
+        stop_level = 0
+        for stop_level in range(self.params.num_levels - 1, -1, -1):
+            sample_size += self._num_singletons[stop_level]
+            if sample_size >= target:
+                break
+        self._obs_sample_size.observe(sample_size)
+        return stop_level, sample_size, target
+
     def track_topk(
         self, k: int, epsilon: float = DEFAULT_EPSILON
     ) -> TopKResult:
@@ -281,15 +269,7 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
         self._obs_queries.labels(kind="track_topk").inc()
-        target = self.params.sample_target(epsilon)
-        sample_size = 0
-        stop_level = 0
-        for level in range(self.params.num_levels - 1, -1, -1):
-            sample_size += self._num_singletons[level]
-            stop_level = level
-            if sample_size >= target:
-                break
-        self._obs_sample_size.observe(sample_size)
+        stop_level, sample_size, target = self._tracked_stop(epsilon)
         ranked = [
             (dest, freq)
             for dest, freq in self._dest_heaps[stop_level].top_k(k)
@@ -316,15 +296,7 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         if tau < 1:
             raise ParameterError(f"tau must be >= 1, got {tau}")
         self._obs_queries.labels(kind="track_threshold").inc()
-        target = self.params.sample_target(epsilon)
-        sample_size = 0
-        stop_level = 0
-        for level in range(self.params.num_levels - 1, -1, -1):
-            sample_size += self._num_singletons[level]
-            stop_level = level
-            if sample_size >= target:
-                break
-        self._obs_sample_size.observe(sample_size)
+        stop_level, sample_size, target = self._tracked_stop(epsilon)
         scale = 1 << stop_level
         ranked: List[Tuple[int, int]] = []
         for dest, freq in self._dest_heaps[stop_level].ranked():
@@ -383,11 +355,10 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
     def _rebuild_tracking_state(self) -> None:
         """Recompute singletons/counters/heaps from the raw signatures.
 
-        The vectorized engine decodes the whole slab in one kernel pass
-        (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`); the
-        reference store and pair domains wider than 64 bits decode key
-        by key.  The resulting state is a pure function of the counter
-        state, so decode order is immaterial.
+        One store ``decode_levels`` walk over every level (a single
+        slab-kernel pass on packed storage); the resulting state is a
+        pure function of the counter state, so decode order is
+        immaterial.
         """
         levels = self.params.num_levels
         self._singletons = [SingletonSet() for _ in range(levels)]
@@ -396,20 +367,12 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             IndexedMaxHeap() for _ in range(levels)
         ]
         add = self._add_singleton_occurrence
-        per_level = self.params.r * self.params.s
-        store = self._store
-        if self._slab_engine:
-            assert isinstance(store, SignatureArena)
-            keys, codes = store.decode_slab()
-            for level, pair in zip(
-                (keys // per_level).tolist(), codes.tolist()
-            ):
+        decoded = self._store.decode_levels(
+            range(levels), self.params.r * self.params.s
+        )
+        for level, (codes, _) in enumerate(decoded):
+            for pair in codes:
                 add(level, pair)
-            return
-        for key in store.occupied_keys().tolist():
-            pair = store.singleton_at(key)
-            if pair is not None:
-                add(key // per_level, pair)
 
     def copy(self) -> "TrackingDistinctCountSketch":
         """Deep copy, including tracked state (rebuilt from signatures)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from repro.sketch import (
     DistinctCountSketch,
     ShardedSketch,
     TrackingDistinctCountSketch,
+    serialize,
 )
 from repro.streams.transport import (
     Channel,
@@ -126,7 +128,7 @@ class TestTrackingInstrumentation:
         adds = counter_value(
             registry, "repro_tracking_singleton_events_total", event="add"
         )
-        assert adds >= 1  # one per inner table where it became singleton
+        assert adds >= 1  # one per pair and level, however many tables
         assert counter_value(
             registry, "repro_tracking_heap_ops_total", op="add"
         ) >= adds  # each add touches level+1 >= 1 heaps
@@ -161,6 +163,100 @@ class TestTrackingInstrumentation:
         assert counter_value(
             registry, queries, kind="track_threshold"
         ) == 1
+
+
+class TestFoldAccounting:
+    """Singleton events net to the tracked sample on either store."""
+
+    EVENTS = "repro_tracking_singleton_events_total"
+
+    def assert_tally(self, registry, sketch):
+        adds = counter_value(registry, self.EVENTS, event="add")
+        removes = counter_value(registry, self.EVENTS, event="remove")
+        assert adds - removes == sum(
+            sketch.num_singletons(level)
+            for level in range(sketch.params.num_levels)
+        )
+        sketch.check_invariants()
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_events_net_to_the_sample_after_folds(
+        self, domain, registry, backend, monkeypatch
+    ):
+        sketch = TrackingDistinctCountSketch(
+            domain, seed=1, obs=registry, backend=backend
+        )
+        other = TrackingDistinctCountSketch(domain, seed=1, backend=backend)
+        sketch.process_stream(stream(300, seed=7))
+        other.process_stream(stream(300, seed=8))
+        sketch.merge(other)
+        self.assert_tally(registry, sketch)
+        sketch.subtract(other)
+        self.assert_tally(registry, sketch)
+        keys, rows = other._export_rows()
+        sketch.apply_bucket_deltas(keys, rows)
+        self.assert_tally(registry, sketch)
+        sketch.apply_bucket_deltas(keys, -rows)
+        self.assert_tally(registry, sketch)
+        payload = serialize.dumps(sketch)
+        loaded_registry = Registry()
+        monkeypatch.setattr(
+            serialize,
+            "TrackingDistinctCountSketch",
+            functools.partial(
+                TrackingDistinctCountSketch, obs=loaded_registry
+            ),
+        )
+        loaded = serialize.loads(payload, backend=backend)
+        self.assert_tally(loaded_registry, loaded)
+        assert loaded.structurally_equal(sketch)
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_pair_singleton_in_every_table_adds_once(
+        self, domain, registry, backend, batched
+    ):
+        sketch = TrackingDistinctCountSketch(
+            domain, seed=1, obs=registry, backend=backend
+        )
+        if batched:
+            sketch.update_batch([FlowUpdate(1, 2, 1)])
+        else:
+            sketch.insert(1, 2)
+        level = sketch.level_of(1, 2)
+        pair = domain.encode_pair(1, 2)
+        assert all(
+            sketch.return_singleton(level, j, sketch.inner_bucket(j, 1, 2))
+            == pair
+            for j in range(sketch.params.r)
+        )
+        assert sketch.singleton_pairs(level) == {pair}
+        assert counter_value(registry, self.EVENTS, event="add") == 1
+        assert counter_value(
+            registry, "repro_tracking_heap_ops_total", op="add"
+        ) == level + 1
+
+    @pytest.mark.parametrize(
+        "backend, per_level", [("reference", 3), ("packed", 0)]
+    )
+    def test_scalar_fallbacks_count_reference_levels_decoded(
+        self, domain, registry, backend, per_level
+    ):
+        sketch = DistinctCountSketch(
+            domain, r=3, seed=1, obs=registry, backend=backend
+        )
+        sketch.process_stream(stream(400, seed=9))
+        fallbacks = "repro_sketch_scalar_fallbacks_total"
+        sketch.get_dsample(2)
+        assert counter_value(registry, fallbacks) == per_level
+        sketch.dsample_sweep()
+        levels = sketch.params.num_levels
+        assert counter_value(registry, fallbacks) == per_level * (1 + levels)
+        stop_level = sketch.base_topk(3).stop_level
+        assert stop_level > 0
+        assert counter_value(registry, fallbacks) == per_level * (
+            1 + levels + levels - stop_level
+        )
 
 
 class TestUninstrumentedFastPath:

@@ -14,8 +14,10 @@ interleaving of block folds, per-update writes, drains and resets:
    since the last drain never ships, and no shipped row is all zero.
 3. **One surface, two stores**: a ``SignatureTable`` fed the same
    operations over the same keys holds the same rows, the same number
-   of keys, the same per-key and per-table singleton decode, the same
-   per-table occupancy, and drains the same runs.
+   of keys, the same per-key singleton decode, the same level decodes
+   (one table per level, and all tables as one level), the same
+   per-table occupancy, reports the same singleton changes from each
+   fold, and drains the same runs.
 """
 
 from __future__ import annotations
@@ -70,11 +72,14 @@ def check_same(arena, table):
     assert len(arena) == len(table)
     for key in range(KEYS):
         assert arena.singleton_at(key) == table.singleton_at(key)
-    for lo in range(0, KEYS, WIDTH):
-        arena_codes, arena_collisions = arena.singletons_in(lo, lo + WIDTH)
-        table_codes, table_collisions = table.singletons_in(lo, lo + WIDTH)
-        assert sorted(arena_codes) == sorted(table_codes)
-        assert arena_collisions == table_collisions
+    for levels, width in ((range(TABLES), WIDTH), ([0], KEYS)):
+        decoded = [
+            [(sorted(codes), collisions)
+             for codes, collisions in store.decode_levels(levels, width)]
+            for store in (arena, table)
+        ]
+        assert len(decoded[0]) == len(levels)
+        assert decoded[0] == decoded[1]
     # The sparse arena's key range runs past the table store's tables.
     occupancy = arena.occupied_per_table(WIDTH).tolist()
     assert occupancy[:TABLES] == table.occupied_per_table(WIDTH).tolist()
@@ -118,8 +123,9 @@ def test_drained_runs_replay_the_arena(range_size, ops):
                     np.array([key for key, _ in op[1]], dtype=np.int64),
                     np.array([row for _, row in op[1]], dtype=np.int64),
                 )
-                arena.fold(*block)
-                table.fold(*block)
+                changes = arena.fold_changes(*block)
+                assert changes == table.fold_changes(*block)
+                assert all(before != after for _, before, after in changes)
         elif kind == "update":
             arena.update(op[1], op[2], op[3])
             table.update(op[1], op[2], op[3])

@@ -31,6 +31,23 @@ BAD_SEQUENCE_PAYLOADS = [
     b"[-1,[[1,2,1]]]",
 ]
 
+#: CRC-valid payloads with a well-formed sequence number whose update
+#: triple is malformed: a non-int or negative address, a delta other
+#: than the integer +1 or -1.
+BAD_UPDATE_PAYLOADS = [
+    b'[1,[["a",2,1]]]',
+    b"[1,[[1,null,1]]]",
+    b"[1,[[1.0,2,1]]]",
+    b"[1,[[true,2,1]]]",
+    b"[1,[[-1,2,1]]]",
+    b"[1,[[1,-2,1]]]",
+    b"[1,[[1,2,2]]]",
+    b"[1,[[1,2,0]]]",
+    b"[1,[[1,2,1.0]]]",
+    b"[1,[[1,2,true]]]",
+    b'[1,[[1,2,1],[3,4,"-1"]]]',
+]
+
 
 def random_stream(count, seed=0, dests=20):
     rng = random.Random(seed)
@@ -134,6 +151,18 @@ class TestCrashBehaviour:
         with pytest.raises(WalCorruption, match="sequence number"):
             WriteAheadLog(tmp_path)
         with pytest.raises(WalCorruption):
+            list(replay_wal(tmp_path))
+
+    @pytest.mark.parametrize("payload", BAD_UPDATE_PAYLOADS)
+    def test_malformed_update_raises(self, tmp_path, payload):
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append_batch(random_stream(10, seed=3))
+        segment = sorted(tmp_path.glob("wal-*.seg"))[-1]
+        with segment.open("ab") as handle:
+            handle.write(framed(payload))
+        with pytest.raises(WalCorruption, match="malformed update"):
+            WriteAheadLog(tmp_path)
+        with pytest.raises(WalCorruption, match="malformed update"):
             list(replay_wal(tmp_path))
 
     def test_corruption_is_a_repro_error(self):

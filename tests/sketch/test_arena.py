@@ -58,24 +58,33 @@ class TestUpdateAndDecode:
         arena = SignatureArena(8, 128)
         assert arena.singleton_at(7) is None
 
-    def test_singletons_in_matches_per_bucket_decode(self):
+    def test_decode_levels_matches_per_bucket_decode(self):
         arena = SignatureArena(8, 128)
         arena.update(1, 0b1, 1)
         arena.update(2, 0b10, 1)
         arena.update(2, 0b11, 1)
         arena.update(9, 0b101, -1)
         arena.update(10, 0b110, 1)
-        for lo, hi in [(0, 128), (0, 10), (1, 2), (2, 11), (11, 128)]:
-            decoded = [
-                arena.get(key).recover_singleton()
-                for key in arena.occupied_keys().tolist()
-                if lo <= key < hi
-            ]
-            codes = [code for code in decoded if code is not None]
-            assert arena.singletons_in(lo, hi) == (
-                codes, len(decoded) - len(codes)
-            )
-        assert arena.singletons_in(0, 128) == ([0b1, 0b110], 2)
+        for width in (1, 2, 8, 16, 128):
+            levels = range(128 // width)
+            for narrow in (False, True):
+                decoded_levels = arena.decode_levels(levels, width, narrow)
+                for level, (codes, collisions) in zip(levels, decoded_levels):
+                    decoded = [
+                        arena.get(key).recover_singleton()
+                        for key in arena.occupied_keys().tolist()
+                        if key // width == level
+                    ]
+                    expected = [code for code in decoded if code is not None]
+                    assert sorted(codes) == sorted(expected)
+                    assert collisions == len(decoded) - len(expected)
+        # Levels come back in the order asked for.
+        assert list(arena.decode_levels([1, 0], 8)) == [
+            ([0b110], 1), ([0b1], 1),
+        ]
+        assert list(SignatureArena(8, 16).decode_levels(range(2), 8)) == [
+            ([], 0), ([], 0),
+        ]
 
     def test_slot_reuse_after_prune(self):
         arena = SignatureArena(8, 128)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MergeError, ParameterError
-from repro.sketch import CountSignature, SignatureTable
+from repro.sketch import CountSignature, SignatureArena, SignatureTable
 
 
 def build(pair_bits: int = 8) -> CountSignature:
@@ -219,19 +219,23 @@ class TestSignatureTable:
         table.get(6).update(0b11, 1)
         assert table.get(6).total == 2
 
-    def test_singletons_in_whole_tables(self):
+    def test_decode_levels_whole_tables(self):
         table = SignatureTable(8, 3, 4)
         table.update(1, 0b1, 1)
         table.update(2, 0b10, 1)
         table.update(2, 0b11, 1)  # a collision
         table.update(5, 0b100, 1)
         table.update(11, 0b1000, 1)
-        assert table.singletons_in(0, 4) == ([0b1], 1)
-        assert table.singletons_in(4, 8) == ([0b100], 0)
-        assert sorted(table.singletons_in(0, 12)[0]) == [0b1, 0b100, 0b1000]
-        assert table.singletons_in(4, 4) == ([], 0)
+        assert list(table.decode_levels(range(3), 4)) == [
+            ([0b1], 1), ([0b100], 0), ([0b1000], 0),
+        ]
+        assert list(table.decode_levels([1], 4)) == [([0b100], 0)]
+        ((codes, collisions),) = table.decode_levels([0], 12)
+        assert sorted(codes) == [0b1, 0b100, 0b1000]
+        assert collisions == 1
+        assert list(table.decode_levels([], 4)) == []
         with pytest.raises(ParameterError):
-            table.singletons_in(2, 6)
+            list(table.decode_levels([0], 6))
         assert table.occupied_per_table(4).tolist() == [2, 1, 1]
         with pytest.raises(ParameterError):
             table.occupied_per_table(6)
@@ -279,3 +283,37 @@ class TestSignatureTable:
         assert clone.get(1).total == 2
         with pytest.raises(ParameterError):
             clone.drain_deltas()
+
+
+#: Blocks folded in turn, and the ``(key, before, after)`` singleton
+#: changes each must report (pair_bits 4: rows are [total, bit_0..3]).
+FOLD_CHANGE_SCRIPT = [
+    # empty -> singleton on every key (key 2 twice over).
+    ([1, 2, 3], [[1, 1, 1, 0, 0], [2, 2, 0, 0, 0], [1, 0, 0, 0, 1]],
+     [(1, None, 0b0011), (2, None, 0b0001), (3, None, 0b1000)]),
+    # singleton -> another singleton, singleton -> collision, and a
+    # singleton whose multiplicity grows (no change).
+    ([1, 2, 3], [[0, -1, -1, 1, 0], [1, 0, 1, 0, 0], [1, 0, 0, 0, 1]],
+     [(1, 0b0011, 0b0100), (2, 0b0001, None)]),
+    # collision -> singleton and singleton -> empty, in block order.
+    ([2, 1], [[-1, 0, -1, 0, 0], [-1, 0, 0, -1, 0]],
+     [(2, None, 0b0001), (1, 0b0100, None)]),
+    ([], [], []),
+]
+
+
+class TestFoldChanges:
+    @pytest.mark.parametrize(
+        "store",
+        [lambda: SignatureArena(4, 16), lambda: SignatureTable(4, 4, 4)],
+        ids=["arena", "table"],
+    )
+    def test_reports_each_occupant_change(self, store):
+        store = store()
+        for keys, rows, expected in FOLD_CHANGE_SCRIPT:
+            changes = store.fold_changes(
+                np.array(keys, dtype=np.int64),
+                np.array(rows, dtype=np.int64).reshape(len(keys), 5),
+            )
+            assert changes == expected
+        assert store.occupied_keys().tolist() == [2, 3]

@@ -1,12 +1,11 @@
 """Differential fuzzing of the vectorized slab-decode query path.
 
-The slab engine (``SignatureArena.decode_slab``, ``DCSSketch
-.get_dsample_batch`` / ``dsample_sweep``, and the whole-walk decode
-under ``collect_distinct_sample``) and the per-table ``decoded_slab``
-must be *bit-identical* to the scalar per-signature decode — same
-singleton sets, same collision counts, same estimator answers — on
-every backend, under delete-heavy churn, after merges, and after crash
-recovery.
+The slab engine (``SignatureArena.decode_slab`` and ``decode_levels``
+under ``get_dsample`` / ``dsample_sweep`` and the whole-walk decode of
+``collect_distinct_sample``) must be *bit-identical* to the scalar
+per-signature decode — same singleton sets, same per-level collision
+counts, same estimator answers — on every backend, under delete-heavy
+churn, after merges, and after crash recovery.
 
 The oracle here is deliberately primitive: walk every occupied bucket,
 materialize its :class:`~repro.sketch.signature.CountSignature`, and
@@ -22,6 +21,7 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
+from repro.exceptions import ParameterError
 from repro.resilience import DurableSketch
 from repro.sketch import (
     DistinctCountSketch,
@@ -77,19 +77,16 @@ def oracle_collisions(sketch: DistinctCountSketch, level: int) -> int:
 
 
 def assert_decode_matches_oracle(sketch: DistinctCountSketch) -> None:
-    """Every slab-decode surface agrees with the scalar oracle."""
+    """Every decode surface agrees with the scalar oracle."""
     sweep = sketch.dsample_sweep()
-    for level in range(sketch.params.num_levels):
+    levels = range(sketch.params.num_levels)
+    decoded = list(
+        sketch._store.decode_levels(levels, sketch.params.r * sketch.params.s)
+    )
+    for level, (codes, collisions) in zip(levels, decoded):
         expected = oracle_dsample(sketch, level)
-        assert sketch.get_dsample_batch(level) == expected
         assert sketch.get_dsample(level) == expected
         assert sweep[level] == expected
-        codes: List[int] = []
-        collisions = 0
-        for j in range(sketch.params.r):
-            slab_codes, slab_collisions = sketch.decoded_slab(level, j)
-            codes.extend(slab_codes)
-            collisions += slab_collisions
         assert set(codes) == expected
         assert collisions == oracle_collisions(sketch, level)
 
@@ -160,6 +157,14 @@ class TestSlabDecodeDifferential:
         updates = make_stream(14, 800, domain=wide)
         sketch.process_stream(updates, batch_size=64)
         assert_decode_matches_oracle(sketch)
+
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_get_dsample_rejects_levels_outside_the_sketch(self, backend):
+        sketch = DistinctCountSketch(DOMAIN, seed=7, backend=backend)
+        sketch.process_stream(make_stream(18, 300))
+        for level in (-1, sketch.params.num_levels):
+            with pytest.raises(ParameterError):
+                sketch.get_dsample(level)
 
     def test_int64_scratch_path_matches_int32(self):
         """Forcing the wide-counter scratch dtype changes nothing."""

@@ -81,6 +81,35 @@ class TestTraceCommands:
             main(["trace"])
 
 
+#: Trace files the library rejects: an unparseable token (a
+#: ``StreamError``) and an address outside the IPv4 domain (a
+#: ``DomainError``).
+MALFORMED_TRACES = {
+    "token": "10.0.0.1 10.0.0.2 +1\nnot-an-address 10.0.0.2 +1\n",
+    "domain": "1 2 +1\n4294967296 2 +1\n",
+}
+
+
+class TestMalformedTraces:
+    """Malformed trace input ends in one stderr line, exit status 1."""
+
+    @pytest.mark.parametrize("problem", sorted(MALFORMED_TRACES))
+    @pytest.mark.parametrize(
+        "command",
+        [["trace", "replay"], ["describe"]],
+        ids=["replay", "describe"],
+    )
+    def test_exits_one_with_one_line(self, problem, command, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_text(MALFORMED_TRACES[problem])
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro-ddos {command[0]}: ")
+        assert "Traceback" not in captured.err
+
+
 class TestPlanCommand:
     def test_prints_both_flavors(self, capsys):
         assert main([
@@ -246,6 +275,24 @@ class TestCheckpointRoundTrip:
         assert main(["recover", str(directory)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("recovery failed:")
+        assert err.count("\n") == 1
+
+
+    def test_recover_reports_a_malformed_update(self, tmp_path, capsys):
+        directory = tmp_path / "durable"
+        assert main([
+            "stats", "--updates", "500", "--seed", "5",
+            "--format", "json", "--checkpoint-dir", str(directory),
+        ]) == 0
+        out = capsys.readouterr().out
+        wal_seq = int(out.split("wal_seq=")[1].split(";")[0])
+        segment = sorted((directory / "wal").glob("wal-*.seg"))[-1]
+        with segment.open("ab") as handle:
+            handle.write(framed(b"RW", f'[{wal_seq},[["a",2,1]]]'.encode()))
+        assert main(["recover", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("recovery failed:")
+        assert "malformed update" in err
         assert err.count("\n") == 1
 
 

@@ -77,9 +77,7 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     ("repro.sketch", "DistinctCountSketch.base_topk"),
     ("repro.sketch", "DistinctCountSketch.threshold_query"),
     ("repro.sketch", "DistinctCountSketch.get_dsample"),
-    ("repro.sketch", "DistinctCountSketch.get_dsample_batch"),
     ("repro.sketch", "DistinctCountSketch.dsample_sweep"),
-    ("repro.sketch", "DistinctCountSketch.decoded_slab"),
     ("repro.sketch", "TrackingDistinctCountSketch.track_topk"),
     ("repro.sketch", "TrackingDistinctCountSketch.track_threshold"),
     ("repro.sketch", "ShardedSketch.base_topk"),
@@ -88,10 +86,12 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     ("repro.sketch", "SignatureArena.decode_slab"),
     ("repro.sketch", "SignatureArena.view2d"),
     # store surface (either store runs the sketch's one body)
-    ("repro.sketch", "SignatureArena.singletons_in"),
+    ("repro.sketch", "SignatureArena.decode_levels"),
+    ("repro.sketch", "SignatureArena.fold_changes"),
     ("repro.sketch", "SignatureTable.fold"),
     ("repro.sketch", "SignatureTable.drain_deltas"),
-    ("repro.sketch", "SignatureTable.singletons_in"),
+    ("repro.sketch", "SignatureTable.decode_levels"),
+    ("repro.sketch", "SignatureTable.fold_changes"),
     # bulk hashing (the hash half of every packed ingest path)
     ("repro.hashing", "CarterWegmanBank.hash_many"),
     ("repro.hashing", "TabulationHash.words_many"),
