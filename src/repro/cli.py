@@ -35,7 +35,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from .baselines import BruteForceTracker
-from .exceptions import ParameterError, ReproError
+from .exceptions import ParameterError, ReproError, StreamError
 from .metrics import average_relative_error, top_k_recall
 from .monitor import DDoSMonitor, MonitorConfig, SlidingWindowSketch
 from .netsim import (
@@ -357,8 +357,20 @@ def _run_space(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_trace_file(path: str) -> List["FlowUpdate"]:
+    """The trace at ``path``; a path that cannot be read (missing, a
+    directory) raises :class:`~repro.exceptions.StreamError`, so the
+    command ends in one stderr line."""
+    from .streams import read_trace
+
+    try:
+        return read_trace(path)
+    except OSError as error:
+        raise StreamError(f"cannot read trace: {error}") from error
+
+
 def _run_trace(args: argparse.Namespace) -> int:
-    from .streams import read_trace, with_matched_deletions, write_trace
+    from .streams import with_matched_deletions, write_trace
 
     domain = AddressDomain(2 ** 32)
     if args.trace_command == "generate":
@@ -386,7 +398,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         print(f"wrote {count} updates to {args.path}")
         return 0
     # replay
-    updates = read_trace(args.path)
+    updates = _read_trace_file(args.path)
     sketch = TrackingDistinctCountSketch(domain, seed=args.seed)
     sketch.process_stream(updates)
     result = sketch.track_topk(args.k)
@@ -424,10 +436,9 @@ def _run_plan(args: argparse.Namespace) -> int:
 def _run_describe(args: argparse.Namespace) -> int:
     from .metrics import deep_size_bytes
     from .sketch.debug import describe
-    from .streams import read_trace
 
     domain = AddressDomain(2 ** 32)
-    updates = read_trace(args.path)
+    updates = _read_trace_file(args.path)
     sketch = TrackingDistinctCountSketch(domain, r=args.r, s=args.s,
                                          seed=args.seed)
     sketch.process_stream(updates)

@@ -137,7 +137,8 @@ SKETCH_SCALAR_FALLBACKS = MetricSpec(
 TRACKING_SINGLETON_EVENTS = MetricSpec(
     name="repro_tracking_singleton_events_total",
     kind="counter",
-    help="Distinct pairs entering/leaving a level's tracked sample.",
+    help="Distinct pairs entering/leaving a tracked level's sample, "
+         "including when the tracked levels move.",
     labels=("event",),
     paper_ref="§5 Fig. 6 steps 8-12 (remove) and 18-22 (add)",
 )
@@ -145,7 +146,8 @@ TRACKING_SINGLETON_EVENTS = MetricSpec(
 TRACKING_HEAP_OPS = MetricSpec(
     name="repro_tracking_heap_ops_total",
     kind="counter",
-    help="topDestHeap adjustments across levels b..0 (heap churn).",
+    help="topDestHeap adjustments folds make across the tracked "
+         "levels b..floor (heap churn).",
     labels=("op",),
     paper_ref="§5 Fig. 6 heap adjustments; the O(r log^2 m) term",
 )
@@ -153,9 +155,9 @@ TRACKING_HEAP_OPS = MetricSpec(
 TRACKING_SAMPLE_PAIRS = MetricSpec(
     name="repro_tracking_sample_pairs",
     kind="gauge",
-    help="Total tracked distinct sample size, summed over levels "
-         "(pull gauge).",
-    paper_ref="§5 Fig. 5: sum_b numSingletons(b)",
+    help="Total tracked distinct sample size, summed over the tracked "
+         "levels (pull gauge).",
+    paper_ref="§5 Fig. 5: sum_b numSingletons(b) over b >= floor",
 )
 
 # -- sharded ingestion (repro.sketch.sharded) --------------------------------

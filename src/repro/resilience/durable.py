@@ -99,11 +99,14 @@ def recover_sketch(
 
     Loads the newest CRC-valid checkpoint for ``label`` (falling back
     to older generations past corruption) and replays the WAL tail.
-    Raises :class:`~repro.exceptions.ParameterError` when the directory
-    holds no usable checkpoint — without one the sketch parameters are
+    Raises :class:`~repro.exceptions.ParameterError` when ``directory``
+    is not a directory (before anything is created on disk) or holds
+    no usable checkpoint — without one the sketch parameters are
     unknown (use :class:`DurableSketch` with explicit params instead).
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ParameterError(f"{directory} is not a directory")
     store = CheckpointStore(directory / CHECKPOINT_SUBDIR, obs=obs)
     loaded = store.load_latest(label, backend=backend)
     if loaded is None:

@@ -521,21 +521,30 @@ class SignatureArena:
             yield code_list[lo:hi], occupied[level] - (hi - lo)
 
     def fold_changes(
-        self, keys: Any, rows: Any
+        self, keys: Any, rows: Any, first: int
     ) -> List[Tuple[int, Optional[int], Optional[int]]]:  # hot-path
-        """:meth:`fold`, reporting the keys whose singleton occupant changed.
+        """:meth:`fold`, reporting the keys from ``first`` on whose
+        singleton occupant changed.
 
-        Returns ``(key, before, after)`` per such key, in block order:
-        its singleton pair code before and after the fold, ``None``
-        where it held none.  One :func:`singleton_mask` pass decodes
-        both of the fold's images, only the rows that are a singleton on
-        either side are packed into codes, and Python touches only the
-        rows whose occupant changed.
+        ``keys`` ascend, as every sketch fold's do.  Every key is
+        folded; returns ``(key, before, after)`` per key ``>= first``
+        whose occupant changed, in block order: its singleton pair code
+        before and after the fold, ``None`` where it held none.  The
+        block is cut at ``first`` by one ``searchsorted`` (none when
+        the block lies wholly on one side), one :func:`singleton_mask`
+        pass decodes both of the kept images, only the rows that are a
+        singleton on either side are packed into codes, and Python
+        touches only the rows whose occupant changed.
         """
         images = self.fold(keys, rows)
         count = len(keys)
-        if not count:
+        if not count or keys[-1] < first:
             return []
+        if keys[0] < first:
+            cut = int(keys.searchsorted(first))
+            keys = keys[cut:]
+            images = images[:, cut:]
+            count -= cut
         ok, ne = singleton_mask(images.reshape(2 * count, self.stride))
         either = (ok[:count] | ok[count:]).nonzero()[0]
         if not len(either):

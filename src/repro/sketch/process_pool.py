@@ -8,7 +8,9 @@ buckets touched since the last sync), ``snapshot``
 ``obs``/``trace`` (observability pulls), ``close``.  All shard sketches
 share params and seed, so the parent combines them by bucket-wise
 addition into the exact sketch a single-process run would have
-produced (linearity, Section 3).
+produced (linearity, Section 3).  Nobody queries a worker's sketch (the
+parent answers from its running sum), so it tracks no level and its
+ingest is the plain fold.
 
 Shard state reaches the parent by delta only: every worker slab keeps
 a dirty-key index (:meth:`~repro.sketch.DistinctCountSketch.

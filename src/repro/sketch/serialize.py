@@ -10,9 +10,11 @@ dependency-free wire format:
 * :func:`dumps` / :func:`loads` — JSON bytes on top of the dict codec.
 
 Round-tripping preserves structural equality, so a deserialized sketch
-merges and queries exactly like the original.  Tracking sketches rebuild
-their incremental state (singleton sets, heaps) on load rather than
-shipping it — the raw signatures fully determine it.
+merges and queries exactly like the original.  A tracking sketch's
+incremental state (singleton sets, heaps) is not shipped, since the raw
+signatures fully determine it, nor built on load: a loaded tracking
+sketch tracks no level until its first tracked query decodes the levels
+that query reads.
 """
 
 from __future__ import annotations
@@ -191,7 +193,6 @@ def sketch_from_dict(
         raise ParameterError(
             f"counter outside the 64-bit packed range: {error}"
         ) from error
-    # The fold also maintains a tracking sketch's sample state.
     sketch.apply_bucket_deltas(
         _np.array(keys, dtype=_np.int64),
         matrix.reshape(len(keys), params.pair_bits + 1),

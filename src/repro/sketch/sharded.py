@@ -346,7 +346,8 @@ class ShardedSketch:
 
         The merge is memoized: repeated calls between updates return
         the *same* sketch object, so treat it as read-only (queries are
-        fine — they never mutate sketch state).  Any routed update
+        fine — they move only its tracked levels, never its counters or
+        its answers).  Any routed update
         invalidates the cache.  On the process backend the returned
         object is additionally the *running* sum that later calls fold
         deltas into — successive calls may return the same (evolved)

@@ -290,19 +290,23 @@ class SignatureTable:
             self._add_row(key, row)
 
     def fold_changes(
-        self, keys: Any, rows: Any
+        self, keys: Any, rows: Any, first: int
     ) -> List[Tuple[int, Optional[int], Optional[int]]]:
-        """:meth:`fold`, reporting the keys whose singleton occupant changed.
+        """:meth:`fold`, reporting the keys from ``first`` on whose
+        singleton occupant changed.
 
-        Returns ``(key, before, after)`` per such key, in block order,
-        as the packed
-        :meth:`~repro.sketch.arena.SignatureArena.fold_changes` does:
-        each key's ``recover_singleton`` before and after its add, exact
-        at any pair width.
+        Every key is folded; returns ``(key, before, after)`` per key
+        ``>= first`` whose occupant changed, in block order, as the
+        packed :meth:`~repro.sketch.arena.SignatureArena.fold_changes`
+        does: each such key's ``recover_singleton`` before and after
+        its add, exact at any pair width.
         """
         changes: List[Tuple[int, Optional[int], Optional[int]]] = []
         singleton_at = self.singleton_at
         for key, row in zip(keys.tolist(), rows.tolist()):
+            if key < first:
+                self._add_row(key, row)
+                continue
             before = singleton_at(key)
             self._add_row(key, row)
             after = singleton_at(key)

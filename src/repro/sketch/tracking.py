@@ -11,11 +11,21 @@ A Tracking-DCS augments the basic sketch with, per first-level bucket
    occurrence frequency in the distinct sample drawn from levels
    ``>= b`` (:class:`~repro.sketch.heap.IndexedMaxHeap`).
 
-``UpdateTracking`` (Figure 6) maintains all three alongside every
-count-signature update in ``O(r log^2 m)`` worst-case time;
-``TrackTopk`` (Figure 7) then answers a top-k query in ``O(k log m)`` by
-walking ``numSingletons`` counters to find the stopping level and popping
-the level's heap ``k`` times.
+``TrackTopk`` (Figure 7) answers a top-k query in ``O(k log m)`` by
+walking ``numSingletons`` counters top-down to the stopping level and
+reading that level's heap; it reads no level below the stop.  So the
+sketch keeps the three structures only for the levels at or above a
+*floor*, the stop level of the last tracked walk (a new, copied or
+loaded sketch tracks no level).  ``UpdateTracking`` (Figure 6)
+maintains them alongside every count-signature update at a tracked
+level, in ``O(r (L - b) log m)`` for an update at level ``L`` over
+floor ``b``; an update below the floor touches only its counters.  A
+walk that runs out of tracked levels before its sample reaches the
+target decodes the levels below the floor (``GetdSample``, one slab
+pass on packed storage), building each level's heap from the level
+above plus its own sample, and every walk then moves the floor to the
+stop level it found.  Answers do not depend on the floor: the tracked
+structures at a level are a pure function of the counters.
 
 The paper's Figure 6 details only the insertion case and notes the
 deletion case is "completely symmetric"; we implement both through a
@@ -29,7 +39,7 @@ singleton -> empty — plus the no-op transitions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..exceptions import ParameterError
 from ..obs.catalog import (
@@ -128,7 +138,10 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             params, r=r, s=s, seed=seed, obs=obs, backend=backend
         )
         levels = self.params.num_levels
-        #: singletons(b) for every first-level bucket b.
+        #: The lowest tracked level; ``num_levels`` while none is.
+        self._floor = levels
+        #: singletons(b) for every first-level bucket b (empty below
+        #: the floor).
         self._singletons: List[SingletonSet] = [
             SingletonSet() for _ in range(levels)
         ]
@@ -157,8 +170,12 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         """UpdateTracking: signature update plus sample-state maintenance.
 
         The tracking form of the per-pair kernel, for per-update calls
-        and the per-pair batch path alike.
+        and the per-pair batch path alike; below the floor it is the
+        plain kernel.
         """
+        if level < self._floor:
+            super()._apply_at(pair, level, buckets, delta)
+            return
         store = self._store
         s = self.params.s
         key = level * self.params.r * s
@@ -184,15 +201,18 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         each folded bucket's singleton occupant from its value before
         the fold to its value after yields the same final state as
         replaying the fold update by update.  The store's
-        ``fold_changes`` reports just the buckets whose occupant
-        changed; each lives at level ``key // (r * s)``.  Removals and
-        adds may run in any order: every removal is a before-fold
-        occupant, so ``decr_count`` cannot underflow.
+        ``fold_changes`` folds every key and reports just the buckets
+        at or above the floor whose occupant changed; each lives at
+        level ``key // (r * s)``.  Removals and adds may run in any
+        order: every removal is a before-fold occupant, so
+        ``decr_count`` cannot underflow.
         """
         per_level = self.params.r * self.params.s
         remove = self._remove_singleton_occurrence
         add = self._add_singleton_occurrence
-        for key, before, after in self._store.fold_changes(keys, rows):
+        for key, before, after in self._store.fold_changes(
+            keys, rows, self._floor * per_level
+        ):
             level = key // per_level
             if before is not None:
                 remove(level, before)
@@ -205,10 +225,11 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             # New distinct pair in the level's sample (Fig 6, steps 18-22).
             self._num_singletons[level] += 1
             dest = self.domain.decode_pair(pair)[1]
-            for l in range(level, -1, -1):
+            floor = self._floor
+            for l in range(level, floor - 1, -1):
                 self._dest_heaps[l].add_to(dest, 1, remove_at_zero=True)
             self._obs_sample_add.inc()
-            self._obs_heap_add.inc(level + 1)
+            self._obs_heap_add.inc(level - floor + 1)
 
     def _remove_singleton_occurrence(self, level: int, pair: int) -> None:
         """A bucket at ``level`` stopped being a singleton of ``pair``."""
@@ -216,24 +237,84 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             # Pair left the level's sample (Fig 6, steps 8-12).
             self._num_singletons[level] -= 1
             dest = self.domain.decode_pair(pair)[1]
-            for l in range(level, -1, -1):
+            floor = self._floor
+            for l in range(level, floor - 1, -1):
                 self._dest_heaps[l].add_to(dest, -1, remove_at_zero=True)
             self._obs_sample_remove.inc()
-            self._obs_heap_remove.inc(level + 1)
+            self._obs_heap_remove.inc(level - floor + 1)
+
+    # -- moving the floor -----------------------------------------------------
+
+    def _descend(self, lowest: int) -> Iterator[Tuple[int, int]]:
+        """Track the levels below the floor, top-down to ``lowest``.
+
+        Decodes them through the sketch's level walk
+        (:meth:`~repro.sketch.dcs.DistinctCountSketch._walk_levels`: one
+        slab pass on packed storage).  Each level's ``singletons`` come
+        from its decode and its heap from the heap above plus the
+        level's own sample; the floor moves down to each level as it
+        is built, and the walk yields ``(level, numSingletons(level))``,
+        so a caller may stop at any level.
+        """
+        floor = self._floor
+        cumulative: Dict[int, int] = (
+            dict(self._dest_heaps[floor].items())
+            if floor < self.params.num_levels
+            else {}
+        )
+        decode = self.domain.decode_pair
+        for level, codes in self._walk_levels(
+            range(floor - 1, lowest - 1, -1)
+        ):
+            singletons = self._singletons[level]
+            for pair in codes:
+                if singletons.incr_count(pair) == 1:
+                    dest = decode(pair)[1]
+                    cumulative[dest] = cumulative.get(dest, 0) + 1
+            count = len(singletons)
+            self._num_singletons[level] = count
+            heap = self._dest_heaps[level]
+            for dest, freq in cumulative.items():
+                heap.insert(dest, freq)
+            self._obs_sample_add.inc(count)
+            self._floor = level
+            yield level, count
+
+    def _raise_floor(self, level: int) -> None:
+        """Stop tracking the levels below ``level`` (at or above the floor)."""
+        for below in range(self._floor, level):
+            self._obs_sample_remove.inc(self._num_singletons[below])
+            self._singletons[below] = SingletonSet()
+            self._num_singletons[below] = 0
+            self._dest_heaps[below] = IndexedMaxHeap()
+        self._floor = level
+
+    def _track_to(self, level: int) -> int:
+        """Track every level down to ``level``; returns ``level``.
+
+        Raises:
+            ParameterError: for a level outside the sketch.
+        """
+        self._key(level, 0, 0)
+        for _ in self._descend(level):
+            pass
+        return level
 
     # -- tracked-state accessors -------------------------------------------------
+    #
+    # Each first tracks every level down to the one it reads.
 
     def num_singletons(self, level: int) -> int:
         """The ``numSingletons(b)`` counter for ``level``."""
-        return self._num_singletons[level]
+        return self._num_singletons[self._track_to(level)]
 
     def singleton_pairs(self, level: int) -> Set[int]:
         """The tracked distinct sample contributed by ``level``."""
-        return self._singletons[level].pairs()
+        return self._singletons[self._track_to(level)].pairs()
 
     def heap_frequency(self, level: int, dest: int) -> int:
         """Tracked sample frequency of ``dest`` at ``level`` (0 if absent)."""
-        heap = self._dest_heaps[level]
+        heap = self._dest_heaps[self._track_to(level)]
         return heap.priority(dest) if dest in heap else 0
 
     # -- estimation (Figure 7) -----------------------------------------------------
@@ -242,16 +323,26 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         """Figure 7's walk to the sample inference level.
 
         Sums ``numSingletons`` top-down until the sample reaches its
-        target, and observes the sample size.  Returns ``(stop_level,
+        target, decoding on below the floor if the tracked levels run
+        out first (:meth:`_descend`), moves the floor to the stop
+        level, and observes the sample size.  Returns ``(stop_level,
         sample_size, target)``.
         """
         target = self.params.sample_target(epsilon)
         sample_size = 0
         stop_level = 0
-        for stop_level in range(self.params.num_levels - 1, -1, -1):
+        for stop_level in range(
+            self.params.num_levels - 1, self._floor - 1, -1
+        ):
             sample_size += self._num_singletons[stop_level]
             if sample_size >= target:
+                self._raise_floor(stop_level)
                 break
+        else:
+            for stop_level, count in self._descend(0):
+                sample_size += count
+                if sample_size >= target:
+                    break
         self._obs_sample_size.observe(sample_size)
         return stop_level, sample_size, target
 
@@ -263,8 +354,10 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         Walks ``numSingletons`` counters top-down to locate the sample
         inference level, then reads the ``k`` largest entries of the
         level's destination heap in pop order without popping them
-        (:meth:`~repro.sketch.heap.IndexedMaxHeap.top_k`), so the
-        synopsis is unchanged.
+        (:meth:`~repro.sketch.heap.IndexedMaxHeap.top_k`).  The query
+        moves the tracked levels to its stop level (decoding the levels
+        below the floor the walk needs), never the counters or the
+        answers.
         """
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
@@ -291,7 +384,8 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         walks the stopping level's heap in pop order
         (:meth:`~repro.sketch.heap.IndexedMaxHeap.ranked`) while
         estimates clear the threshold, leaving the heap untouched.
-        Cost ``O(a log a)`` for ``a`` reported answers.
+        Cost ``O(a log a)`` for ``a`` reported answers; the tracked
+        levels move as in :meth:`track_topk`.
         """
         if tau < 1:
             raise ParameterError(f"tau must be >= 1, got {tau}")
@@ -315,18 +409,30 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
     def check_invariants(self) -> None:
         """Verify tracked state against a from-scratch recomputation.
 
-        Asserts that, for every level ``b``:
+        Asserts that, for every tracked level ``b`` (at or above the
+        floor):
 
         * ``singletons(b)`` equals the set ``GetdSample`` would recover;
         * ``numSingletons(b)`` equals its size; and
         * ``topDestHeap(b)`` holds exactly the destination frequencies of
-          the union of singleton sets from levels ``>= b``.
+          the union of singleton sets from levels ``>= b``;
 
+        and that every level below the floor holds no tracked state.
         Used heavily by the test suite; O(sketch size), not for hot paths.
         """
         cumulative: Dict[int, int] = {}
         sweep = self.dsample_sweep()
         for level in range(self.params.num_levels - 1, -1, -1):
+            if level < self._floor:
+                if (
+                    self._singletons[level]
+                    or self._num_singletons[level]
+                    or self._dest_heaps[level]
+                ):
+                    raise AssertionError(
+                        f"level {level}: untracked level holds state"
+                    )
+                continue
             expected_sample = sweep[level]
             tracked_sample = self._singletons[level].pairs()
             if expected_sample != tracked_sample:
@@ -349,37 +455,6 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
                     f"level {level}: topDestHeap diverges from sample"
                 )
             self._dest_heaps[level].check_invariants()
-
-    # -- rebuilding ---------------------------------------------------------------
-
-    def _rebuild_tracking_state(self) -> None:
-        """Recompute singletons/counters/heaps from the raw signatures.
-
-        One store ``decode_levels`` walk over every level (a single
-        slab-kernel pass on packed storage); the resulting state is a
-        pure function of the counter state, so decode order is
-        immaterial.
-        """
-        levels = self.params.num_levels
-        self._singletons = [SingletonSet() for _ in range(levels)]
-        self._num_singletons = [0] * levels
-        self._dest_heaps = [
-            IndexedMaxHeap() for _ in range(levels)
-        ]
-        add = self._add_singleton_occurrence
-        decoded = self._store.decode_levels(
-            range(levels), self.params.r * self.params.s
-        )
-        for level, (codes, _) in enumerate(decoded):
-            for pair in codes:
-                add(level, pair)
-
-    def copy(self) -> "TrackingDistinctCountSketch":
-        """Deep copy, including tracked state (rebuilt from signatures)."""
-        clone = super().copy()
-        assert isinstance(clone, TrackingDistinctCountSketch)
-        clone._rebuild_tracking_state()
-        return clone
 
     def __repr__(self) -> str:
         return (

@@ -73,9 +73,19 @@ def format_update(update: FlowUpdate, dotted: bool = True) -> str:
 
 
 def iter_trace(stream: IO[str]) -> Iterator[FlowUpdate]:
-    """Yield updates from an open text stream, skipping comments."""
+    """Yield updates from an open text stream, skipping comments.
+
+    Raises:
+        StreamError: naming the line, for a line that is not ASCII (the
+            trace format is) or does not parse.
+    """
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
+        if not line.isascii():
+            text = line.encode("utf-8", "surrogateescape")
+            raise StreamError(
+                f"line {line_number}: trace lines must be ASCII, got {text!r}"
+            )
         if not line or line.startswith("#"):
             continue
         try:
@@ -85,8 +95,14 @@ def iter_trace(stream: IO[str]) -> Iterator[FlowUpdate]:
 
 
 def read_trace(path: PathLike) -> List[FlowUpdate]:
-    """Read a whole trace file into memory."""
-    with open(path, "r", encoding="ascii") as handle:
+    """Read a whole trace file into memory.
+
+    A byte outside ASCII reaches :func:`iter_trace` as a lone surrogate
+    (``surrogateescape``), which rejects its line by number.
+    """
+    with open(
+        path, "r", encoding="ascii", errors="surrogateescape"
+    ) as handle:
         return list(iter_trace(handle))
 
 

@@ -48,6 +48,7 @@ class TestShardShipAndMerge:
             for index in range(sharded.num_shards)
         ]
         merged = TrackingDistinctCountSketch(sharded.params, seed=7)
+        merged.track_topk(1)  # empty: every level tracked
         for shard in shipped:
             merged.merge(shard)
         direct = TrackingDistinctCountSketch(

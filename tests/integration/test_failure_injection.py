@@ -23,6 +23,7 @@ class TestIllFormedStreams:
     def test_sketch_survives_delete_before_insert(self):
         domain = AddressDomain(2 ** 16)
         sketch = TrackingDistinctCountSketch(domain, seed=1)
+        sketch.track_topk(1)  # empty: every level tracked
         sketch.delete(1, 2)          # net -1
         sketch.check_invariants()
         sketch.insert(1, 2)          # back to zero
@@ -32,6 +33,7 @@ class TestIllFormedStreams:
     def test_negative_net_pairs_never_reported(self):
         domain = AddressDomain(2 ** 16)
         sketch = TrackingDistinctCountSketch(domain, seed=2)
+        sketch.track_topk(1)  # empty: every level tracked
         for source in range(30):
             sketch.delete(source, 7)  # all negative
         for source in range(10):
@@ -45,6 +47,7 @@ class TestIllFormedStreams:
         sketch = TrackingDistinctCountSketch(
             SketchParams(domain, r=2, s=8), seed=3
         )
+        sketch.track_topk(1)  # empty: every level tracked
         rng = random.Random(4)
         for _ in range(2000):
             sketch.update(rng.randrange(256), rng.randrange(256),
@@ -63,6 +66,7 @@ class TestExporterOverload:
         # What it did emit is still well-formed and tracks correctly.
         domain = AddressDomain(2 ** 32)
         sketch = TrackingDistinctCountSketch(domain, seed=6)
+        sketch.track_topk(1)  # empty: every level tracked
         sketch.process_stream(updates)
         sketch.check_invariants()
         top = sketch.track_topk(1)
@@ -92,6 +96,7 @@ class TestDegenerateConfigurations:
         sketch = TrackingDistinctCountSketch(
             SketchParams(domain, r=1, s=2), seed=9
         )
+        sketch.track_topk(1)  # empty: every level tracked
         sketch.insert(0, 1)
         sketch.insert(1, 1)
         sketch.check_invariants()
@@ -104,6 +109,7 @@ class TestDegenerateConfigurations:
         sketch = TrackingDistinctCountSketch(
             SketchParams(domain, r=2, s=4), seed=10
         )
+        sketch.track_topk(1)  # empty: every level tracked
         for source in range(4):
             for dest in range(4):
                 sketch.insert(source, dest)
@@ -130,6 +136,7 @@ class TestDegenerateConfigurations:
         sketch = TrackingDistinctCountSketch(
             SketchParams(domain, r=1, s=2), seed=12
         )
+        sketch.track_topk(1)  # empty: every level tracked
         for source in range(100):
             sketch.insert(source, source % 3)
         sketch.check_invariants()

@@ -36,6 +36,7 @@ class TestSketchMerging:
         central = TrackingDistinctCountSketch(domain, seed=9)
         central.process_stream(network.merged_updates())
         merged = TrackingDistinctCountSketch(domain, seed=9)
+        merged.track_topk(1)  # empty: every level tracked
         for updates in network.update_streams().values():
             partial = TrackingDistinctCountSketch(domain, seed=9)
             partial.process_stream(updates)
@@ -63,8 +64,10 @@ class TestInterleavingInvariance:
         round_robin = RoundRobinMerge(*[ListSource(s) for s in streams])
         random_merge = interleave(*streams, seed=4)
         a = TrackingDistinctCountSketch(domain, seed=11)
+        a.track_topk(1)  # empty: every level tracked
         a.process_stream(round_robin)
         b = TrackingDistinctCountSketch(domain, seed=11)
+        b.track_topk(1)  # empty: every level tracked
         b.process_stream(random_merge)
         assert a.structurally_equal(b)
         a.check_invariants()

@@ -244,6 +244,7 @@ class TestMonitorWindowDifferential:
         expected = from_scratch(in_window(updates, 470, 50, 4), backend)
         assert reopened.window_sum.structurally_equal(expected)
         assert reopened.in_window_updates == expected.updates_processed
+        assert reopened.top_k(5) == expected.base_topk(5)
         reopened.window_sum.check_invariants()
         reopened.close()
 
@@ -260,6 +261,7 @@ class TestTrackedWindowQueries:
             seed=SEED,
             backend=backend,
         )
+        window.window_sum.track_topk(1)  # empty: every level tracked
         advances = 0
         for update in make_stream(25, 640):
             before = window.subepoch_index

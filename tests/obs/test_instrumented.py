@@ -124,6 +124,7 @@ class TestSketchInstrumentation:
 class TestTrackingInstrumentation:
     def test_singleton_events_and_heap_ops(self, domain, registry):
         sketch = TrackingDistinctCountSketch(domain, seed=1, obs=registry)
+        sketch.track_topk(1)  # empty: every level tracked
         sketch.insert(1, 2)
         adds = counter_value(
             registry, "repro_tracking_singleton_events_total", event="add"
@@ -131,7 +132,7 @@ class TestTrackingInstrumentation:
         assert adds >= 1  # one per pair and level, however many tables
         assert counter_value(
             registry, "repro_tracking_heap_ops_total", op="add"
-        ) >= adds  # each add touches level+1 >= 1 heaps
+        ) >= adds  # each add touches level - floor + 1 >= 1 heaps
         sketch.delete(1, 2)
         removes = counter_value(
             registry,
@@ -144,6 +145,7 @@ class TestTrackingInstrumentation:
         self, domain, registry
     ):
         sketch = TrackingDistinctCountSketch(domain, seed=1, obs=registry)
+        sketch.track_topk(1)  # empty: every level tracked
         for update in stream(200, seed=4):
             sketch.process(update)
         gauge = registry.get("repro_tracking_sample_pairs")
@@ -166,17 +168,23 @@ class TestTrackingInstrumentation:
 
 
 class TestFoldAccounting:
-    """Singleton events net to the tracked sample on either store."""
+    """Singleton events net to the tracked sample on either store.
+
+    Each sketch is queried before the operations a test checks, so
+    they run against tracked levels.
+    """
 
     EVENTS = "repro_tracking_singleton_events_total"
 
     def assert_tally(self, registry, sketch):
-        adds = counter_value(registry, self.EVENTS, event="add")
-        removes = counter_value(registry, self.EVENTS, event="remove")
-        assert adds - removes == sum(
+        # Reading every level tracks every level: count after that.
+        sample = sum(
             sketch.num_singletons(level)
             for level in range(sketch.params.num_levels)
         )
+        adds = counter_value(registry, self.EVENTS, event="add")
+        removes = counter_value(registry, self.EVENTS, event="remove")
+        assert adds - removes == sample
         sketch.check_invariants()
 
     @pytest.mark.parametrize("backend", ["reference", "packed"])
@@ -187,6 +195,7 @@ class TestFoldAccounting:
             domain, seed=1, obs=registry, backend=backend
         )
         other = TrackingDistinctCountSketch(domain, seed=1, backend=backend)
+        sketch.track_topk(1)  # empty: every level tracked
         sketch.process_stream(stream(300, seed=7))
         other.process_stream(stream(300, seed=8))
         sketch.merge(other)
@@ -208,6 +217,7 @@ class TestFoldAccounting:
             ),
         )
         loaded = serialize.loads(payload, backend=backend)
+        assert loaded.track_topk(3) == sketch.track_topk(3)
         self.assert_tally(loaded_registry, loaded)
         assert loaded.structurally_equal(sketch)
 
@@ -219,6 +229,7 @@ class TestFoldAccounting:
         sketch = TrackingDistinctCountSketch(
             domain, seed=1, obs=registry, backend=backend
         )
+        sketch.track_topk(1)  # empty: every level tracked
         if batched:
             sketch.update_batch([FlowUpdate(1, 2, 1)])
         else:

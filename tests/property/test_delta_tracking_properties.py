@@ -17,7 +17,8 @@ interleaving of block folds, per-update writes, drains and resets:
    of keys, the same per-key singleton decode, the same level decodes
    (one table per level, and all tables as one level), the same
    per-table occupancy, reports the same singleton changes from each
-   fold, and drains the same runs.
+   fold (from any first key on: a tracking sketch diffs only the keys
+   at or above its floor), and drains the same runs.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ operations = st.one_of(
     st.tuples(
         st.just("fold"),
         st.lists(st.tuples(keys, rows), max_size=5, unique_by=lambda kv: kv[0]),
+        st.integers(min_value=0, max_value=KEYS),
     ),
     st.tuples(
         st.just("update"),
@@ -119,13 +121,17 @@ def test_drained_runs_replay_the_arena(range_size, ops):
         kind = op[0]
         if kind == "fold":
             if op[1]:
+                # Every sketch fold's keys ascend.
+                ordered = sorted(op[1])
                 block = (
-                    np.array([key for key, _ in op[1]], dtype=np.int64),
-                    np.array([row for _, row in op[1]], dtype=np.int64),
+                    np.array([key for key, _ in ordered], dtype=np.int64),
+                    np.array([row for _, row in ordered], dtype=np.int64),
+                    op[2],
                 )
                 changes = arena.fold_changes(*block)
                 assert changes == table.fold_changes(*block)
                 assert all(before != after for _, before, after in changes)
+                assert all(key >= op[2] for key, _, _ in changes)
         elif kind == "update":
             arena.update(op[1], op[2], op[3])
             table.update(op[1], op[2], op[3])

@@ -37,7 +37,10 @@ pair_lists = st.lists(pairs, max_size=50)
 
 def build_sketch(seed=0, tracking=False):
     cls = TrackingDistinctCountSketch if tracking else DistinctCountSketch
-    return cls(PARAMS, seed=seed)
+    sketch = cls(PARAMS, seed=seed)
+    if tracking:
+        sketch.track_topk(1)  # empty: every level tracked
+    return sketch
 
 
 @given(pair_lists, pair_lists)

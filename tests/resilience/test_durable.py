@@ -112,6 +112,12 @@ class TestRecoverSketchAPI:
         with pytest.raises(ParameterError):
             recover_sketch(tmp_path)
 
+    def test_recover_from_a_missing_path_creates_nothing(self, tmp_path):
+        missing = tmp_path / "absent" / "durable"
+        with pytest.raises(ParameterError, match="not a directory"):
+            recover_sketch(missing)
+        assert not (tmp_path / "absent").exists()
+
     def test_first_open_requires_params(self, tmp_path):
         with pytest.raises(ParameterError):
             DurableSketch(tmp_path)

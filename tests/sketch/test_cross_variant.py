@@ -26,6 +26,7 @@ class TestBasicTrackingInterop:
         for source in range(120):
             basic.insert(source, 7)
         tracking = TrackingDistinctCountSketch(domain, seed=5)
+        tracking.track_topk(1)  # empty: every level tracked
         for source in range(200, 260):
             tracking.insert(source, 8)
         tracking.merge(basic)

@@ -196,9 +196,11 @@ class TestTrackingSketchDifferential:
         reference = TrackingDistinctCountSketch(
             DOMAIN, seed=13, backend="reference"
         )
+        reference.track_topk(1)  # empty: every level tracked
         packed = TrackingDistinctCountSketch(
             DOMAIN, seed=13, backend="packed"
         )
+        packed.track_topk(1)  # empty: every level tracked
         for update in updates:
             reference.process(update)
         packed.process_stream(updates, batch_size=batch_size)
@@ -220,12 +222,14 @@ class TestTrackingSketchDifferential:
         packed = TrackingDistinctCountSketch(
             DOMAIN, seed=2, backend="packed"
         )
+        packed.track_topk(1)  # empty: every level tracked
         for start in range(0, len(updates), 400):
             packed.update_batch(updates[start:start + 400])
             packed.check_invariants()
 
     def test_tracking_merge_and_copy(self):
         left = TrackingDistinctCountSketch(DOMAIN, seed=4, backend="packed")
+        left.track_topk(1)  # empty: every level tracked
         right = TrackingDistinctCountSketch(DOMAIN, seed=4, backend="packed")
         left.process_stream(make_stream(61, 1000), batch_size=128)
         right.process_stream(make_stream(62, 1000), batch_size=128)
@@ -262,6 +266,8 @@ class TestSlabEngineDifferential:
         for update in updates:
             reference.process(update)
         packed = cls(DOMAIN, seed=17, backend="packed")
+        if tracking:
+            packed.track_topk(1)  # empty: every level tracked
         packed.process_stream(updates, batch_size=batch_size)
         assert packed.structurally_equal(reference)
         assert reference.structurally_equal(packed)
@@ -320,6 +326,7 @@ class TestSlabEngineDifferential:
         batch = make_stream(72, 300)
         batch.insert(150, bad)
         sketch = TrackingDistinctCountSketch(DOMAIN, seed=3, backend=backend)
+        sketch.track_topk(1)  # empty: every level tracked
         with pytest.raises(error):
             sketch.update_batch(batch)
         assert sketch.updates_processed == 0
@@ -336,6 +343,7 @@ class TestSlabEngineDifferential:
         batch = make_stream(74, 300)
         batch.insert(150, odd)
         sketch = TrackingDistinctCountSketch(DOMAIN, seed=3, backend=backend)
+        sketch.track_topk(1)  # empty: every level tracked
         looped = TrackingDistinctCountSketch(DOMAIN, seed=3, backend=backend)
         if error is not None:
             with pytest.raises(error):
@@ -376,6 +384,7 @@ class TestSlabEngineDifferential:
         for update in updates:
             reference.process(update)
         packed = TrackingDistinctCountSketch(params, seed=12)
+        packed.track_topk(1)  # empty: every level tracked
         packed.process_stream(updates, batch_size=64)
         assert packed.structurally_equal(reference)
         packed.check_invariants()
@@ -453,6 +462,8 @@ class TestCancellingBatches:
             DOMAIN, seed=19, backend="reference", obs=reference_obs
         )
         packed = cls(DOMAIN, seed=19, obs=packed_obs)
+        if tracking:
+            packed.track_topk(1)  # empty: every level tracked
         for batch in cancel_batches(case):
             for update in batch:
                 reference.process(update)
@@ -482,6 +493,8 @@ class TestCancellingBatches:
         reference = TrackingDistinctCountSketch(
             DOMAIN, seed=19, backend="reference"
         )
+        for sketch in (monitor.sketch, window.window_sum):
+            sketch.track_topk(1)  # empty: every level tracked
         for batch in cancel_batches(case):
             monitor.observe_batch(batch)
             for update in batch:

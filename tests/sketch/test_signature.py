@@ -314,6 +314,7 @@ class TestFoldChanges:
             changes = store.fold_changes(
                 np.array(keys, dtype=np.int64),
                 np.array(rows, dtype=np.int64).reshape(len(keys), 5),
+                0,
             )
             assert changes == expected
         assert store.occupied_keys().tolist() == [2, 3]

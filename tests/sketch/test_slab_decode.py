@@ -182,6 +182,7 @@ class TestSlabDecodeDifferential:
         tracking = TrackingDistinctCountSketch(
             DOMAIN, seed=21, backend="packed"
         )
+        tracking.track_topk(1)  # empty: every level tracked
         tracking.process_stream(updates, batch_size=200)
         tracking.check_invariants()
         for level in range(tracking.params.num_levels):

@@ -51,6 +51,8 @@ def fed(
 ) -> DistinctCountSketch:
     cls = TrackingDistinctCountSketch if tracking else DistinctCountSketch
     sketch = cls(DOMAIN, seed=9, backend=backend)
+    if tracking:
+        sketch.track_topk(1)  # empty: every level tracked
     for update in updates:
         sketch.process(update)
     return sketch

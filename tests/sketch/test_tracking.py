@@ -23,7 +23,9 @@ def domain() -> AddressDomain:
 
 @pytest.fixture
 def sketch(domain) -> TrackingDistinctCountSketch:
-    return TrackingDistinctCountSketch(domain, seed=1)
+    sketch = TrackingDistinctCountSketch(domain, seed=1)
+    sketch.track_topk(1)  # empty: every level tracked
+    return sketch
 
 
 def random_stream(count, seed, m=2 ** 16, dests=20):
@@ -174,6 +176,22 @@ class TestTrackTopkBehaviour:
         result = sketch.track_topk(4)
         assert len(result) == 0
 
+    def test_tracks_the_levels_down_to_the_last_stop(self, domain):
+        sketch = TrackingDistinctCountSketch(domain, seed=3)
+        sketch.process_stream(random_stream(3000, seed=4))
+        levels = sketch.params.num_levels
+        assert sketch._floor == levels  # never queried: none tracked
+        assert sketch.copy()._floor == levels
+        stop = sketch.track_topk(3).stop_level
+        assert 0 < stop == sketch._floor
+        assert sketch._num_singletons[:stop] == [0] * stop
+        assert sketch._num_singletons[stop] > 0
+        sketch.check_invariants()
+        # Reading a lower level tracks down to it.
+        assert sketch.num_singletons(0) == len(sketch.get_dsample(0))
+        assert sketch._floor == 0
+        sketch.check_invariants()
+
     def test_rejects_bad_k(self, sketch):
         with pytest.raises(ParameterError):
             sketch.track_topk(0)
@@ -206,6 +224,9 @@ class TestTrackThreshold:
     def test_threshold_query_leaves_heap_layout(self, domain):
         sketch = TrackingDistinctCountSketch(domain, seed=20)
         sketch.process_stream(random_stream(600, seed=21, dests=10))
+        # The first query moves the tracked levels to its stop level;
+        # a second at the same stop leaves the tracked heaps as laid out.
+        sketch.track_threshold(16)
         layouts = [heap.items() for heap in sketch._dest_heaps]
         assert len(sketch.track_threshold(16)) > 1
         assert [heap.items() for heap in sketch._dest_heaps] == layouts
@@ -226,6 +247,7 @@ class TestTrackThreshold:
 class TestMergeAndCopy:
     def test_merge_rebuilds_tracking_state(self, domain):
         left = TrackingDistinctCountSketch(domain, seed=14)
+        left.track_topk(1)  # empty: every level tracked
         right = TrackingDistinctCountSketch(domain, seed=14)
         for source in range(100):
             left.insert(source, 1)
@@ -255,10 +277,11 @@ class TestMergeAndCopy:
         for source in range(120):
             sketch.insert(source, 4)
         clone = sketch.copy()
-        clone.check_invariants()
+        clone.check_invariants()  # a copy tracks no level
         assert clone.track_topk(1).as_dict() == (
             sketch.track_topk(1).as_dict()
         )
+        clone.check_invariants()
         clone.insert(999, 5)
         assert sketch.updates_processed == 120
 

@@ -19,7 +19,9 @@ DOMAIN = AddressDomain(2 ** 32)
 
 
 def build_sketch(seed=1):
-    return TrackingDistinctCountSketch(DOMAIN, seed=seed)
+    sketch = TrackingDistinctCountSketch(DOMAIN, seed=seed)
+    sketch.track_topk(1)  # empty: every level tracked
+    return sketch
 
 
 class TestSingleVictimStorm:

@@ -80,6 +80,12 @@ class TestFileRoundTrip:
         content = path.read_text()
         assert content.startswith("# a\n# b\n")
 
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "flows.trace"
+        path.write_bytes(b"1 2 1\n\xff\xfe 3 1\n")
+        with pytest.raises(StreamError, match=r"line 2: .*ASCII"):
+            read_trace(path)
+
     def test_trace_feeds_a_sketch(self, tmp_path):
         from repro import AddressDomain, TrackingDistinctCountSketch
 

@@ -109,6 +109,29 @@ class TestMalformedTraces:
         assert err[0].startswith(f"repro-ddos {command[0]}: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("where", ["missing", "directory", "non-ascii"])
+    @pytest.mark.parametrize(
+        "command",
+        [["trace", "replay"], ["describe"]],
+        ids=["replay", "describe"],
+    )
+    def test_unreadable_trace_exits_one_with_one_line(
+        self, where, command, tmp_path, capsys
+    ):
+        path = tmp_path / "flows.trace"
+        if where == "directory":
+            path.mkdir()
+        elif where == "non-ascii":
+            path.write_bytes(b"1 2 1\n\xff\xfe 3 1\n")
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro-ddos {command[0]}: ")
+        if where == "non-ascii":
+            assert "line 2" in err[0]
+        assert "Traceback" not in captured.err
+
 
 class TestPlanCommand:
     def test_prints_both_flavors(self, capsys):
@@ -277,6 +300,16 @@ class TestCheckpointRoundTrip:
         assert err.startswith("recovery failed:")
         assert err.count("\n") == 1
 
+
+    def test_recover_leaves_a_missing_directory_missing(
+        self, tmp_path, capsys
+    ):
+        directory = tmp_path / "absent" / "durable"
+        assert main(["recover", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("recovery failed:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "absent").exists()
 
     def test_recover_reports_a_malformed_update(self, tmp_path, capsys):
         directory = tmp_path / "durable"
